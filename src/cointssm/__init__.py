@@ -28,6 +28,7 @@ from .ecf import (
     whiteness_diagnostic,
 )
 from .errors import (
+    CointegrationRankError,
     CointSSMError,
     ComputationError,
     ConditioningError,

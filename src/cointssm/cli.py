@@ -8,6 +8,7 @@ codes: 0 success, 2 validation failure, 3 numeric/convergence failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -71,13 +72,20 @@ def _sidecar_path(csv_path: str) -> str:
     return csv_path + ".json"
 
 
-def _load_canonical(config_path: str) -> tuple[CointCanonicalForm, dict]:
+def _load_canonical(config_path: str,
+                    rank_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, dict]:
     doc = load_document(config_path)
     mod = parse_document(doc)
-    return to_canonical(mod), doc
+    return to_canonical(mod, rank_tol), doc
 
 
 def cmd_simulate(args) -> int:
+    sidecar_path = _sidecar_path(args.output)
+    if os.path.realpath(args.config) in {os.path.realpath(p) for p in (args.output, sidecar_path)}:
+        raise ValidationError(
+            f"writing {args.output} and its sidecar {sidecar_path} would overwrite "
+            f"the model document {args.config}"
+        )
     cf, doc = _load_canonical(args.config)
     opts = parse_sampling(doc)
     sm = moments.discretize(cf, opts.h)
@@ -108,7 +116,7 @@ def cmd_simulate(args) -> int:
         "sigma_tilde": mat_to_list(sm.sigma_tilde),
         "gamma0": mat_to_list(sm.gamma0),
     }
-    with open(_sidecar_path(args.output), "w", encoding="utf-8", newline="\n") as fh:
+    with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_json(sidecar))
     return EXIT_OK
 
@@ -134,9 +142,9 @@ def cmd_analyze(args) -> int:
     out: dict = {"model_kind": doc["model_kind"]}
     if isinstance(mod, McarmaModel):
         out["cointegration"] = _coint_report_doc(check_cointegration(mod, args.rank_tol))
-        cf = to_canonical(mod) if out["cointegration"]["is_cointegrated"] else None
+        cf = to_canonical(mod, args.rank_tol) if out["cointegration"]["is_cointegrated"] else None
     else:
-        cf = to_canonical(mod)
+        cf = to_canonical(mod, args.rank_tol)
     if cf is not None:
         out["canonical_form"] = canonical_to_doc(cf)
         out["c"] = cf.c
@@ -170,7 +178,7 @@ def cmd_canonicalize(args) -> int:
     if isinstance(mod, CointCanonicalForm):
         cf, T = mod, np.eye(mod.N)
     else:
-        cf, T = canonicalize(mod)
+        cf, T = canonicalize(mod, rel_tol=args.rank_tol)
     out = {
         "canonical_form": canonical_to_doc(cf),
         "transform": mat_to_list(T),
@@ -199,7 +207,7 @@ def cmd_filter(args) -> int:
         )
     h = args.h if args.h is not None else _infer_h(times)
     sm = moments.discretize(cf, h)
-    ks = kalman.solve_steady_state(sm, cf, tol=args.riccati_tol)
+    ks = kalman.solve_steady_state(sm, cf)
     eps, _ = kalman.filter_innovations(ks, sm, y)
     header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
     _write_csv(args.output_prefix + "_innovations.csv", header,
@@ -209,7 +217,6 @@ def cmd_filter(args) -> int:
         "omega": mat_to_list(ks.omega),
         "gain": mat_to_list(ks.gain),
         "v": mat_to_list(ks.v),
-        "iterations": ks.iterations,
         "residual": ks.residual,
         "rho_closed_loop": ks.spectral_radius,
     }
@@ -219,7 +226,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_ecf(args) -> int:
-    cf, doc = _load_canonical(args.model)
+    cf, doc = _load_canonical(args.model, args.rank_tol)
     opts = parse_sampling(doc)
     times = y = None
     if args.path:
@@ -230,7 +237,7 @@ def cmd_ecf(args) -> int:
             )
     h = args.h if args.h is not None else (_infer_h(times) if times is not None else opts.h)
     sm = moments.discretize(cf, h)
-    ks = kalman.solve_steady_state(sm, cf, tol=args.riccati_tol)
+    ks = kalman.solve_steady_state(sm, cf)
     dec = ecf_mod.ma_and_ktilde_coeffs(ks, sm, args.J, rel_tol=args.rank_tol)
     check = ecf_mod.structural_check(ks, sm, cf)
     out = {
@@ -278,11 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tols(p):
+    def add_rank_tol(p):
         p.add_argument("--rank-tol", type=float, default=matops.RANK_REL_TOL,
                        help="relative tolerance for rank decisions")
-        p.add_argument("--riccati-tol", type=float, default=kalman.RICCATI_TOL,
-                       help="relative convergence tolerance of the Riccati iteration")
 
     p_sim = sub.add_parser("simulate", help="simulate a path of the sampled model")
     p_sim.add_argument("config", help="model document (JSON)")
@@ -298,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--t-grid", default="0,1,2", help="comma separated t values")
     p_an.add_argument("--s-grid", default="0,1", help="comma separated s values")
     p_an.add_argument("--output", default=None, help="write the moments CSV here")
-    add_tols(p_an)
+    add_rank_tol(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_can = sub.add_parser("canonicalize", help="unique decoupled canonical form")
     p_can.add_argument("config", help="model document (JSON)")
-    add_tols(p_can)
+    add_rank_tol(p_can)
     p_can.set_defaults(func=cmd_canonicalize)
 
     p_fil = sub.add_parser("filter", help="steady state Kalman filter over a path CSV")
@@ -313,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prefix for _innovations.csv and _solution.json")
     p_fil.add_argument("--h", type=float, default=None,
                        help="override the sampling step inferred from the CSV")
-    add_tols(p_fil)
     p_fil.set_defaults(func=cmd_filter)
 
     p_ecf = sub.add_parser("ecf", help="error correction decomposition report")
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ecf.add_argument("--h", type=float, default=None,
                        help="sampling step (default: CSV grid or the document's sampling block)")
     p_ecf.add_argument("--residuals-out", default=None, help="write ECF residual CSV here")
-    add_tols(p_ecf)
+    add_rank_tol(p_ecf)
     p_ecf.set_defaults(func=cmd_ecf)
     return parser
 

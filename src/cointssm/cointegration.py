@@ -38,7 +38,7 @@ class CointReport:
     roots: np.ndarray
 
 
-def _signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-r SVD factorization ``M = alpha beta'`` with the singular values
     absorbed into alpha and each beta column's first nonzero entry positive.
     """
@@ -76,7 +76,7 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
     cond_b = 0 < r < d
     alpha = beta = None
     if cond_b:
-        alpha, beta = _signed_rank_factors(Pp, r)
+        alpha, beta = signed_rank_factors(Pp, r)
 
     if 0 < r < d:
         a_perp = matops.orth_complement(alpha, rel_tol)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matops
-from .cointegration import _signed_rank_factors
+from .cointegration import signed_rank_factors
 from .errors import (
     CointegrationRankError,
     ConditioningError,
@@ -91,7 +91,7 @@ def factor_alpha_beta(k1: np.ndarray, c: int,
         raise CointegrationRankError(
             f"numerical rank of k(1) is {found}, expected d - c = {r}"
         )
-    alpha, beta = _signed_rank_factors(-K1, r)
+    alpha, beta = signed_rank_factors(-K1, r)
     return alpha, beta
 
 

@@ -43,7 +43,7 @@ class MinimalityError(ComputationError):
 
 
 class ConvergenceError(ComputationError):
-    """An iterative solver exhausted its iteration budget."""
+    """A solver failed or returned a solution that fails verification."""
 
 
 class ConditioningError(ComputationError):

@@ -1,10 +1,11 @@
 """Steady-state Kalman filtering of the sampled model.
 
-The prediction covariance is the fixed point of the discrete algebraic
-Riccati map with the exact one-step noise covariance as constant term; the
-filter has no separate measurement noise because the observation equation
-is noiseless. The unit root in the transition matrix slows the fixed-point
-iteration down but does not break it as long as the model is minimal.
+The prediction covariance is the stabilizing solution of the discrete
+algebraic Riccati equation with the exact one-step noise covariance as
+constant term; the filter has no separate measurement noise because the
+observation equation is noiseless. The equation is solved directly by the
+extended-pencil method of Arnold & Laub (1984), which accepts the zero
+measurement covariance, and every solution is verified before use.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .errors import (
 )
 from .model import CointCanonicalForm
 from .moments import SampledModel
-from .realization import MinimalityReport, _report_from_pair
+from .realization import MinimalityReport, matrix_minimality_report
 
-RICCATI_TOL = 1e-12
-RICCATI_MAX_ITER = 10**6
 RESIDUAL_TOL = 1e-10
 
 
@@ -38,7 +37,8 @@ class KalmanSolution:
     state Kalman gain, ``v = C omega C'`` the innovation covariance and
     ``closed_loop = e^{Ah} - gain C`` the filter transition, with spectral
     radius < 1. ``c_matrix`` retains the observation matrix the solution
-    was computed for.
+    was computed for. ``iterations`` is always 0, as the solve is direct; it
+    stays until the benchmark's work counter, which reads it, is updated.
     """
 
     omega: np.ndarray
@@ -70,18 +70,14 @@ def _riccati_step(omega: np.ndarray, eAh: np.ndarray, C: np.ndarray,
     return 0.5 * (new + new.T), G, S
 
 
-def solve_steady_state(
-    sm: SampledModel,
-    cf: CointCanonicalForm,
-    tol: float = RICCATI_TOL,
-    max_iter: int = RICCATI_MAX_ITER,
-) -> KalmanSolution:
-    """Fixed point of the Riccati map, iterated from ``omega_0 = sigma_tilde``.
+def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm) -> KalmanSolution:
+    """Stabilizing solution of ``omega = F omega F' - G S^{-1} G' + sigma_tilde``
+    with ``F = e^{Ah}``, ``G = F omega C'`` and ``S = C omega C'``.
 
-    Stops when successive iterates differ by less than ``tol`` in Frobenius
-    norm relative to ``1 + ||omega||``; the returned solution is verified
-    against the Riccati residual, closed-loop stability and positive
-    definiteness of the innovation covariance.
+    Solved by ``scipy.linalg.solve_discrete_are`` with zero measurement
+    covariance; the solution is verified against the Riccati residual,
+    closed-loop stability and positive definiteness of the innovation
+    covariance.
     """
     C = cf.full_C()
     eAh = np.asarray(sm.eAh)
@@ -93,26 +89,17 @@ def solve_steady_state(
     if matops.numerical_rank(C).rank < cf.d:
         raise ConditioningError("observation matrix C does not have full row rank")
 
-    omega = sigma.copy()
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new, _, _ = _riccati_step(omega, eAh, C, sigma)
-        delta = np.linalg.norm(new - omega)
-        omega = new
-        if delta < tol * (1.0 + np.linalg.norm(omega)):
-            break
-    else:
-        raise ConvergenceError(
-            f"Riccati iteration did not converge in {max_iter} steps "
-            f"(last update {delta:.3e})"
-        )
-
+    try:
+        omega = sla.solve_discrete_are(eAh.T, C.T, sigma, np.zeros((cf.d, cf.d)))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ConvergenceError(f"discrete Riccati solver failed: {exc}") from exc
+    omega = 0.5 * (omega + omega.T)
     new, G, S = _riccati_step(omega, eAh, C, sigma)
     residual = float(np.linalg.norm(omega - new))
     scale = 1.0 + np.linalg.norm(omega)
     if residual > RESIDUAL_TOL * scale:
         raise ConvergenceError(
-            f"converged iterate violates the Riccati residual bound: {residual:.3e}"
+            f"Riccati solution violates the residual bound: {residual:.3e}"
         )
     gain = np.linalg.solve(S, G.T).T
     v = 0.5 * (S + S.T)
@@ -129,7 +116,7 @@ def solve_steady_state(
         gain=gain,
         v=v,
         closed_loop=closed_loop,
-        iterations=iterations,
+        iterations=0,
         residual=residual,
         c_matrix=C,
     )
@@ -178,4 +165,4 @@ def check_filtered_controllability(ks: KalmanSolution, sm: SampledModel,
     minimal: controllability of (e^{Ah}, gain) plus observability of
     (e^{Ah}, C), which coincides with continuous-time observability.
     """
-    return _report_from_pair(np.asarray(sm.eAh), ks.gain, ks.c_matrix, rel_tol)
+    return matrix_minimality_report(np.asarray(sm.eAh), ks.gain, ks.c_matrix, rel_tol)

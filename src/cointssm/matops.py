@@ -1,8 +1,8 @@
 """Dense matrix kernels shared by the rest of the package.
 
 Everything here is a pure function of its arguments and carries no model
-semantics: matrix exponentials, Van Loan style augmented-block integrals,
-a Kronecker Lyapunov solver, SVD rank decisions, orthogonal complements,
+semantics: matrix exponentials, the single-sided exponential integral, a
+Bartels-Stewart Lyapunov solver, SVD rank decisions, orthogonal complements,
 block-companion polynomial roots and the positive-lower-triangular
 orthonormalization used by the canonical form.
 """
@@ -69,33 +69,6 @@ def expm(M) -> np.ndarray:
     return sla.expm(A)
 
 
-def gramian_integral(A2, Q, h: float) -> np.ndarray:
-    """Finite-horizon Gramian ``int_0^h e^{A2 u} Q e^{A2' u} du``.
-
-    Computed by exponentiating the augmented block ``[[-A2, Q], [0, A2']] h``
-    and recombining blocks; ``Q`` must be symmetric PSD, the result is
-    symmetric by construction.
-    """
-    A = as_square(A2, "A2")
-    Qs = check_symmetric(Q, "Q")
-    if Qs.shape[0] != A.shape[0]:
-        raise DimensionError(
-            f"Q has shape {Qs.shape}, expected {A.shape}"
-        )
-    if h < 0:
-        raise ValidationError(f"integration length h must be >= 0, got {h}")
-    n = A.shape[0]
-    if h == 0 or n == 0:
-        return np.zeros((n, n))
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = -A
-    blk[:n, n:] = Qs
-    blk[n:, n:] = A.T
-    phi = sla.expm(blk * h)
-    W = phi[n:, n:].T @ phi[:n, n:]
-    return 0.5 * (W + W.T)
-
-
 def cross_integral(A2, G, h: float) -> np.ndarray:
     """Single-sided integral ``int_0^h e^{A2 u} G du``.
 
@@ -133,8 +106,7 @@ def spectral_abscissa(A: np.ndarray) -> float:
 def lyapunov_solve(A2, Q, tol: float = HURWITZ_TOL) -> np.ndarray:
     """Unique solution of ``A2 G + G A2' + Q = 0`` for Hurwitz ``A2``.
 
-    Solved by Kronecker vectorization; intended for the small state
-    dimensions of this package.
+    Solved by Bartels-Stewart (Schur decomposition of ``A2``).
     """
     A = as_square(A2, "A2")
     Qs = check_symmetric(Q, "Q")
@@ -148,12 +120,7 @@ def lyapunov_solve(A2, Q, tol: float = HURWITZ_TOL) -> np.ndarray:
             "A2 is not Hurwitz: an eigenvalue has real part >= "
             f"{-tol} (max Re = {spectral_abscissa(A):.3e})"
         )
-    K = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
-    try:
-        x = np.linalg.solve(K, -Qs.reshape(n * n, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Kronecker Lyapunov system is singular: {exc}") from exc
-    G = x.reshape((n, n), order="F")
+    G = sla.solve_continuous_lyapunov(A, -Qs)
     return 0.5 * (G + G.T)
 
 

@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from . import matops
 from .errors import ValidationError
 from .model import CointCanonicalForm, LevySpec, McarmaModel, StateSpaceModel
 from .realization import canonicalize, mcarma_to_ss
@@ -142,13 +143,14 @@ def load_document(path: str) -> dict:
         raise ValidationError(f"model document {path} is not valid JSON: {exc}") from exc
 
 
-def to_canonical(mod) -> CointCanonicalForm:
-    """Bring any supported model to canonical form (identity on canonical input)."""
+def to_canonical(mod, rel_tol: float = matops.RANK_REL_TOL) -> CointCanonicalForm:
+    """Bring any supported model to canonical form (identity on canonical input);
+    ``rel_tol`` is the rank tolerance of the canonicalization."""
     if isinstance(mod, CointCanonicalForm):
         return mod
     if isinstance(mod, McarmaModel):
         mod = mcarma_to_ss(mod)
-    cf, _ = canonicalize(mod)
+    cf, _ = canonicalize(mod, rel_tol=rel_tol)
     return cf
 
 

@@ -1,9 +1,9 @@
 """Closed-form moments and the exact discretization of the canonical model.
 
 The sampled process Y(nh) satisfies a discrete state recursion with i.i.d.
-noise whose covariance splits into four blocks; all blocks are computed by
-augmented matrix-exponential integrals, never quadrature (quadrature exists
-only as a test oracle).
+noise whose covariance splits into four blocks; the transition and all four
+blocks come from one augmented matrix exponential, never quadrature
+(quadrature exists only as a test oracle).
 """
 
 from __future__ import annotations
@@ -61,31 +61,39 @@ class SampledModel:
 def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
     """Exact sampled model on the grid {nh}.
 
-    sigma11 = h B1 S B1', sigma21 = int_0^h e^{A2 u} B2 S B1' du,
-    sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du with S the driver
-    covariance, and gamma0 solves A2 G + G A2' + B2 S B2' = 0.
+    With ``A = diag(0_c, A2)``, ``B = [B1; B2]`` and ``S = sigma_L``,
+    one exponential ``F = expm([[-A, B S B'], [0, A']] t)`` (Van Loan 1978)
+    gives ``e^{At} = F22'`` and ``sigma(t) = F22' F12
+    = int_0^t e^{A u} B S B' e^{A' u} du`` for ``t = h / 2^k``, and k
+    doublings ``sigma(2t) = sigma(t) + e^{At} sigma(t) e^{A't}`` carry both
+    to h. Blockwise, sigma11 = h B1 S B1', sigma21 = int_0^h e^{A2 u} B2 S B1' du
+    and sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du. The unit-root block
+    of ``eAh`` is ``I_c`` exactly; gamma0 solves A2 G + G A2' + B2 S B2' = 0.
     """
     if h <= 0:
         raise ValidationError(f"sampling step h must be positive, got {h}")
-    c, n2 = cf.c, cf.n2
+    c, N = cf.c, cf.N
     S = np.asarray(cf.levy.sigma_L)
-    B1, B2, A2 = np.asarray(cf.B1), np.asarray(cf.B2), np.asarray(cf.A2)
+    B2, A2 = np.asarray(cf.B2), np.asarray(cf.A2)
+    B = np.vstack([np.asarray(cf.B1), B2])
 
-    eAh = np.eye(cf.N)
-    if n2:
-        eAh[c:, c:] = matops.expm(A2 * h)
-
-    sigma = np.zeros((cf.N, cf.N))
-    sigma[:c, :c] = h * B1 @ S @ B1.T
-    if n2:
-        s21 = matops.cross_integral(A2, B2 @ S @ B1.T, h)
-        sigma[c:, :c] = s21
-        sigma[:c, c:] = s21.T
-        sigma[c:, c:] = matops.gramian_integral(A2, B2 @ S @ B2.T, h)
-        gamma0 = matops.lyapunov_solve(A2, B2 @ S @ B2.T)
-    else:
-        gamma0 = np.zeros((0, 0))
+    # F11 = e^{-At} grows with ||A t|| and swamps the other blocks in
+    # rounding, so k is the least with ||A t||_1 < 1.
+    k = max(0, int(np.frexp(h * np.abs(A2).sum(axis=0).max(initial=0.0))[1]))
+    t = h / 2.0**k
+    blk = np.zeros((2 * N, 2 * N))
+    blk[c:N, c:N] = -A2
+    blk[:N, N:] = B @ S @ B.T
+    blk[N + c:, N + c:] = A2.T
+    F = matops.expm(blk * t)
+    eAh = np.eye(N)
+    eAh[c:, c:] = F[N + c:, N + c:].T
+    sigma = eAh @ F[:N, N:]
+    for _ in range(k):
+        sigma = sigma + eAh @ sigma @ eAh.T
+        eAh = eAh @ eAh
     sigma = 0.5 * (sigma + sigma.T)
+    gamma0 = matops.lyapunov_solve(A2, B2 @ S @ B2.T)
     return SampledModel(h=float(h), c=c, eAh=eAh, sigma_tilde=sigma, gamma0=gamma0)
 
 

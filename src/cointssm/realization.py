@@ -55,8 +55,10 @@ def controllability_matrix(m: StateSpaceModel) -> np.ndarray:
     return _staircase(np.asarray(m.B).T, np.asarray(m.A).T).T
 
 
-def _report_from_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray,
-                      rel_tol: float) -> MinimalityReport:
+def matrix_minimality_report(A: np.ndarray, B: np.ndarray, C: np.ndarray,
+                             rel_tol: float = matops.RANK_REL_TOL) -> MinimalityReport:
+    """Controllability of (A, B) and observability of (A, C) from the ranks
+    of their staircase matrices; minimal iff both hold."""
     N = A.shape[0]
     obs_rank = matops.numerical_rank(_staircase(C, A), rel_tol).rank
     ctr_rank = matops.numerical_rank(_staircase(B.T, A.T).T, rel_tol).rank
@@ -73,7 +75,7 @@ def _report_from_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray,
 
 def minimality_report(m: StateSpaceModel, rel_tol: float = matops.RANK_REL_TOL) -> MinimalityReport:
     """Minimal iff controllable and observable."""
-    return _report_from_pair(np.asarray(m.A), np.asarray(m.B), np.asarray(m.C), rel_tol)
+    return matrix_minimality_report(np.asarray(m.A), np.asarray(m.B), np.asarray(m.C), rel_tol)
 
 
 def decoupled_minimality_check(cf: CointCanonicalForm,
@@ -85,7 +87,8 @@ def decoupled_minimality_check(cf: CointCanonicalForm,
     c = cf.c
     rank_c1 = matops.numerical_rank(np.asarray(cf.C1), rel_tol).rank
     rank_b1 = matops.numerical_rank(np.asarray(cf.B1), rel_tol).rank
-    stat = _report_from_pair(np.asarray(cf.A2), np.asarray(cf.B2), np.asarray(cf.C2), rel_tol)
+    stat = matrix_minimality_report(np.asarray(cf.A2), np.asarray(cf.B2), np.asarray(cf.C2),
+                                    rel_tol)
     observable = stat.is_observable and rank_c1 == c
     controllable = stat.is_controllable and rank_b1 == c
     return MinimalityReport(

@@ -163,6 +163,23 @@ def simpson_cross(A2, G, h: float, panels: int = 400) -> np.ndarray:
     return _simpson(lambda u: sla.expm(A2 * u) @ G, h, panels)
 
 
+def riccati_fixed_point(sm, cf, tol: float = 1e-12, max_iter: int = 10**6) -> np.ndarray:
+    """Riccati oracle: the map ``omega -> F omega F' - G S^{-1} G' + sigma_tilde``
+    (``F = e^{Ah}``, ``G = F omega C'``, ``S = C omega C'``) iterated from
+    ``sigma_tilde`` until successive iterates differ by less than ``tol``
+    relative to ``1 + ||omega||``. Needs roughly 1/h iterations."""
+    C, F, sigma = cf.full_C(), np.asarray(sm.eAh), np.asarray(sm.sigma_tilde)
+    omega = sigma.copy()
+    for _ in range(max_iter):
+        G = F @ omega @ C.T
+        new = F @ omega @ F.T - G @ sla.solve(C @ omega @ C.T, G.T, assume_a="pos") + sigma
+        new = 0.5 * (new + new.T)
+        if np.linalg.norm(new - omega) < tol * (1.0 + np.linalg.norm(new)):
+            return new
+        omega = new
+    raise RuntimeError(f"Riccati fixed point did not converge in {max_iter} steps")
+
+
 def cov_se(samples: np.ndarray, lagged: np.ndarray) -> np.ndarray:
     """Empirical standard error of each entry of (1/n) sum x_i y_j' for
     mean-zero samples (rows are observations)."""

@@ -1,8 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
-from cointssm.cli import main
+from cointssm import canonicalize
+from cointssm.cli import build_parser, main
+from cointssm.errors import MinimalityError
+from cointssm.modeldoc import parse_document
 
 
 def write_json(path, doc):
@@ -37,6 +41,19 @@ def partial_doc():
         "C2": [[0.5, -0.2], [1.0, 0.4]],
         "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.2], [0.2, 1.5]]},
         "sampling": {"h": 0.5, "n_steps": 3000, "seed": 40},
+    }
+
+
+def weak_input_doc():
+    """Minimal at the default rank tolerance, not minimal at 1e-3: the
+    stationary state is driven with weight 1e-5."""
+    return {
+        "schema_version": "1",
+        "model_kind": "state_space",
+        "A": [[0.0, 0.0], [0.0, -1.0]],
+        "B": [[1.0, 0.0], [0.0, 1e-5]],
+        "C": [[1.0, 0.0], [0.0, 1.0]],
+        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.0], [0.0, 1.0]]},
     }
 
 
@@ -124,6 +141,14 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path / "model.json", doc)
         assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
 
+    def test_output_over_model_document_exits_2(self, tmp_path):
+        cfg = write_json(tmp_path / "model.json", scalar_doc())
+        before = (tmp_path / "model.json").read_bytes()
+        for out in ("model.csv", "model.json"):
+            assert main(["simulate", cfg, "-o", str(tmp_path / out)]) == 2
+        assert (tmp_path / "model.json").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
 
 class TestAnalyzeCommand:
     def test_cointegrated_mcarma_report(self, tmp_path, capsys):
@@ -173,6 +198,11 @@ class TestAnalyzeCommand:
         cfg = write_json(tmp_path / "model.json", doc)
         assert main(["analyze", cfg]) == 3
 
+    def test_rank_tol_reaches_canonicalization(self, tmp_path):
+        cfg = write_json(tmp_path / "model.json", weak_input_doc())
+        assert main(["analyze", cfg]) == 0
+        assert main(["analyze", cfg, "--rank-tol", "1e-3"]) == 3
+
     def test_moments_grid(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "model.json", scalar_doc())
         csv_out = tmp_path / "moments.csv"
@@ -205,6 +235,14 @@ class TestCanonicalizeCommand:
         assert np.allclose(out["transform"], np.eye(2), atol=1e-10)
         assert np.allclose(out["canonical_form"]["A2"], [[-1.0]], atol=1e-12)
 
+    def test_rank_tol_is_used(self, tmp_path):
+        doc = weak_input_doc()
+        with pytest.raises(MinimalityError):
+            canonicalize(parse_document(doc), rel_tol=1e-3)
+        cfg = write_json(tmp_path / "model.json", doc)
+        assert main(["canonicalize", cfg]) == 0
+        assert main(["canonicalize", cfg, "--rank-tol", "1e-3"]) == 3
+
     def test_deterministic_output(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "model.json", partial_doc())
         main(["canonicalize", cfg])
@@ -225,6 +263,7 @@ class TestFilterCommand:
         cfg, csv = self._simulated(tmp_path, partial_doc())
         assert main(["filter", cfg, str(csv), "-o", str(tmp_path / "flt")]) == 0
         sol = json.loads((tmp_path / "flt_solution.json").read_text())
+        assert sorted(sol) == ["gain", "h", "omega", "residual", "rho_closed_loop", "v"]
         assert sol["rho_closed_loop"] < 1.0
         assert sol["residual"] <= 1e-9
         lines = (tmp_path / "flt_innovations.csv").read_text().splitlines()
@@ -309,6 +348,22 @@ class TestEcfCommand:
         out = json.loads(capsys.readouterr().out)
         rho = (out["tail_bound"] / t10) ** (1.0 / 190.0)
         assert 0.0 < rho < 1.0
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "m.json"],
+        ["canonicalize", "m.json"],
+        ["filter", "m.json", "p.csv", "-o", "x"],
+        ["ecf", "m.json"],
+    ])
+    def test_no_riccati_tol(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--riccati-tol", "1e-12"])
+
+    def test_filter_takes_no_rank_tol(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["filter", "m.json", "p.csv", "-o", "x", "--rank-tol", "1e-3"])
 
 
 class TestSeedEnvironment:

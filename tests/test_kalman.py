@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from cointssm import (
     simulate_exact_gaussian,
     solve_steady_state,
 )
-from cointssm.errors import ConvergenceError, DimensionError
+from cointssm.errors import ComputationError, DimensionError
 
 
 def stationary_scalar(a: float = np.exp(-1.0)):
@@ -50,9 +52,33 @@ class TestSolveSteadyState:
             assert np.min(np.linalg.eigvalsh(ks.v)) > 0
             assert np.min(np.linalg.eigvalsh(ks.omega)) > 0
 
-    def test_iteration_budget_enforced(self, partial_sm, partial_cf):
-        with pytest.raises(ConvergenceError):
-            solve_steady_state(partial_sm, partial_cf, tol=1e-15, max_iter=2)
+    @pytest.mark.parametrize("h", [1.0, 0.1, 0.01])
+    def test_agrees_with_fixed_point_oracle(self, partial_cf, h):
+        # the oracle stops about tol / (1 - contraction) ~ 1e-12 / h short
+        cf = helpers.random_canonical(np.random.default_rng(2024), d=4, c=2, n2=6, m=4)
+        for model in (partial_cf, cf):
+            sm = discretize(model, h)
+            omega = helpers.riccati_fixed_point(sm, model)
+            ks = solve_steady_state(sm, model)
+            assert np.linalg.norm(ks.omega - omega) <= 1e-9 / h * np.linalg.norm(omega)
+
+    def test_small_step_residual(self):
+        cf = helpers.random_canonical(np.random.default_rng(2025), d=4, c=2, n2=6, m=4)
+        ks = solve_steady_state(discretize(cf, 1e-3), cf)
+        assert ks.residual <= 1e-13 * np.linalg.norm(ks.omega)
+        assert ks.spectral_radius < 1.0
+
+    def test_degenerate_unit_root_noise_raises(self, partial_cf):
+        # with no noise on the unit roots no stabilizing solution exists; the
+        # two models fail in the closed-loop check and in the scipy solver
+        big = helpers.random_canonical(np.random.default_rng(3), d=4, c=2, n2=6, m=4)
+        for cf in (partial_cf, big):
+            sm = discretize(cf, 0.5)
+            sigma = sm.sigma_tilde.copy()
+            sigma[:sm.c, :] = 0.0
+            sigma[:, :sm.c] = 0.0
+            with pytest.raises(ComputationError):
+                solve_steady_state(dataclasses.replace(sm, sigma_tilde=sigma), cf)
 
 
 class TestFilterInnovations:

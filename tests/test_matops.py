@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from cointssm import matops
+from cointssm import CointCanonicalForm, LevySpec, discretize, matops
 from cointssm.errors import (
     DimensionError,
     NumericError,
@@ -42,38 +42,51 @@ class TestExpm:
 
 
 class TestGramianIntegral:
+    """The finite-horizon Gramian ``int_0^h e^{Au} B S B' e^{A'u} du`` is the
+    ``sigma_tilde`` of ``discretize``, computed inside its Van Loan
+    exponential; these cases drive it through model inputs."""
+
+    @staticmethod
+    def _model(b1, levy=None):
+        return CointCanonicalForm(
+            c=1, A2=[[-1.0]], B1=[[b1, 0.0]], B2=[[0.0, 1.0]],
+            C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy or helpers.brownian(2),
+        )
+
     def test_constant_integrand(self):
-        assert np.allclose(matops.gramian_integral([[0.0]], [[2.0]], 3.0), [[6.0]])
+        # the unit-root block integrates a constant: h B1 S B1'
+        sm = discretize(self._model(np.sqrt(2.0)), 3.0)
+        assert np.allclose(sm.sigma11, [[6.0]], rtol=0.0, atol=1e-13)
 
     def test_scalar_decay(self):
         for h in (0.25, 1.0, 4.0):
             expected = (1.0 - np.exp(-2.0 * h)) / 2.0
-            out = matops.gramian_integral([[-1.0]], [[1.0]], h)
-            assert np.allclose(out, [[expected]], atol=1e-13)
+            sm = discretize(self._model(1.0), h)
+            assert np.allclose(sm.sigma22, [[expected]], atol=1e-13)
 
     def test_matches_quadrature(self, rng):
         for _ in range(4):
-            n = rng.integers(1, 4)
-            A = helpers.random_hurwitz(rng, n)
-            Q = helpers.random_spd(rng, n)
+            n2 = int(rng.integers(1, 4))
+            cf = helpers.random_canonical(rng, d=2, c=1, n2=n2, m=2)
             h = rng.uniform(0.2, 2.0)
-            out = matops.gramian_integral(A, Q, h)
-            assert np.allclose(out, helpers.simpson_gramian(A, Q, h), atol=1e-8)
+            B2 = np.asarray(cf.B2)
+            Q = B2 @ np.asarray(cf.levy.sigma_L) @ B2.T
+            out = discretize(cf, h).sigma22
+            assert np.allclose(out, helpers.simpson_gramian(cf.A2, Q, h), atol=1e-8)
 
     def test_symmetric_psd(self, rng):
-        A = helpers.random_hurwitz(rng, 3)
-        Q = helpers.random_spd(rng, 3)
-        out = matops.gramian_integral(A, Q, 1.5)
-        assert np.linalg.norm(out - out.T) < 1e-12
+        cf = helpers.random_canonical(rng, d=2, c=1, n2=3, m=3)
+        out = discretize(cf, 1.5).sigma_tilde
+        assert np.array_equal(out, out.T)
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
 
     def test_rejects_asymmetric_q(self):
         with pytest.raises(ValidationError):
-            matops.gramian_integral(np.eye(2), [[1.0, 5.0], [0.0, 1.0]], 1.0)
+            self._model(1.0, LevySpec(kind="brownian", sigma_L=[[1.0, 5.0], [0.0, 1.0]]))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionError):
-            matops.gramian_integral(np.eye(2), np.eye(3), 1.0)
+            self._model(1.0, helpers.brownian(3))
 
 
 class TestCrossIntegral:

@@ -24,14 +24,29 @@ class TestDiscretize:
         assert np.allclose(scalar_sm.eAh, np.diag([1.0, np.exp(-1.0)]))
 
     def test_blocks_against_quadrature(self, partial_cf):
-        h = 0.7
-        sm = discretize(partial_cf, h)
         S = np.asarray(partial_cf.levy.sigma_L)
         B1, B2, A2 = map(np.asarray, (partial_cf.B1, partial_cf.B2, partial_cf.A2))
-        assert np.allclose(sm.sigma11, h * B1 @ S @ B1.T, atol=1e-12)
-        assert np.allclose(sm.sigma21, helpers.simpson_cross(A2, B2 @ S @ B1.T, h), atol=1e-8)
-        assert np.allclose(sm.sigma22, helpers.simpson_gramian(A2, B2 @ S @ B2.T, h), atol=1e-8)
-        assert np.array_equal(sm.sigma12, sm.sigma21.T)
+        for h in (0.7, 1.0, 0.01, 1e-3):
+            sm = discretize(partial_cf, h)
+            for got, want in ((sm.sigma11, h * B1 @ S @ B1.T),
+                              (sm.sigma21, helpers.simpson_cross(A2, B2 @ S @ B1.T, h)),
+                              (sm.sigma22, helpers.simpson_gramian(A2, B2 @ S @ B2.T, h))):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), h
+            assert np.array_equal(sm.sigma12, sm.sigma21.T)
+
+    def test_large_step_blocks_match_closed_form(self, rng):
+        # at ||A2 h|| >> 1 the Van Loan block e^{-A h} dwarfs the integral;
+        # the Lyapunov identity sigma22 = G - E G E' is exact for Hurwitz A2
+        cf = helpers.random_canonical(rng, d=4, c=2, n2=6, m=4)
+        S = np.asarray(cf.levy.sigma_L)
+        B1, B2, A2 = map(np.asarray, (cf.B1, cf.B2, cf.A2))
+        for h in (5.0, 20.0):
+            sm = discretize(cf, h)
+            E = matops.expm(A2 * h)
+            G = matops.lyapunov_solve(A2, B2 @ S @ B2.T)
+            s21 = np.linalg.solve(A2, (E - np.eye(6)) @ B2 @ S @ B1.T)
+            for got, want in ((sm.eA2h, E), (sm.sigma22, G - E @ G @ E.T), (sm.sigma21, s21)):
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_unit_root_block_is_exact_identity(self, partial_cf):
         sm = discretize(partial_cf, 2.5)
