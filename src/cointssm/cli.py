@@ -8,6 +8,7 @@ codes: 0 success, 2 validation failure, 3 numeric/convergence failure.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -35,19 +36,17 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv(fh, header: list[str], rows) -> None:
+    np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _csv(fh, header, rows)
 
 
-def _read_path_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a simulated-path CSV; returns (times, observations)."""
+def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read a path CSV with d observation columns; returns (times, observations)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -63,6 +62,8 @@ def _read_path_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"path CSV {path} has no y_* columns")
     if data.shape[0] < 2:
         raise ValidationError(f"path CSV {path} needs at least two rows")
+    if len(y_cols) != d:
+        raise ValidationError(f"path has {len(y_cols)} observation columns, model has d={d}")
     return data[:, 0], data[:, y_cols]
 
 
@@ -155,14 +156,11 @@ def cmd_analyze(args) -> int:
             raise ValidationError("--moments needs a model with a canonical form")
         t_grid = [float(v) for v in args.t_grid.split(",")]
         s_grid = [float(v) for v in args.s_grid.split(",")]
-        lines = ["t,s," + ",".join(
-            f"cov_{i+1}_{j+1}" for i in range(cf.d) for j in range(cf.d)
-        )]
-        for t in t_grid:
-            for s in s_grid:
-                cov = moments.cov_continuous(cf, t, s)
-                lines.append(",".join([_fmt(t), _fmt(s)] + [_fmt(v) for v in cov.ravel()]))
-        out["moments_csv"] = "\n".join(lines) + "\n"
+        header = ["t", "s"] + [f"cov_{i+1}_{j+1}" for i in range(cf.d) for j in range(cf.d)]
+        rows = [[t, s, *moments.cov_continuous(cf, t, s).ravel()] for t in t_grid for s in s_grid]
+        buf = io.StringIO()
+        _csv(buf, header, rows)
+        out["moments_csv"] = buf.getvalue()
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(out["moments_csv"])
@@ -200,11 +198,7 @@ def _infer_h(times: np.ndarray) -> float:
 
 def cmd_filter(args) -> int:
     cf, _ = _load_canonical(args.model)
-    times, y = _read_path_csv(args.path)
-    if y.shape[1] != cf.d:
-        raise ValidationError(
-            f"path has {y.shape[1]} observation columns, model has d={cf.d}"
-        )
+    times, y = _read_path_csv(args.path, cf.d)
     h = args.h if args.h is not None else _infer_h(times)
     sm = moments.discretize(cf, h)
     ks = kalman.solve_steady_state(sm, cf)
@@ -230,11 +224,7 @@ def cmd_ecf(args) -> int:
     opts = parse_sampling(doc)
     times = y = None
     if args.path:
-        times, y = _read_path_csv(args.path)
-        if y.shape[1] != cf.d:
-            raise ValidationError(
-                f"path has {y.shape[1]} observation columns, model has d={cf.d}"
-            )
+        times, y = _read_path_csv(args.path, cf.d)
     h = args.h if args.h is not None else (_infer_h(times) if times is not None else opts.h)
     sm = moments.discretize(cf, h)
     ks = kalman.solve_steady_state(sm, cf)

@@ -52,7 +52,7 @@ class EcfDecomposition:
         return self.k1.shape[0]
 
 
-def transfer_eval(ks: KalmanSolution, sm: SampledModel, z: complex) -> np.ndarray:
+def transfer_eval(ks: KalmanSolution, z: complex) -> np.ndarray:
     """Innovation transfer function ``k(z) = I - C [I - closed_loop z]^{-1} K z``."""
     cl, K, C = ks.closed_loop, ks.gain, ks.c_matrix
     N, d = cl.shape[0], C.shape[0]
@@ -64,7 +64,7 @@ def transfer_eval(ks: KalmanSolution, sm: SampledModel, z: complex) -> np.ndarra
     return np.eye(d) - (C @ resolvent) * z
 
 
-def k_at_one(ks: KalmanSolution, sm: SampledModel) -> np.ndarray:
+def k_at_one(ks: KalmanSolution) -> np.ndarray:
     """Long-run matrix ``k(1) = I - C [I - closed_loop]^{-1} K`` (real)."""
     cl, K, C = ks.closed_loop, ks.gain, ks.c_matrix
     N, d = cl.shape[0], C.shape[0]
@@ -113,7 +113,7 @@ def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_
     cl, K, C = ks.closed_loop, ks.gain, ks.c_matrix
     N, d = cl.shape[0], C.shape[0]
     c = sm.c
-    k1 = k_at_one(ks, sm)
+    k1 = k_at_one(ks)
     alpha, beta = factor_alpha_beta(k1, c, rel_tol)
 
     settle = np.linalg.solve(np.eye(N) - cl, K)  # (I - cl)^{-1} K
@@ -195,7 +195,7 @@ def structural_check(ks: KalmanSolution, sm: SampledModel, cf: CointCanonicalFor
     R = C2 @ np.linalg.solve(np.eye(n2) - sm.eA2h, K2) if n2 else np.zeros((d, d))
     PRP = P @ R @ P
     k1_rebuilt = P @ np.linalg.inv(np.eye(d) + PRP)
-    err = float(np.linalg.norm(k1_rebuilt - k_at_one(ks, sm)))
+    err = float(np.linalg.norm(k1_rebuilt - k_at_one(ks)))
     ok = idem <= tol_idem and rank_p == d - c and err <= tol_k1
     return StructuralCheckReport(
         projector=P,
@@ -206,8 +206,7 @@ def structural_check(ks: KalmanSolution, sm: SampledModel, cf: CointCanonicalFor
     )
 
 
-def innovations_alt_rep(dec: EcfDecomposition, ks: KalmanSolution, sm: SampledModel,
-                        ps, J: int | None = None) -> np.ndarray:
+def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.ndarray:
     """Innovations via the split representation
     ``eps_n = k(B) y2_n + (I - ktilde)(B) C1 r1_n``.
 

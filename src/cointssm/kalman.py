@@ -130,10 +130,11 @@ def filter_innovations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the steady-state innovation recursion over an observation array.
 
-    ``x_hat_n = closed_loop x_hat_{n-1} + gain y_{n-1}`` and
-    ``eps_n = y_n - C x_hat_n``; the unobserved pre-sample value is taken as
-    zero, consistent with the default zero state estimate (the transient
-    decays geometrically at the closed-loop rate).
+    ``x_hat_n = closed_loop x_hat_{n-1} + gain y_{n-1}`` (one
+    `matops.linear_recursion` scan) and ``eps_n = y_n - C x_hat_n``; the
+    unobserved pre-sample value is taken as zero, consistent with the
+    default zero state estimate (the transient decays geometrically at the
+    closed-loop rate).
     """
     Y = matops.as_matrix(y, "observations")
     d = ks.c_matrix.shape[0]
@@ -146,16 +147,9 @@ def filter_innovations(
         xh = matops.as_vector(x_hat_0, "x_hat_0")
         if xh.size != N:
             raise DimensionError(f"x_hat_0 has length {xh.size}, expected N={N}")
-    T = Y.shape[0]
-    innovations = np.empty((T, d))
-    x_hat = np.empty((T, N))
-    cl, K, C = ks.closed_loop, ks.gain, ks.c_matrix
-    y_prev = np.zeros(d)
-    for n in range(T):
-        xh = cl @ xh + K @ y_prev
-        innovations[n] = Y[n] - C @ xh
-        x_hat[n] = xh
-        y_prev = Y[n]
+    U = np.concatenate([np.zeros((1, d)), Y])[:-1] @ ks.gain.T  # gain y_{n-1}, y_{-1} = 0
+    x_hat = matops.linear_recursion(ks.closed_loop, U, xh)
+    innovations = Y - x_hat @ ks.c_matrix.T
     return innovations, x_hat
 
 

@@ -2,13 +2,15 @@
 
 Everything here is a pure function of its arguments and carries no model
 semantics: matrix exponentials, the single-sided exponential integral, a
-Bartels-Stewart Lyapunov solver, SVD rank decisions, orthogonal complements,
+Bartels-Stewart Lyapunov solver, the blocked linear-recursion scan behind
+the filter and every sampler, SVD rank decisions, orthogonal complements,
 block-companion polynomial roots and the positive-lower-triangular
 orthonormalization used by the canonical form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +124,44 @@ def lyapunov_solve(A2, Q, tol: float = HURWITZ_TOL) -> np.ndarray:
         )
     G = sla.solve_continuous_lyapunov(A, -Qs)
     return 0.5 * (G + G.T)
+
+
+def linear_recursion(F, U, x0) -> np.ndarray:
+    """``X[n] = F X[n-1] + U[n]`` for ``n = 0 .. T-1`` with ``X[-1] = x0``.
+
+    Time runs along axis 0 of ``U``, the state along its last axis and any
+    batch axes sit in between; ``x0`` broadcasts against ``U[0]``. Two-level
+    scan (Blelloch 1990; Martin & Cundy 2018) with block length
+    ``B = max(1, isqrt(T))``: every block is first scanned from a zero start
+    at once (``B - 1`` batched products), then one pass over the blocks adds
+    ``F^{j+1}`` times the previous block's last state to the block's row j.
+    The output is the only array of ``U``'s size the scan allocates.
+    """
+    A = as_square(F, "F")
+    X = np.array(U, dtype=float, order="C")
+    n = A.shape[0]
+    if X.ndim < 2 or X.shape[-1] != n:
+        raise DimensionError(f"U must have shape (T, ..., {n}), got {X.shape}")
+    batch = math.prod(X.shape[1:-1])
+    try:
+        carry = np.broadcast_to(np.asarray(x0, dtype=float), X.shape[1:]).reshape(batch, n)
+    except ValueError as exc:
+        raise DimensionError(f"x0 does not broadcast to the state shape {X.shape[1:]}") from exc
+    T = X.shape[0]
+    B = max(1, math.isqrt(T))
+    for j in range(1, B):
+        rows = X[j::B]
+        rows += X[j - 1::B][:len(rows)] @ A.T
+    powers = [A.T]
+    for _ in range(1, B):
+        powers.append(powers[-1] @ A.T)
+    powers = np.hstack(powers)  # carry @ powers holds (F^{j+1} carry)' in columns j n .. (j+1) n
+    for s in range(0, T, B):
+        block = X[s:s + B]
+        lift = (carry @ powers).reshape(batch, B, n).transpose(1, 0, 2)
+        block += lift[:len(block)].reshape(block.shape)
+        carry = block[-1].reshape(batch, n)
+    return X
 
 
 @dataclass(frozen=True)

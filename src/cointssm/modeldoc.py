@@ -79,15 +79,17 @@ def parse_sampling(doc: dict) -> SamplingOptions:
     raw = doc.get("sampling") or {}
     if not isinstance(raw, dict):
         raise ValidationError("sampling block must be an object")
-    x1_0 = raw.get("x1_0")
-    return SamplingOptions(
-        h=float(raw.get("h", 1.0)),
-        n_steps=int(raw.get("n_steps", 1000)),
-        seed=int(raw.get("seed", default_seed())),
-        refinement=int(raw.get("refinement", 64)),
-        burn_in=None if raw.get("burn_in") is None else int(raw["burn_in"]),
-        x1_0=None if x1_0 is None else tuple(float(v) for v in x1_0),
-    )
+    try:
+        return SamplingOptions(
+            h=float(raw.get("h", 1.0)),
+            n_steps=int(raw.get("n_steps", 1000)),
+            seed=int(raw.get("seed", default_seed())),
+            refinement=int(raw.get("refinement", 64)),
+            burn_in=None if raw.get("burn_in") is None else int(raw["burn_in"]),
+            x1_0=None if raw.get("x1_0") is None else tuple(float(v) for v in raw["x1_0"]),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"sampling block has a malformed value: {exc}") from exc
 
 
 def parse_document(doc: dict):

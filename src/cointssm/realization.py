@@ -142,12 +142,7 @@ def ss_to_mcarma(m: StateSpaceModel, rel_tol: float = matops.RANK_REL_TOL) -> Mc
         raise DimensionError(f"state dimension N={N} is not a multiple of d={d}")
     p = N // d
     A, B, C = np.asarray(m.A), np.asarray(m.B), np.asarray(m.C)
-    blocks = []
-    block = C
-    for _ in range(p):
-        blocks.append(block)
-        block = block @ A
-    T = np.vstack(blocks)
+    T = _staircase(C, A)[:N]  # the first p blocks C, CA, ..., CA^{p-1}
     if matops.numerical_rank(T, rel_tol).rank < N:
         raise RankError("square observability block is singular; model not convertible")
     Ac = T @ A @ np.linalg.inv(T)

@@ -3,7 +3,8 @@
 Two routes: exact Gaussian sampling of the discrete recursion (Brownian
 drivers only, noise drawn straight from the exact covariance), and a
 refined-grid Euler scheme that handles compound-Poisson jumps. Both are
-fully reproducible from (seed, path_index) via independent derived streams.
+fully reproducible from (seed, path_index) via independent derived streams
+and step the stationary block with `matops.linear_recursion`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,32 @@ def _assemble_paths(cf: CointCanonicalForm, h: float, x1_0: np.ndarray,
                    c1=np.array(cf.C1), seed=seed, driver_kind=cf.levy.kind)
 
 
+def _gaussian_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths: int,
+                    x1_0, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Gaussian sampler behind both public APIs.
+
+    Draws the noise ``R`` of shape (n_paths, n_steps, N) first, then the
+    stationary starts, so one path of an ensemble reproduces the single-path
+    sampler on the same stream. Returns ``(x1_0, r1, x2)`` with the path
+    axis first.
+    """
+    if cf.levy.kind != "brownian":
+        raise ValidationError(
+            f"exact Gaussian sampling needs a Brownian driver, got {cf.levy.kind!r}"
+        )
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if n_paths < 1:
+        raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+    x0 = _check_x1_0(cf, x1_0)
+    noise_factor = matops.psd_factor(np.asarray(sm.sigma_tilde), name="sigma_tilde")
+    R = rng.standard_normal((n_paths, n_steps, sm.N)) @ noise_factor.T
+    g_factor = matops.psd_factor(np.asarray(sm.gamma0), name="gamma0")
+    start = rng.standard_normal((n_paths, cf.n2)) @ g_factor.T
+    x2 = matops.linear_recursion(sm.eA2h, R[:, :, cf.c:].transpose(1, 0, 2), start)
+    return x0, R[:, :, :cf.c], x2.transpose(1, 0, 2)
+
+
 def simulate_exact_gaussian(
     sm: SampledModel,
     cf: CointCanonicalForm,
@@ -84,28 +111,8 @@ def simulate_exact_gaussian(
     Noise vectors are i.i.d. N(0, sigma_tilde); the stationary block starts
     from its stationary law N(0, gamma0) and the unit-root block from x1_0.
     """
-    if cf.levy.kind != "brownian":
-        raise ValidationError(
-            f"exact Gaussian sampling needs a Brownian driver, got {cf.levy.kind!r}"
-        )
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    x0 = _check_x1_0(cf, x1_0)
-    c, n2 = cf.c, cf.n2
-    noise_factor = matops.psd_factor(np.asarray(sm.sigma_tilde), name="sigma_tilde")
-    rng = _stream(seed, path_index)
-
-    R = rng.standard_normal((n_steps, sm.N)) @ noise_factor.T
-    r1, r2 = R[:, :c], R[:, c:]
-    x2 = np.empty((n_steps, n2))
-    if n2:
-        g_factor = matops.psd_factor(np.asarray(sm.gamma0), name="gamma0")
-        state = g_factor @ rng.standard_normal(n2)
-        eA2h = sm.eA2h
-        for n in range(n_steps):
-            state = eA2h @ state + r2[n]
-            x2[n] = state
-    return _assemble_paths(cf, sm.h, x0, r1, x2, seed)
+    x0, r1, x2 = _gaussian_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
+    return _assemble_paths(cf, sm.h, x0, r1[0], x2[0], seed)
 
 
 def simulate_gaussian_ensemble(
@@ -116,38 +123,19 @@ def simulate_gaussian_ensemble(
     x1_0=None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Vectorized Monte-Carlo sampler: ``n_paths`` independent exact Gaussian
-    paths at once, returning observations of shape (n_paths, n_steps, d).
-    Sampling law identical to `simulate_exact_gaussian`.
+    """Monte-Carlo sampler: ``n_paths`` independent exact Gaussian paths at
+    once, returning observations of shape (n_paths, n_steps, d). Path 0
+    equals ``simulate_exact_gaussian(..., seed=seed).y``.
     """
-    if cf.levy.kind != "brownian":
-        raise ValidationError("ensemble sampling needs a Brownian driver")
-    x0 = _check_x1_0(cf, x1_0)
-    c, n2 = cf.c, cf.n2
-    noise_factor = matops.psd_factor(np.asarray(sm.sigma_tilde), name="sigma_tilde")
-    rng = _stream(seed, 0)
-
-    R = rng.standard_normal((n_paths, n_steps, sm.N)) @ noise_factor.T
-    x1 = x0 + np.cumsum(R[:, :, :c], axis=1)
-    y = x1 @ np.asarray(cf.C1).T
-    if n2:
-        g_factor = matops.psd_factor(np.asarray(sm.gamma0), name="gamma0")
-        state = rng.standard_normal((n_paths, n2)) @ g_factor.T
-        eA2hT = sm.eA2h.T
-        C2T = np.asarray(cf.C2).T
-        for n in range(n_steps):
-            state = state @ eA2hT + R[:, n, c:]
-            y[:, n, :] += state @ C2T
-    return y
+    x0, r1, x2 = _gaussian_paths(sm, cf, n_steps, n_paths, x1_0, _stream(seed, 0))
+    return (x0 + np.cumsum(r1, axis=1)) @ np.asarray(cf.C1).T + x2 @ np.asarray(cf.C2).T
 
 
 def default_burn_in(cf: CointCanonicalForm, h: float) -> int:
     """Steps needed for the stationary block to forget its start: ten time
     constants of the slowest stable mode, expressed in sampling steps.
     """
-    if cf.n2 == 0:
-        return 0
-    decay = -matops.spectral_abscissa(np.asarray(cf.A2))
+    decay = -matops.spectral_abscissa(np.asarray(cf.A2))  # inf when n2 = 0
     return int(math.ceil(10.0 / (decay * h)))
 
 
@@ -182,7 +170,7 @@ def simulate_levy_euler(
         raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
     x0 = _check_x1_0(cf, x1_0)
     levy = cf.levy
-    c, n2, m = cf.c, cf.n2, cf.m
+    n2, m = cf.n2, cf.m
 
     delta = h / refinement
     diff_factor = matops.psd_factor(levy.diffusion_cov, name="diffusion covariance")
@@ -192,25 +180,18 @@ def simulate_levy_euler(
     )
 
     B1, B2 = np.asarray(cf.B1), np.asarray(cf.B2)
-    eA2d = matops.expm(np.asarray(cf.A2) * delta) if n2 else np.zeros((0, 0))
-    # left-point weights: increment at substep k propagates through e^{A2 (h - k delta)}
-    weights = np.empty((refinement, n2, m))
-    if n2:
-        prop = eA2d.copy()
-        for k in range(refinement - 1, -1, -1):
-            weights[k] = prop @ B2
-            prop = prop @ eA2d
-    eA2h = np.linalg.matrix_power(eA2d, refinement) if n2 else np.zeros((0, 0))
+    eA2d = matops.expm(np.asarray(cf.A2) * delta)
+    # left-point weights: the increment at substep k propagates through
+    # e^{A2 (h - k delta)}, so weights[k] = (e^{A2 (refinement - k) delta} B2)'
+    weights = matops.linear_recursion(eA2d, np.zeros((refinement, m, n2)), B2.T)[::-1]
+    eA2h = np.linalg.matrix_power(eA2d, refinement)
 
     rng = _stream(seed, path_index)
     state2 = np.zeros(n2)
-    r1 = np.empty((n_steps, c))
-    x2 = np.empty((n_steps, n2))
-
+    x2, incr = [], []
     total = burn_in + n_steps
     chunk = max(1, min(total, 1 << 14))
-    done = 0
-    while done < total:
+    for done in range(0, total, chunk):
         size = min(chunk, total - done)
         dL = math.sqrt(delta) * (rng.standard_normal((size, refinement, m)) @ diff_factor.T)
         if has_jumps:
@@ -218,15 +199,12 @@ def simulate_levy_euler(
             dL += np.sqrt(counts)[:, :, None] * (
                 rng.standard_normal((size, refinement, m)) @ jump_factor.T
             )
-        r2_chunk = np.einsum("skm,knm->sn", dL, weights) if n2 else np.zeros((size, 0))
-        incr = dL.sum(axis=1)
-        for i in range(size):
-            state2 = eA2h @ state2 + r2_chunk[i]
-            n = done + i - burn_in
-            if n >= 0:
-                x2[n] = state2
-                r1[n] = B1 @ incr[i]
-        done += size
+        x2.append(matops.linear_recursion(eA2h, np.einsum("skm,kmn->sn", dL, weights), state2))
+        state2 = x2[-1][-1]
+        incr.append(dL.sum(axis=1))
+    # the first burn_in steps only warm the stationary state
+    r1 = np.concatenate(incr)[burn_in:] @ B1.T
+    x2 = np.concatenate(x2)[burn_in:]
     return _assemble_paths(cf, h, x0, r1, x2, seed)
 
 

@@ -180,6 +180,18 @@ def riccati_fixed_point(sm, cf, tol: float = 1e-12, max_iter: int = 10**6) -> np
     raise RuntimeError(f"Riccati fixed point did not converge in {max_iter} steps")
 
 
+def linear_recursion_loop(F, U, x0) -> np.ndarray:
+    """Recursion oracle: ``X[n] = F X[n-1] + U[n]`` with ``X[-1] = x0``, one
+    step at a time (time on axis 0, state on the last axis)."""
+    F, U = np.asarray(F, dtype=float), np.asarray(U, dtype=float)
+    X = np.empty_like(U)
+    state = np.broadcast_to(np.asarray(x0, dtype=float), U.shape[1:])
+    for n in range(U.shape[0]):
+        state = state @ F.T + U[n]
+        X[n] = state
+    return X
+
+
 def cov_se(samples: np.ndarray, lagged: np.ndarray) -> np.ndarray:
     """Empirical standard error of each entry of (1/n) sum x_i y_j' for
     mean-zero samples (rows are observations)."""

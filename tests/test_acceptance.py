@@ -198,7 +198,7 @@ def test_criterion_07_k1_rank_law(coint_mcarma_batch):
     for m, cf in coint_mcarma_batch:
         sm = discretize(cf, 0.5)
         ks = solve_steady_state(sm, cf)
-        k1 = k_at_one(ks, sm)
+        k1 = k_at_one(ks)
         assert matops.numerical_rank(k1).rank == m.d - cf.c
         assert np.linalg.norm(k1 @ np.asarray(cf.C1)) <= 1e-8
         chk = structural_check(ks, sm, cf, tol_idem=1e-8, tol_k1=1e-8)
@@ -215,7 +215,7 @@ def test_criterion_08_ecf_equivalence(scalar_cf, scalar_sm, scalar_ks):
     dec = ma_and_ktilde_coeffs(scalar_ks, scalar_sm, J=200)
     out = ecf_residuals(dec, ps.y, J=200)
     assert np.max(np.abs(out - eps[201:])) <= 1e-6
-    alt = innovations_alt_rep(dec, scalar_ks, scalar_sm, ps, J=200)
+    alt = innovations_alt_rep(dec, ps, J=200)
     assert np.max(np.abs(alt - eps[200:])) <= 1e-6
 
     rng = np.random.default_rng(808)
@@ -231,7 +231,7 @@ def test_criterion_08_ecf_equivalence(scalar_cf, scalar_sm, scalar_ks):
             tol = max(dec.tail_bound * amp, FLOAT_FLOOR)
             out = ecf_residuals(dec, ps.y, J=J)
             assert np.max(np.abs(out - eps[J + 1:])) <= tol
-            alt = innovations_alt_rep(dec, ks, sm, ps, J=J)
+            alt = innovations_alt_rep(dec, ps, J=J)
             assert np.max(np.abs(alt - eps[J:])) <= tol
     report(8, "ECF residuals == Kalman innovations (scalar fixture <= 1e-6 at "
               "J=200; random fixtures within tail_bound x amplitude) and the "
@@ -246,10 +246,10 @@ def test_criterion_09_coefficient_identities(partial_ks, partial_sm):
         step = dec.Ktilde_coeffs[j] - dec.Ktilde_coeffs[j - 1]
         assert np.max(np.abs(step + dec.L_coeffs[j])) <= 1e-12
     assert np.array_equal(dec.Ktilde_coeffs[0], np.zeros((2, 2)))
-    assert np.allclose(transfer_eval(partial_ks, partial_sm, 0.0), np.eye(2), atol=1e-14)
+    assert np.allclose(transfer_eval(partial_ks, 0.0), np.eye(2), atol=1e-14)
     for z in (0.3, 0.7, -0.5):
         kt = sum(dec.Ktilde_coeffs[j] * z**j for j in range(1, 201))
-        lhs = transfer_eval(partial_ks, partial_sm, z)
+        lhs = transfer_eval(partial_ks, z)
         rhs = dec.k1 * z + (1.0 - z) * (np.eye(2) - kt)
         assert np.max(np.abs(lhs - rhs)) <= max(dec.tail_bound, 1e-12)
     report(9, "Ktilde recursion to 1e-12 for j=2..200, ktilde(0)=0, k(0)=I, "

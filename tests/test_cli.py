@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cointssm import canonicalize
-from cointssm.cli import build_parser, main
+from cointssm.cli import _write_csv, build_parser, main
 from cointssm.errors import MinimalityError
 from cointssm.modeldoc import parse_document
 
@@ -141,6 +141,14 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path / "model.json", doc)
         assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("field,value", [("n_steps", "abc"), ("x1_0", 3),
+                                             ("h", None), ("burn_in", [1])])
+    def test_malformed_sampling_value_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path / "model.json", scalar_doc(**{field: value}))
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
+        assert "sampling block" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_output_over_model_document_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "model.json", scalar_doc())
         before = (tmp_path / "model.json").read_bytes()
@@ -148,6 +156,18 @@ class TestSimulateCommand:
             assert main(["simulate", cfg, "-o", str(tmp_path / out)]) == 2
         assert (tmp_path / "model.json").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+class TestCsvWriter:
+    def test_bytes_match_shortest_17_digit_format(self, tmp_path):
+        rows = np.array([[-0.0, 5e-324, 1e16, 1.8e308, -1.8e308],
+                         [0.1, -1.0 / 3.0, 2.0**-1074 * 3, 123456789.0, 1.0]])
+        path = tmp_path / "out.csv"
+        _write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        want = "a,b,c,d,e\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
+        )
+        assert path.read_bytes() == want.encode()
 
 
 class TestAnalyzeCommand:

@@ -23,11 +23,11 @@ from cointssm import matops
 
 class TestTransferFunction:
     def test_value_at_zero_is_identity(self, partial_ks, partial_sm):
-        assert np.allclose(transfer_eval(partial_ks, partial_sm, 0.0), np.eye(2), atol=1e-14)
+        assert np.allclose(transfer_eval(partial_ks, 0.0), np.eye(2), atol=1e-14)
 
     def test_value_at_one_matches_k1(self, partial_ks, partial_sm):
-        assert np.allclose(transfer_eval(partial_ks, partial_sm, 1.0),
-                           k_at_one(partial_ks, partial_sm), atol=1e-12)
+        assert np.allclose(transfer_eval(partial_ks, 1.0),
+                           k_at_one(partial_ks), atol=1e-12)
 
     def test_power_series_partial_sum(self, partial_ks, partial_sm):
         z = 0.5
@@ -37,21 +37,21 @@ class TestTransferFunction:
         for i in range(1, 201):
             acc -= (C @ power @ K) * z**i
             power = cl @ power
-        assert np.allclose(transfer_eval(partial_ks, partial_sm, z), acc, atol=1e-10)
+        assert np.allclose(transfer_eval(partial_ks, z), acc, atol=1e-10)
 
     def test_complex_probe(self, partial_ks, partial_sm):
-        out = transfer_eval(partial_ks, partial_sm, 0.3 + 0.4j)
+        out = transfer_eval(partial_ks, 0.3 + 0.4j)
         assert out.shape == (2, 2) and np.iscomplexobj(out)
 
 
 class TestKAtOne:
     def test_full_observation_closed_form(self, scalar_ks, scalar_sm):
-        k1 = k_at_one(scalar_ks, scalar_sm)
+        k1 = k_at_one(scalar_ks)
         assert np.allclose(k1, np.eye(2) - scalar_sm.eAh, atol=1e-12)
         assert matops.numerical_rank(k1).rank == 1
 
     def test_rank_law_and_annihilation(self, partial_ks, partial_sm, partial_cf):
-        k1 = k_at_one(partial_ks, partial_sm)
+        k1 = k_at_one(partial_ks)
         assert matops.numerical_rank(k1).rank == partial_cf.d - partial_cf.c
         assert np.linalg.norm(k1 @ np.asarray(partial_cf.C1)) <= 1e-8
 
@@ -65,7 +65,7 @@ class TestFactorAlphaBeta:
         assert np.allclose(-alpha @ beta.T, np.diag([0.0, v]), atol=1e-12)
 
     def test_beta_spans_cointegration_space(self, partial_ks, partial_sm, partial_cf):
-        k1 = k_at_one(partial_ks, partial_sm)
+        k1 = k_at_one(partial_ks)
         _, beta = factor_alpha_beta(k1, c=partial_cf.c)
         space = cointegration_space(partial_cf)
         assert helpers.max_principal_angle(beta, space) < 1e-6
@@ -75,7 +75,7 @@ class TestFactorAlphaBeta:
             factor_alpha_beta(np.zeros((2, 2)), c=1)
 
     def test_stationary_case_rejected(self, scalar_ks, scalar_sm):
-        k1 = k_at_one(scalar_ks, scalar_sm)
+        k1 = k_at_one(scalar_ks)
         with pytest.raises(CointegrationRankError):
             factor_alpha_beta(k1, c=0)
 
@@ -108,7 +108,7 @@ class TestCoefficients:
         d = dec.d
         for z in (0.3, 0.7, -0.5):
             kt = sum(dec.Ktilde_coeffs[j] * z**j for j in range(1, dec.truncation + 1))
-            lhs = transfer_eval(partial_ks, partial_sm, z)
+            lhs = transfer_eval(partial_ks, z)
             rhs = dec.k1 * z + (1.0 - z) * (np.eye(d) - kt)
             assert np.max(np.abs(lhs - rhs)) <= max(dec.tail_bound, 1e-12)
 
@@ -175,14 +175,14 @@ class TestAlternativeRepresentation:
         ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 1500, seed=91)
         eps, _ = filter_innovations(scalar_ks, scalar_sm, ps.y)
         dec = ma_and_ktilde_coeffs(scalar_ks, scalar_sm, J=200)
-        alt = innovations_alt_rep(dec, scalar_ks, scalar_sm, ps, J=200)
+        alt = innovations_alt_rep(dec, ps, J=200)
         assert np.max(np.abs(alt - eps[200:])) <= 1e-6
 
     def test_matches_recursion_on_partial_fixture(self, partial_ks, partial_sm, partial_cf):
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 2000, seed=92)
         eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=200)
-        alt = innovations_alt_rep(dec, partial_ks, partial_sm, ps, J=200)
+        alt = innovations_alt_rep(dec, ps, J=200)
         assert np.max(np.abs(alt - eps[200:])) <= 1e-8
 
     def test_degenerate_decaying_stationary_path(self, partial_ks, partial_sm, partial_cf, rng):
@@ -207,7 +207,7 @@ class TestAlternativeRepresentation:
                      seed=0, driver_kind="brownian")
         eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=60)
-        alt = innovations_alt_rep(dec, partial_ks, partial_sm, ps, J=60)
+        alt = innovations_alt_rep(dec, ps, J=60)
         assert np.max(np.abs(alt - eps[60:])) <= 1e-8
 
     def test_zero_components_give_zero(self, partial_ks, partial_sm, partial_cf):
@@ -216,7 +216,7 @@ class TestAlternativeRepresentation:
                           r1=np.zeros_like(ps.r1), y2=np.zeros_like(ps.y2),
                           c1=ps.c1, seed=ps.seed, driver_kind=ps.driver_kind)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
-        alt = innovations_alt_rep(dec, partial_ks, partial_sm, zeroed, J=10)
+        alt = innovations_alt_rep(dec, zeroed, J=10)
         assert np.array_equal(alt, np.zeros_like(alt))
 
 

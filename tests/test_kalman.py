@@ -87,6 +87,16 @@ class TestFilterInnovations:
         assert np.array_equal(eps, np.zeros((20, 2)))
         assert np.array_equal(x_hat, np.zeros((20, 2)))
 
+    def test_matches_loop_oracle(self, partial_ks, partial_sm, partial_cf, rng):
+        y = simulate_exact_gaussian(partial_sm, partial_cf, 5_000, seed=79).y
+        x_hat_0 = rng.normal(size=3)
+        eps, x_hat = filter_innovations(partial_ks, partial_sm, y, x_hat_0=x_hat_0)
+        U = np.vstack([np.zeros((1, 2)), y[:-1]]) @ partial_ks.gain.T
+        want = helpers.linear_recursion_loop(partial_ks.closed_loop, U, x_hat_0)
+        assert np.max(np.abs(x_hat - want)) <= 1e-12 * np.max(np.abs(want))
+        eps_want = y - want @ partial_ks.c_matrix.T
+        assert np.max(np.abs(eps - eps_want)) <= 1e-12 * np.max(np.abs(y))
+
     def test_full_observation_reduces_to_one_step_predictor(self, scalar_ks, scalar_sm, rng):
         y = rng.normal(size=(50, 2))
         eps, _ = filter_innovations(scalar_ks, scalar_sm, y)

@@ -142,6 +142,47 @@ class TestLyapunov:
             matops.lyapunov_solve([[1.0]], [[1.0]])
 
 
+class TestLinearRecursion:
+    """The blocked scan against the step-by-step loop, to 1e-12 relative."""
+
+    @staticmethod
+    def _check(F, U, x0):
+        got = matops.linear_recursion(F, U, x0)
+        want = helpers.linear_recursion_loop(F, U, x0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+    @staticmethod
+    def _stable(rng, n, rho=0.9):
+        F = rng.normal(size=(n, n))
+        return F * (rho / np.max(np.abs(np.linalg.eigvals(F)))) if n else F
+
+    @pytest.mark.parametrize("T", [0, 1, 2, 49, 50, 50_001])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    def test_matches_loop(self, rng, T, batch):
+        F = self._stable(rng, 4)
+        self._check(F, rng.normal(size=(T, *batch, 4)), rng.normal(size=(*batch, 4)))
+
+    def test_empty_state(self):
+        self._check(np.zeros((0, 0)), np.zeros((50, 2, 0)), np.zeros(0))
+
+    def test_non_normal_near_unit_root(self, rng):
+        # rho = 0.999 with a strong upper-triangular coupling: powers of F grow
+        # by orders of magnitude before they decay
+        F = 0.999 * np.eye(5) + np.triu(rng.normal(size=(5, 5)), 1)
+        self._check(F, rng.normal(size=(5_000, 5)), 10.0 * rng.normal(size=5))
+
+    def test_start_broadcasts_over_batch(self, rng):
+        F = self._stable(rng, 3)
+        self._check(F, rng.normal(size=(101, 4, 3)), np.array([1.0, -2.0, 3.0]))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionError):
+            matops.linear_recursion(np.eye(2), np.zeros((5, 3)), np.zeros(3))
+        with pytest.raises(DimensionError):
+            matops.linear_recursion(np.eye(2), np.zeros((5, 4, 2)), np.zeros((3, 2)))
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         rr = matops.numerical_rank(np.zeros((2, 2)))

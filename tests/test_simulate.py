@@ -70,6 +70,17 @@ class TestExactGaussian:
         se = helpers.cov_se(y[:, 0, :], y[:, 0, :])
         assert np.all(np.abs(emp - want) <= 3.0 * se)
 
+    def test_ensemble_path_reproduces_single_path(self, partial_sm, partial_cf):
+        single = simulate_exact_gaussian(partial_sm, partial_cf, 3_000, x1_0=[2.0], seed=19)
+        ens = simulate_gaussian_ensemble(partial_sm, partial_cf, 3_000, 1, x1_0=[2.0], seed=19)
+        assert ens.shape == (1, 3_000, 2)
+        assert np.max(np.abs(ens[0] - single.y)) <= 1e-12 * np.max(np.abs(single.y))
+
+    @pytest.mark.parametrize("n_steps,n_paths", [(0, 4), (10, 0), (10, -1)])
+    def test_ensemble_rejects_bad_sizes(self, scalar_sm, scalar_cf, n_steps, n_paths):
+        with pytest.raises(ValidationError):
+            simulate_gaussian_ensemble(scalar_sm, scalar_cf, n_steps, n_paths, seed=0)
+
 
 class TestLevyEuler:
     def test_brownian_refinement_converges_to_exact_covariance(self, scalar_cf, scalar_sm):
@@ -110,6 +121,16 @@ class TestLevyEuler:
         a = simulate_levy_euler(cf, 0.5, 200, refinement=8, seed=4)
         b = simulate_levy_euler(cf, 0.5, 200, refinement=8, seed=4)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.r1, b.r1)
+
+    def test_burn_in_across_chunks(self):
+        # 20_000 warm-up steps end inside the second 2^14-step chunk; with the
+        # same total length the draws coincide, so the kept rows are the tail
+        # of a path without burn-in
+        cf = jump_fixture()
+        warm = simulate_levy_euler(cf, 0.5, 3_000, refinement=2, burn_in=20_000, seed=6)
+        cold = simulate_levy_euler(cf, 0.5, 23_000, refinement=2, burn_in=0, seed=6)
+        assert np.array_equal(warm.x2, cold.x2[20_000:])
+        assert np.array_equal(warm.r1, cold.r1[20_000:])
 
     def test_rejects_zero_refinement(self, scalar_cf):
         with pytest.raises(ValidationError):
