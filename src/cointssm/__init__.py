@@ -70,7 +70,6 @@ from .simulate import (
     first_difference,
     simulate_exact_gaussian,
     simulate_gaussian_ensemble,
-    simulate_levy_euler,
 )
 
 __version__ = "0.1.0"

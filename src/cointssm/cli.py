@@ -90,15 +90,7 @@ def cmd_simulate(args) -> int:
     cf, doc = _load_canonical(args.config)
     opts = parse_sampling(doc)
     sm = moments.discretize(cf, opts.h)
-    if cf.levy.kind == "brownian":
-        ps = simulate.simulate_exact_gaussian(
-            sm, cf, opts.n_steps, x1_0=opts.x1_0, seed=opts.seed
-        )
-    else:
-        ps = simulate.simulate_levy_euler(
-            cf, opts.h, opts.n_steps, refinement=opts.refinement,
-            x1_0=opts.x1_0, burn_in=opts.burn_in, seed=opts.seed,
-        )
+    ps = simulate.simulate_exact_gaussian(sm, cf, opts.n_steps, x1_0=opts.x1_0, seed=opts.seed)
     d, c, n2 = cf.d, cf.c, cf.n2
     header = ["t"] + [f"y_{i+1}" for i in range(d)]
     cols = [ps.times[:, None], ps.y]
@@ -154,10 +146,9 @@ def cmd_analyze(args) -> int:
     if args.moments:
         if cf is None:
             raise ValidationError("--moments needs a model with a canonical form")
-        t_grid = [float(v) for v in args.t_grid.split(",")]
-        s_grid = [float(v) for v in args.s_grid.split(",")]
         header = ["t", "s"] + [f"cov_{i+1}_{j+1}" for i in range(cf.d) for j in range(cf.d)]
-        rows = [[t, s, *moments.cov_continuous(cf, t, s).ravel()] for t in t_grid for s in s_grid]
+        rows = [[t, s, *moments.cov_continuous(cf, t, s).ravel()]
+                for t in args.t_grid for s in args.s_grid]
         buf = io.StringIO()
         _csv(buf, header, rows)
         out["moments_csv"] = buf.getvalue()
@@ -267,6 +258,17 @@ def cmd_ecf(args) -> int:
     return EXIT_OK
 
 
+def _finite_floats(text: str) -> list[float]:
+    """Comma-separated finite numbers (an argparse ``type``)."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cointssm",
@@ -290,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("config", help="model document (JSON)")
     p_an.add_argument("--moments", action="store_true",
                       help="also evaluate the closed-form covariance on a (t, s) grid")
-    p_an.add_argument("--t-grid", default="0,1,2", help="comma separated t values")
-    p_an.add_argument("--s-grid", default="0,1", help="comma separated s values")
+    p_an.add_argument("--t-grid", type=_finite_floats, default="0,1,2",
+                      help="comma separated t values")
+    p_an.add_argument("--s-grid", type=_finite_floats, default="0,1",
+                      help="comma separated s values")
     p_an.add_argument("--output", default=None, help="write the moments CSV here")
     add_rank_tol(p_an)
     p_an.set_defaults(func=cmd_analyze)

@@ -66,8 +66,15 @@ def check_symmetric(M: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> 
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential of a square matrix (scaling-and-squaring Pade)."""
-    A = as_square(M, "expm input")
+    """Matrix exponential (scaling-and-squaring Pade) of a square matrix, or
+    of each matrix in a stack over the last two axes."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionError(
+            f"expm input must be square over its last two axes, got shape {A.shape}"
+        )
+    if A.size and not np.all(np.isfinite(A)):
+        raise ValidationError("expm input contains non-finite entries")
     return sla.expm(A)
 
 

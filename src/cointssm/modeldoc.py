@@ -31,8 +31,6 @@ class SamplingOptions:
     h: float = 1.0
     n_steps: int = 1000
     seed: int = 0
-    refinement: int = 64
-    burn_in: int | None = None
     x1_0: tuple[float, ...] | None = None
 
 
@@ -40,16 +38,23 @@ def default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if not raw.strip().isdecimal():
+        raise ValidationError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _need(doc: dict, key: str, where: str) -> Any:
     if key not in doc:
         raise ValidationError(f"missing field {key!r} in {where}")
     return doc[key]
+
+
+def _integer(value: Any, what: str) -> int:
+    """An integer field: a JSON integer, or a number with an integral value."""
+    if not isinstance(value, bool) and (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _matrix(doc: dict, key: str, where: str) -> np.ndarray:
@@ -68,28 +73,34 @@ def parse_levy(obj: Any) -> LevySpec:
         raise ValidationError("levy block must be an object")
     kind = _need(obj, "kind", "levy block")
     sigma = _matrix(obj, "sigma_L", "levy block")
-    rate = float(obj.get("jump_rate", 0.0))
+    rate = obj.get("jump_rate", 0.0)
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not np.isfinite(rate):
+        raise ValidationError(
+            f"field 'jump_rate' in levy block must be a finite number, got {rate!r}"
+        )
     jump_cov = None
     if obj.get("jump_cov") is not None:
         jump_cov = _matrix(obj, "jump_cov", "levy block")
-    return LevySpec(kind=kind, sigma_L=sigma, jump_rate=rate, jump_cov=jump_cov)
+    return LevySpec(kind=kind, sigma_L=sigma, jump_rate=float(rate), jump_cov=jump_cov)
 
 
 def parse_sampling(doc: dict) -> SamplingOptions:
     raw = doc.get("sampling") or {}
     if not isinstance(raw, dict):
         raise ValidationError("sampling block must be an object")
+    seed = raw["seed"] if "seed" in raw else default_seed()
     try:
-        return SamplingOptions(
+        opts = SamplingOptions(
             h=float(raw.get("h", 1.0)),
-            n_steps=int(raw.get("n_steps", 1000)),
-            seed=int(raw.get("seed", default_seed())),
-            refinement=int(raw.get("refinement", 64)),
-            burn_in=None if raw.get("burn_in") is None else int(raw["burn_in"]),
+            n_steps=_integer(raw.get("n_steps", 1000), "n_steps"),
+            seed=_integer(seed, "seed"),
             x1_0=None if raw.get("x1_0") is None else tuple(float(v) for v in raw["x1_0"]),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"sampling block has a malformed value: {exc}") from exc
+    if opts.seed < 0:
+        raise ValidationError(f"sampling block has a negative seed: {opts.seed}")
+    return opts
 
 
 def parse_document(doc: dict):
@@ -121,7 +132,7 @@ def parse_document(doc: dict):
         except (TypeError, ValueError) as exc:
             raise ValidationError("mcarma coefficients must be numeric matrices") from exc
         return McarmaModel(p_coeffs=P, q_coeffs=Q, levy=levy)
-    c = int(_need(doc, "c", "canonical document"))
+    c = _integer(_need(doc, "c", "canonical document"), "field 'c' in canonical document")
     C2 = _matrix(doc, "C2", "canonical document")
     d = C2.shape[0]
     return CointCanonicalForm(

@@ -58,25 +58,18 @@ class SampledModel:
         return self.eAh[self.c:, self.c:]
 
 
-def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
-    """Exact sampled model on the grid {nh}.
+def _van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(e^{Ah}, int_0^h e^{A u} B S B' e^{A' u} du)`` for a driver covariance ``S``.
 
-    With ``A = diag(0_c, A2)``, ``B = [B1; B2]`` and ``S = sigma_L``,
-    one exponential ``F = expm([[-A, B S B'], [0, A']] t)`` (Van Loan 1978)
-    gives ``e^{At} = F22'`` and ``sigma(t) = F22' F12
-    = int_0^t e^{A u} B S B' e^{A' u} du`` for ``t = h / 2^k``, and k
-    doublings ``sigma(2t) = sigma(t) + e^{At} sigma(t) e^{A't}`` carry both
-    to h. Blockwise, sigma11 = h B1 S B1', sigma21 = int_0^h e^{A2 u} B2 S B1' du
-    and sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du. The unit-root block
-    of ``eAh`` is ``I_c`` exactly; gamma0 solves A2 G + G A2' + B2 S B2' = 0.
+    With ``A = diag(0_c, A2)`` and ``B = [B1; B2]``, one exponential
+    ``F = expm([[-A, B S B'], [0, A']] t)`` (Van Loan 1978) gives
+    ``e^{At} = F22'`` and the integral to ``t`` as ``F22' F12`` for
+    ``t = h / 2^k``, and k doublings ``sigma(2t) = sigma(t) + e^{At} sigma(t) e^{A't}``
+    carry both to h. The unit-root block of ``e^{Ah}`` is ``I_c`` exactly.
     """
-    if h <= 0:
-        raise ValidationError(f"sampling step h must be positive, got {h}")
     c, N = cf.c, cf.N
-    S = np.asarray(cf.levy.sigma_L)
-    B2, A2 = np.asarray(cf.B2), np.asarray(cf.A2)
-    B = np.vstack([np.asarray(cf.B1), B2])
-
+    A2 = np.asarray(cf.A2)
+    B = np.vstack([np.asarray(cf.B1), np.asarray(cf.B2)])
     # F11 = e^{-At} grows with ||A t|| and swamps the other blocks in
     # rounding, so k is the least with ||A t||_1 < 1.
     k = max(0, int(np.frexp(h * np.abs(A2).sum(axis=0).max(initial=0.0))[1]))
@@ -92,9 +85,25 @@ def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
     for _ in range(k):
         sigma = sigma + eAh @ sigma @ eAh.T
         eAh = eAh @ eAh
-    sigma = 0.5 * (sigma + sigma.T)
-    gamma0 = matops.lyapunov_solve(A2, B2 @ S @ B2.T)
-    return SampledModel(h=float(h), c=c, eAh=eAh, sigma_tilde=sigma, gamma0=gamma0)
+    return eAh, 0.5 * (sigma + sigma.T)
+
+
+def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
+    """Exact sampled model on the grid {nh}.
+
+    ``eAh`` and ``sigma_tilde`` come from one Van Loan exponential and its
+    doublings with ``S = sigma_L`` (see ``_van_loan``). Blockwise,
+    sigma11 = h B1 S B1', sigma21 = int_0^h e^{A2 u} B2 S B1' du and
+    sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du; gamma0 solves
+    A2 G + G A2' + B2 S B2' = 0.
+    """
+    if h <= 0:
+        raise ValidationError(f"sampling step h must be positive, got {h}")
+    S = np.asarray(cf.levy.sigma_L)
+    eAh, sigma = _van_loan(cf, h, S)
+    B2 = np.asarray(cf.B2)
+    gamma0 = matops.lyapunov_solve(np.asarray(cf.A2), B2 @ S @ B2.T)
+    return SampledModel(h=float(h), c=cf.c, eAh=eAh, sigma_tilde=sigma, gamma0=gamma0)
 
 
 def mean(cf: CointCanonicalForm, x1_0) -> np.ndarray:

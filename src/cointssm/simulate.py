@@ -1,20 +1,20 @@
 """Path generation for the sampled canonical model.
 
-Two routes: exact Gaussian sampling of the discrete recursion (Brownian
-drivers only, noise drawn straight from the exact covariance), and a
-refined-grid Euler scheme that handles compound-Poisson jumps. Both are
-fully reproducible from (seed, path_index) via independent derived streams
-and step the stationary block with `matops.linear_recursion`.
+One exact sampler of the discrete recursion for every supported driver:
+the i.i.d. step noise is a Gaussian draw from the exact covariance of the
+driver's Brownian component plus compound-Poisson jumps, each placed at its
+exact time within the step. Paths are fully reproducible from
+(seed, path_index) via independent derived streams, and the stationary
+block is stepped with `matops.linear_recursion`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matops
+from . import matops, moments
 from .errors import ValidationError
 from .model import CointCanonicalForm
 from .moments import SampledModel
@@ -72,28 +72,60 @@ def _assemble_paths(cf: CointCanonicalForm, h: float, x1_0: np.ndarray,
                    c1=np.array(cf.C1), seed=seed, driver_kind=cf.levy.kind)
 
 
-def _gaussian_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths: int,
-                    x1_0, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact Gaussian sampler behind both public APIs.
+#: Jumps per batched exponential, which bounds its (k, n2, n2) stack.
+JUMP_BATCH = 1 << 14
 
-    Draws the noise ``R`` of shape (n_paths, n_steps, N) first, then the
-    stationary starts, so one path of an ensemble reproduces the single-path
-    sampler on the same stream. Returns ``(x1_0, r1, x2)`` with the path
-    axis first.
+
+def _add_jumps(R: np.ndarray, cf: CointCanonicalForm, h: float,
+               rng: np.random.Generator) -> None:
+    """Add every step's compound-Poisson jumps to its row of ``R`` in place.
+
+    Each step of each path gets Poisson(lambda h) jumps at ages ``h U(0,1)``
+    before the step's end; a mark ``Z ~ N(0, jump_cov)`` enters the noise as
+    ``[B1 Z; e^{A2 age} B2 Z]``. Draws the counts, then the ages, then the marks.
     """
-    if cf.levy.kind != "brownian":
-        raise ValidationError(
-            f"exact Gaussian sampling needs a Brownian driver, got {cf.levy.kind!r}"
-        )
+    levy = cf.levy
+    counts = rng.poisson(levy.jump_rate * h, size=R.shape[:-1])
+    k = int(counts.sum())
+    ages = h * rng.random(k)
+    jump_factor = matops.psd_factor(np.asarray(levy.jump_cov), name="jump_cov")
+    marks = rng.standard_normal((k, cf.m)) @ jump_factor.T
+    jumps = np.empty((k, cf.N))
+    jumps[:, :cf.c] = marks @ np.asarray(cf.B1).T
+    B2Z, A2 = marks @ np.asarray(cf.B2).T, np.asarray(cf.A2)
+    for lo in range(0, k, JUMP_BATCH):
+        part = slice(lo, lo + JUMP_BATCH)
+        jumps[part, cf.c:] = np.einsum("kij,kj->ki", matops.expm(ages[part, None, None] * A2),
+                                       B2Z[part])
+    where = np.repeat(np.indices(counts.shape).reshape(2, -1), counts.ravel(), axis=1)
+    np.add.at(R, tuple(where), jumps)
+
+
+def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths: int,
+                 x1_0, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact sampler behind both public APIs, for every supported driver.
+
+    The noise of one step, ``R_n = int e^{A(nh-u)} B dL(u)``, is a Gaussian
+    part N(0, sigma_W), with sigma_W the Van Loan integral of the Brownian
+    component's covariance, plus the step's jumps (``_add_jumps``). Draws
+    the Gaussian part of shape (n_paths, n_steps, N) first, then the
+    stationary starts N(0, gamma0), then the jumps, so one path of an
+    ensemble reproduces the single-path sampler on the same stream and the
+    Gaussian draws do not depend on the jumps. Returns ``(x1_0, r1, x2)``
+    with the path axis first.
+    """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
     x0 = _check_x1_0(cf, x1_0)
-    noise_factor = matops.psd_factor(np.asarray(sm.sigma_tilde), name="sigma_tilde")
+    _, sigma_w = moments._van_loan(cf, sm.h, cf.levy.diffusion_cov)
+    noise_factor = matops.psd_factor(sigma_w, name="Brownian noise covariance")
     R = rng.standard_normal((n_paths, n_steps, sm.N)) @ noise_factor.T
     g_factor = matops.psd_factor(np.asarray(sm.gamma0), name="gamma0")
     start = rng.standard_normal((n_paths, cf.n2)) @ g_factor.T
+    if cf.levy.jump_rate > 0:
+        _add_jumps(R, cf, sm.h, rng)
     x2 = matops.linear_recursion(sm.eA2h, R[:, :, cf.c:].transpose(1, 0, 2), start)
     return x0, R[:, :, :cf.c], x2.transpose(1, 0, 2)
 
@@ -106,12 +138,15 @@ def simulate_exact_gaussian(
     seed: int = 0,
     path_index: int = 0,
 ) -> PathSet:
-    """Exact path of the sampled recursion for a Brownian driver.
+    """Exact path of the sampled recursion, for every supported driver.
 
-    Noise vectors are i.i.d. N(0, sigma_tilde); the stationary block starts
-    from its stationary law N(0, gamma0) and the unit-root block from x1_0.
+    The noise vectors are i.i.d. with covariance sigma_tilde: Gaussian for a
+    Brownian driver, Gaussian plus exactly placed compound-Poisson jumps
+    otherwise. The stationary block starts from N(0, gamma0), which has the
+    stationary mean and covariance (for a jump driver not its higher
+    cumulants); the unit-root block starts from x1_0.
     """
-    x0, r1, x2 = _gaussian_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
+    x0, r1, x2 = _exact_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
     return _assemble_paths(cf, sm.h, x0, r1[0], x2[0], seed)
 
 
@@ -123,89 +158,13 @@ def simulate_gaussian_ensemble(
     x1_0=None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Monte-Carlo sampler: ``n_paths`` independent exact Gaussian paths at
-    once, returning observations of shape (n_paths, n_steps, d). Path 0
-    equals ``simulate_exact_gaussian(..., seed=seed).y``.
+    """Monte-Carlo sampler: ``n_paths`` independent exact paths at once, for
+    every supported driver, returning observations of shape
+    (n_paths, n_steps, d). Path 0 equals
+    ``simulate_exact_gaussian(..., seed=seed).y``.
     """
-    x0, r1, x2 = _gaussian_paths(sm, cf, n_steps, n_paths, x1_0, _stream(seed, 0))
+    x0, r1, x2 = _exact_paths(sm, cf, n_steps, n_paths, x1_0, _stream(seed, 0))
     return (x0 + np.cumsum(r1, axis=1)) @ np.asarray(cf.C1).T + x2 @ np.asarray(cf.C2).T
-
-
-def default_burn_in(cf: CointCanonicalForm, h: float) -> int:
-    """Steps needed for the stationary block to forget its start: ten time
-    constants of the slowest stable mode, expressed in sampling steps.
-    """
-    decay = -matops.spectral_abscissa(np.asarray(cf.A2))  # inf when n2 = 0
-    return int(math.ceil(10.0 / (decay * h)))
-
-
-def simulate_levy_euler(
-    cf: CointCanonicalForm,
-    h: float,
-    n_steps: int,
-    refinement: int = 64,
-    x1_0=None,
-    burn_in: int | None = None,
-    seed: int = 0,
-    path_index: int = 0,
-) -> PathSet:
-    """Euler path on a refined grid for any supported driver.
-
-    Each coarse step splits into ``refinement`` substeps; the Brownian part
-    is exact per substep and jumps arrive as Poisson counts with mean-zero
-    Gaussian sizes, placed at the substep start (left-point rule, bias
-    O(h/refinement)). The stationary block is advanced by its exact substep
-    transition; the unit-root block accumulates increments exactly. The
-    first ``burn_in`` coarse steps only warm the stationary state.
-    """
-    if refinement < 1:
-        raise ValidationError(f"refinement must be >= 1, got {refinement}")
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    if h <= 0:
-        raise ValidationError(f"step h must be positive, got {h}")
-    if burn_in is None:
-        burn_in = default_burn_in(cf, h)
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
-    x0 = _check_x1_0(cf, x1_0)
-    levy = cf.levy
-    n2, m = cf.n2, cf.m
-
-    delta = h / refinement
-    diff_factor = matops.psd_factor(levy.diffusion_cov, name="diffusion covariance")
-    has_jumps = levy.kind != "brownian" and levy.jump_rate > 0
-    jump_factor = (
-        matops.psd_factor(np.asarray(levy.jump_cov), name="jump_cov") if has_jumps else None
-    )
-
-    B1, B2 = np.asarray(cf.B1), np.asarray(cf.B2)
-    eA2d = matops.expm(np.asarray(cf.A2) * delta)
-    # left-point weights: the increment at substep k propagates through
-    # e^{A2 (h - k delta)}, so weights[k] = (e^{A2 (refinement - k) delta} B2)'
-    weights = matops.linear_recursion(eA2d, np.zeros((refinement, m, n2)), B2.T)[::-1]
-    eA2h = np.linalg.matrix_power(eA2d, refinement)
-
-    rng = _stream(seed, path_index)
-    state2 = np.zeros(n2)
-    x2, incr = [], []
-    total = burn_in + n_steps
-    chunk = max(1, min(total, 1 << 14))
-    for done in range(0, total, chunk):
-        size = min(chunk, total - done)
-        dL = math.sqrt(delta) * (rng.standard_normal((size, refinement, m)) @ diff_factor.T)
-        if has_jumps:
-            counts = rng.poisson(levy.jump_rate * delta, size=(size, refinement))
-            dL += np.sqrt(counts)[:, :, None] * (
-                rng.standard_normal((size, refinement, m)) @ jump_factor.T
-            )
-        x2.append(matops.linear_recursion(eA2h, np.einsum("skm,kmn->sn", dL, weights), state2))
-        state2 = x2[-1][-1]
-        incr.append(dL.sum(axis=1))
-    # the first burn_in steps only warm the stationary state
-    r1 = np.concatenate(incr)[burn_in:] @ B1.T
-    x2 = np.concatenate(x2)[burn_in:]
-    return _assemble_paths(cf, h, x0, r1, x2, seed)
 
 
 @dataclass(frozen=True)

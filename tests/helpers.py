@@ -198,3 +198,20 @@ def cov_se(samples: np.ndarray, lagged: np.ndarray) -> np.ndarray:
     n = samples.shape[0]
     prods = samples[:, :, None] * lagged[:, None, :]
     return prods.std(axis=0, ddof=1) / np.sqrt(n)
+
+
+def kappa4(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fourth cumulant ``m4 - 3 m2^2`` of each column of mean-zero samples
+    and its standard error (from the influence function
+    ``x^4 - 6 m2 x^2``)."""
+    n = samples.shape[0]
+    x2 = samples**2
+    m2 = x2.mean(axis=0)
+    x4 = x2**2
+    se = (x4 - 6.0 * m2 * x2).std(axis=0, ddof=1) / np.sqrt(n)
+    return x4.mean(axis=0) - 3.0 * m2**2, se
+
+
+def step_noise(ps, eA2h: np.ndarray) -> np.ndarray:
+    """The i.i.d. noise rows ``[r1; x2_n - e^{A2 h} x2_{n-1}]`` of steps 2..n of a path."""
+    return np.hstack([ps.r1[1:], ps.x2[1:] - ps.x2[:-1] @ eA2h.T])

@@ -25,7 +25,6 @@ from cointssm import (
     mcarma_to_ss,
     simulate_exact_gaussian,
     simulate_gaussian_ensemble,
-    simulate_levy_euler,
     solve_steady_state,
     ss_to_mcarma,
     structural_check,
@@ -262,14 +261,19 @@ def test_criterion_10_compound_poisson_driver():
     cf = CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
                             C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
     sm = discretize(cf, 1.0)
-    ps = simulate_levy_euler(cf, 1.0, 1_000_000, refinement=64, seed=1010)
-    r2 = ps.x2[1:] - ps.x2[:-1] @ sm.eA2h.T
-    R = np.hstack([ps.r1[1:], r2])
+    ps = simulate_exact_gaussian(sm, cf, 1_000_001, seed=1010)
+    R = helpers.step_noise(ps, sm.eA2h)
     emp = R.T @ R / R.shape[0]
     rel = np.linalg.norm(emp - sm.sigma_tilde) / np.linalg.norm(sm.sigma_tilde)
-    assert rel < 0.02, f"relative error {rel:.4f}"
-    report(10, f"compound-Poisson Euler at refinement 64 reproduces sigma_tilde "
-               f"within 2% over 1e6 increments (got {100 * rel:.2f}%)")
+    assert rel < 0.01, f"relative error {rel:.4f}"
+    # only the jumps have a fourth cumulant: 3 lambda h (b'Jb)^2 for r1 and
+    # 3 lambda j^2 (1 - e^{4ah}) / (-4a) for r2 (a = -1, b'Jb = j = 1/2)
+    want = np.array([1.5, 1.5 * (1.0 - np.exp(-4.0)) / 4.0])
+    k4, se = helpers.kappa4(R)
+    assert np.all(np.abs(k4 - want) <= 4.0 * se), f"fourth cumulants {k4}, want {want}"
+    report(10, f"exact compound-Poisson sampling reproduces sigma_tilde within 1% "
+               f"over 1e6 increments (got {100 * rel:.2f}%) and the fourth cumulants "
+               f"within 4 standard errors (got {np.round(k4, 3)}, want {np.round(want, 3)})")
 
 
 def test_criterion_11_cli_determinism(tmp_path, capsys):

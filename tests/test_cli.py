@@ -29,6 +29,12 @@ def scalar_doc(**sampling):
     }
 
 
+def mixed_levy() -> dict:
+    """A Brownian-plus-jump driver with a unit Brownian component."""
+    return {"kind": "brownian_plus_compound_poisson", "sigma_L": [[2.0, 0.0], [0.0, 2.0]],
+            "jump_rate": 2.0, "jump_cov": [[0.5, 0.0], [0.0, 0.5]]}
+
+
 def partial_doc():
     return {
         "schema_version": "1",
@@ -125,15 +131,23 @@ class TestSimulateCommand:
         assert len(out.read_text().splitlines()) == 201
 
     def test_jump_driver_pipeline(self, tmp_path):
-        doc = scalar_doc(n_steps=100, refinement=8, burn_in=5)
-        doc["levy"] = {
-            "kind": "compound_poisson_gaussian_jumps",
-            "sigma_L": [[1.0, 0.0], [0.0, 1.0]],
-            "jump_rate": 2.0,
-            "jump_cov": [[0.5, 0.0], [0.0, 0.5]],
-        }
-        cfg = write_json(tmp_path / "model.json", doc)
-        assert main(["simulate", cfg, "-o", str(tmp_path / "p.csv")]) == 0
+        # the CLI path is the library's exact path at the document's seed, and
+        # the retired Euler keys are accepted and ignored
+        from cointssm import discretize, simulate_exact_gaussian
+        doc = scalar_doc(n_steps=300)
+        doc["levy"] = mixed_levy()
+        plain = write_json(tmp_path / "plain.json", doc)
+        doc["sampling"].update(refinement=8, burn_in=5)
+        euler = write_json(tmp_path / "euler.json", doc)
+        assert main(["simulate", plain, "-o", str(tmp_path / "a.csv"), "--columns", "full"]) == 0
+        assert main(["simulate", euler, "-o", str(tmp_path / "b.csv"), "--columns", "full"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        with open(tmp_path / "a.csv") as fh:
+            fh.readline()
+            data = np.loadtxt(fh, delimiter=",")
+        cf = parse_document(doc)
+        ps = simulate_exact_gaussian(discretize(cf, 1.0), cf, 300, seed=11)
+        assert np.array_equal(data[:, 1:], np.hstack([ps.y, ps.x1, ps.x2, ps.r1]))
 
     def test_missing_field_exits_2(self, tmp_path):
         doc = scalar_doc()
@@ -142,11 +156,23 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
 
     @pytest.mark.parametrize("field,value", [("n_steps", "abc"), ("x1_0", 3),
-                                             ("h", None), ("burn_in", [1])])
+                                             ("h", None), ("seed", -1)])
     def test_malformed_sampling_value_exits_2(self, tmp_path, capsys, field, value):
         cfg = write_json(tmp_path / "model.json", scalar_doc(**{field: value}))
         assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
         assert "sampling block" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("block,field,value", [("levy", "jump_rate", "abc"),
+                                                   (None, "c", "x"), (None, "c", 1.7)])
+    def test_malformed_model_value_exits_2(self, tmp_path, capsys, block, field, value):
+        # these ended in a ValueError traceback (exit 1), or truncated c = 1.7 to 1
+        doc = scalar_doc()
+        doc["levy"] = mixed_levy()
+        (doc[block] if block else doc)[field] = value
+        cfg = write_json(tmp_path / "model.json", doc)
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
+        assert f"field {field!r}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_output_over_model_document_exits_2(self, tmp_path):
@@ -236,6 +262,17 @@ class TestAnalyzeCommand:
         assert first[:2] == [1.0, 0.0]
         assert np.isclose(first[2], 1.0)  # Var(Y_1(1)) = t
         assert out["moments_csv"].splitlines()[1] == lines[1]
+
+    @pytest.mark.parametrize("flag,value", [("--t-grid", "abc"), ("--t-grid", "nan,1"),
+                                            ("--s-grid", "0,inf"), ("--s-grid", "")])
+    def test_bad_grid_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        cfg = write_json(tmp_path / "model.json", scalar_doc())
+        out = tmp_path / "moments.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", cfg, "--moments", flag, value, "--output", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCanonicalizeCommand:
@@ -395,3 +432,19 @@ class TestSeedEnvironment:
         main(["simulate", cfg, "-o", str(tmp_path / "a.csv")])
         sidecar = json.loads((tmp_path / "a.json").read_text())
         assert sidecar["seed"] == 123
+
+    def test_config_seed_needs_no_env_seed(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path / "model.json", scalar_doc())
+        monkeypatch.setenv("COINTSSM_SEED", "abc")
+        assert main(["simulate", cfg, "-o", str(tmp_path / "a.csv")]) == 0
+        assert json.loads((tmp_path / "a.json").read_text())["seed"] == 11
+
+    @pytest.mark.parametrize("raw", ["-1", "abc"])
+    def test_bad_env_seed_exits_2(self, tmp_path, monkeypatch, capsys, raw):
+        doc = scalar_doc()
+        del doc["sampling"]["seed"]
+        cfg = write_json(tmp_path / "model.json", doc)
+        monkeypatch.setenv("COINTSSM_SEED", raw)
+        assert main(["simulate", cfg, "-o", str(tmp_path / "a.csv")]) == 2
+        assert "COINTSSM_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()

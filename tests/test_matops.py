@@ -33,8 +33,19 @@ class TestExpm:
             assert np.allclose(prod, np.eye(n), atol=1e-10)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            matops.expm(np.zeros((2, 3)))
+        for shape in ((2, 3), (4, 2, 3), (3,)):
+            with pytest.raises(DimensionError):
+                matops.expm(np.zeros(shape))
+
+    def test_stack_matches_each_matrix(self, rng):
+        # the jump sampler exponentiates (k, n2, n2) stacks, empty ones included
+        M = rng.normal(size=(2, 5, 3, 3)) * rng.uniform(0.1, 8.0, size=(2, 5, 1, 1))
+        out = matops.expm(M)
+        for idx in np.ndindex(2, 5):
+            want = matops.expm(M[idx])
+            assert np.max(np.abs(out[idx] - want)) <= 1e-14 * np.max(np.abs(want))
+        assert matops.expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert matops.expm(np.zeros((4, 0, 0))).shape == (4, 0, 0)
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):

@@ -10,17 +10,29 @@ from cointssm import (
     first_difference,
     simulate_exact_gaussian,
     simulate_gaussian_ensemble,
-    simulate_levy_euler,
 )
+from cointssm import simulate
 from cointssm.errors import ValidationError
-from cointssm.simulate import default_burn_in
 
 
-def jump_fixture() -> CointCanonicalForm:
-    levy = LevySpec(kind="compound_poisson_gaussian_jumps", sigma_L=np.eye(2),
-                    jump_rate=2.0, jump_cov=0.5 * np.eye(2))
+def jump_fixture(kind: str = "compound_poisson_gaussian_jumps") -> CointCanonicalForm:
+    """The scalar fixture driven by jumps at rate 2 with covariance I/2
+    (plus a unit Brownian component for the mixed kind)."""
+    sigma = np.eye(2) if kind == "compound_poisson_gaussian_jumps" else 2.0 * np.eye(2)
+    levy = LevySpec(kind=kind, sigma_L=sigma, jump_rate=2.0, jump_cov=0.5 * np.eye(2))
     return CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
                               C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
+
+
+def jump_partial_fixture() -> CointCanonicalForm:
+    """The partially observed fixture (non-normal A2, B2 mixing both driver
+    coordinates) with a Brownian-plus-jump driver of the same sigma_L."""
+    cf = helpers.partial_fixture()
+    jump_cov = np.array([[0.3, 0.1], [0.1, 0.5]])
+    levy = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=cf.levy.sigma_L,
+                    jump_rate=1.5, jump_cov=jump_cov)
+    return CointCanonicalForm(c=1, A2=cf.A2, B1=cf.B1, B2=cf.B2, C1=cf.C1, C2=cf.C2,
+                              levy=levy)
 
 
 class TestExactGaussian:
@@ -57,11 +69,6 @@ class TestExactGaussian:
         ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 10, x1_0=[4.0], seed=2)
         assert np.allclose(ps.x1[0], 4.0 + ps.r1[0], atol=1e-12)
 
-    def test_rejects_jump_driver(self):
-        cf = jump_fixture()
-        with pytest.raises(ValidationError):
-            simulate_exact_gaussian(discretize(cf, 1.0), cf, 10, seed=0)
-
     def test_ensemble_matches_single_path_law(self, scalar_sm, scalar_cf):
         y = simulate_gaussian_ensemble(scalar_sm, scalar_cf, n_steps=2, n_paths=50_000, seed=3)
         emp = y[:, 0, :].T @ y[:, 0, :] / y.shape[0]
@@ -83,62 +90,90 @@ class TestExactGaussian:
 
 
 class TestLevyEuler:
-    def test_brownian_refinement_converges_to_exact_covariance(self, scalar_cf, scalar_sm):
-        ps = simulate_levy_euler(scalar_cf, 1.0, 60_000, refinement=64, seed=12)
-        r2 = ps.x2[1:] - ps.x2[:-1] @ scalar_sm.eA2h.T
-        R = np.hstack([ps.r1[1:], r2])
-        emp = R.T @ R / R.shape[0]
-        rel = np.linalg.norm(emp - scalar_sm.sigma_tilde) / np.linalg.norm(scalar_sm.sigma_tilde)
-        assert rel < 0.02
+    """Exact paths for the compound-Poisson drivers (the class keeps its name
+    so its test ids stay stable)."""
 
-    def test_zero_jump_rate_matches_brownian_moments(self, scalar_cf, scalar_sm):
+    def test_zero_jump_rate_reproduces_brownian_path(self, scalar_cf, scalar_sm):
         levy = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=np.eye(2),
                         jump_rate=0.0, jump_cov=np.eye(2))
         cf = CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
                                 C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
-        ps = simulate_levy_euler(cf, 1.0, 30_000, refinement=16, seed=9)
-        dy = np.diff(ps.y, axis=0)
-        emp = dy.T @ dy / dy.shape[0]
-        # increments of Y have covariance determined by the Brownian fixture
-        ref = simulate_exact_gaussian(scalar_sm, scalar_cf, 30_000, seed=10)
-        dy_ref = np.diff(ref.y, axis=0)
-        want = dy_ref.T @ dy_ref / dy_ref.shape[0]
-        se = helpers.cov_se(dy, dy) + helpers.cov_se(dy_ref, dy_ref)
-        assert np.all(np.abs(emp - want) <= 4.0 * se)
+        ps = simulate_exact_gaussian(discretize(cf, 1.0), cf, 3_000, x1_0=[1.5], seed=9)
+        ref = simulate_exact_gaussian(scalar_sm, scalar_cf, 3_000, x1_0=[1.5], seed=9)
+        for field in ("y", "x1", "x2", "r1"):
+            assert np.array_equal(getattr(ps, field), getattr(ref, field))
+
+    @staticmethod
+    def _check_noise_covariance(cf: CointCanonicalForm, h: float) -> None:
+        sm = discretize(cf, h)
+        R = helpers.step_noise(simulate_exact_gaussian(sm, cf, 60_000, seed=13), sm.eA2h)
+        emp = R.T @ R / R.shape[0]
+        assert np.all(np.abs(emp - sm.sigma_tilde) <= 4.0 * helpers.cov_se(R, R))
 
     def test_jump_driver_covariance(self):
-        cf = jump_fixture()
-        ps = simulate_levy_euler(cf, 1.0, 60_000, refinement=64, seed=13)
+        self._check_noise_covariance(jump_fixture(), 1.0)
+
+    def test_mixed_driver_covariance_non_normal_a2(self):
+        self._check_noise_covariance(jump_partial_fixture(), 0.5)
+
+    @pytest.mark.parametrize("kind", ["compound_poisson_gaussian_jumps",
+                                      "brownian_plus_compound_poisson"])
+    def test_fourth_cumulants_match_closed_form(self, kind):
+        # r1 = b'L(h) and r2 = int_0^h e^{a u} B2 dL: only the jumps have a
+        # fourth cumulant, 3 lambda h (b'Jb)^2 and 3 lambda j^2 (1 - e^{4ah}) / (-4a)
+        cf = jump_fixture(kind)
+        h, lam, a = 0.5, cf.levy.jump_rate, -1.0
+        J = np.asarray(cf.levy.jump_cov)
+        b = (np.asarray(cf.B1) @ J @ np.asarray(cf.B1).T)[0, 0]
+        j = (np.asarray(cf.B2) @ J @ np.asarray(cf.B2).T)[0, 0]
+        want = 3.0 * lam * np.array([h * b**2, j**2 * (1 - np.exp(4 * a * h)) / (-4 * a)])
+        sm = discretize(cf, h)
+        R = helpers.step_noise(simulate_exact_gaussian(sm, cf, 200_000, seed=29), sm.eA2h)
+        k4, se = helpers.kappa4(R)
+        assert np.all(np.abs(k4 - want) <= 4.0 * se)
+
+    def test_batched_exponentials_do_not_change_the_path(self, monkeypatch):
+        cf = jump_partial_fixture()
+        sm = discretize(cf, 0.5)
+        ref = simulate_exact_gaussian(sm, cf, 2_000, seed=5)
+        monkeypatch.setattr(simulate, "JUMP_BATCH", 7)
+        ps = simulate_exact_gaussian(sm, cf, 2_000, seed=5)
+        assert np.array_equal(ps.r1, ref.r1)
+        assert np.max(np.abs(ps.x2 - ref.x2)) <= 1e-13 * np.max(np.abs(ref.x2))
+
+    @pytest.mark.parametrize("c,n2", [(0, 1), (0, 0)])
+    def test_boundary_shapes(self, c, n2):
+        levy = LevySpec(kind="compound_poisson_gaussian_jumps", sigma_L=np.eye(1),
+                        jump_rate=2.0, jump_cov=0.5 * np.eye(1))
+        cf = CointCanonicalForm(c=c, A2=-np.eye(n2), B1=np.zeros((c, 1)), B2=np.ones((n2, 1)),
+                                C1=np.zeros((n2, c)), C2=np.eye(n2), levy=levy)
         sm = discretize(cf, 1.0)
-        r2 = ps.x2[1:] - ps.x2[:-1] @ sm.eA2h.T
-        R = np.hstack([ps.r1[1:], r2])
-        emp = R.T @ R / R.shape[0]
-        rel = np.linalg.norm(emp - sm.sigma_tilde) / np.linalg.norm(sm.sigma_tilde)
-        assert rel < 0.03
+        ps = simulate_exact_gaussian(sm, cf, 40_000, seed=8)
+        assert ps.y.shape == (40_000, n2) and ps.x2.shape == (40_000, n2)
+        assert ps.r1.shape == (40_000, 0)
+        R = helpers.step_noise(ps, sm.eA2h)
+        assert np.all(np.abs(R.T @ R / R.shape[0] - sm.sigma_tilde) <= 4.0 * helpers.cov_se(R, R))
+        ens = simulate_gaussian_ensemble(sm, cf, 40_000, 1, seed=8)
+        assert np.array_equal(ens[0], ps.y)
+
+    def test_ensemble(self):
+        cf = jump_partial_fixture()
+        sm = discretize(cf, 0.5)
+        single = simulate_exact_gaussian(sm, cf, 500, x1_0=[1.0], seed=3)
+        one = simulate_gaussian_ensemble(sm, cf, 500, 1, x1_0=[1.0], seed=3)
+        assert np.max(np.abs(one[0] - single.y)) <= 1e-12 * np.max(np.abs(single.y))
+        y = simulate_gaussian_ensemble(sm, cf, n_steps=2, n_paths=20_000, seed=4)[:, 0, :]
+        from cointssm import cov_continuous
+        want = cov_continuous(cf, sm.h, 0.0)
+        assert np.all(np.abs(y.T @ y / y.shape[0] - want) <= 4.0 * helpers.cov_se(y, y))
 
     def test_determinism(self):
         cf = jump_fixture()
-        a = simulate_levy_euler(cf, 0.5, 200, refinement=8, seed=4)
-        b = simulate_levy_euler(cf, 0.5, 200, refinement=8, seed=4)
+        sm = discretize(cf, 0.5)
+        a = simulate_exact_gaussian(sm, cf, 200, seed=4)
+        b = simulate_exact_gaussian(sm, cf, 200, seed=4)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.r1, b.r1)
-
-    def test_burn_in_across_chunks(self):
-        # 20_000 warm-up steps end inside the second 2^14-step chunk; with the
-        # same total length the draws coincide, so the kept rows are the tail
-        # of a path without burn-in
-        cf = jump_fixture()
-        warm = simulate_levy_euler(cf, 0.5, 3_000, refinement=2, burn_in=20_000, seed=6)
-        cold = simulate_levy_euler(cf, 0.5, 23_000, refinement=2, burn_in=0, seed=6)
-        assert np.array_equal(warm.x2, cold.x2[20_000:])
-        assert np.array_equal(warm.r1, cold.r1[20_000:])
-
-    def test_rejects_zero_refinement(self, scalar_cf):
-        with pytest.raises(ValidationError):
-            simulate_levy_euler(scalar_cf, 1.0, 10, refinement=0, seed=0)
-
-    def test_default_burn_in_scales_with_slowest_mode(self, scalar_cf, partial_cf):
-        assert default_burn_in(scalar_cf, 1.0) == 10
-        assert default_burn_in(partial_cf, 0.5) == 20
+        assert not np.array_equal(a.y, simulate_exact_gaussian(sm, cf, 200, seed=5).y)
 
     def test_driver_validation_flows_through(self):
         levy = LevySpec(kind="brownian", sigma_L=np.diag([1.0, 0.0]))
