@@ -134,31 +134,40 @@ def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_
     )
 
 
+def _truncation(dec: EcfDecomposition, J: int | None) -> int:
+    """The lag count J to use: the stored truncation by default, else
+    0 <= J <= truncation (J = 0 drops the short-run terms)."""
+    if J is None:
+        return dec.truncation
+    if J < 0:
+        raise ValidationError(f"truncation J must be >= 0, got {J}")
+    if J > dec.truncation:
+        raise ValidationError(
+            f"requested J={J} exceeds the stored truncation {dec.truncation}"
+        )
+    return J
+
+
 def ecf_residuals(dec: EcfDecomposition, y: np.ndarray, J: int | None = None) -> np.ndarray:
     """Innovation estimates reconstructed from the error correction form.
 
     ``eps_n = dY_n - alpha beta' Y_{n-1} - sum_{j=1}^J Ktilde_j dY_{n-j}``,
     returned for n = J+2 .. n_obs (1-based); earlier rows are warm-up and
-    excluded rather than zero-padded.
+    excluded rather than zero-padded. The truncated lag sum is one
+    block-FFT FIR filter (``matops.fir_filter``) with weights
+    ``[I, -Ktilde_1 .. -Ktilde_J]`` on dY.
     """
     Y = matops.as_matrix(y, "observations")
-    if J is None:
-        J = dec.truncation
-    if J > dec.truncation:
-        raise ValidationError(
-            f"requested J={J} exceeds the stored truncation {dec.truncation}"
-        )
+    J = _truncation(dec, J)
     T, d = Y.shape
     if d != dec.d:
         raise DimensionError(f"path has d={d}, decomposition has d={dec.d}")
     if T < J + 2:
         raise ValidationError(f"path of length {T} is shorter than J + 2 = {J + 2}")
-    dY = np.diff(Y, axis=0)  # row i = dY_{i+2} (1-based step index)
-    pi = dec.alpha @ dec.beta.T
-    out = dY[J:].copy()  # dY_n for n = J+2 .. T
-    out -= Y[J:-1] @ pi.T  # Y_{n-1}
-    for j in range(1, J + 1):
-        out -= dY[J - j:T - 1 - j] @ dec.Ktilde_coeffs[j].T
+    W = -dec.Ktilde_coeffs[:J + 1]
+    W[0] = np.eye(d)
+    out = matops.fir_filter(W, np.diff(Y, axis=0))  # dY_n - sum_j Ktilde_j dY_{n-j}
+    out -= Y[J:-1] @ (dec.alpha @ dec.beta.T).T  # alpha beta' Y_{n-1}
     return out
 
 
@@ -211,33 +220,27 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
     ``eps_n = k(B) y2_n + (I - ktilde)(B) C1 r1_n``.
 
     Both filters are truncated at J; rows n = J+1 .. n_steps are returned.
-    Requires a PathSet that retained the stationary part and the unit-root
-    noise.
+    The two truncated lag sums are one block-FFT FIR filter
+    (``matops.fir_filter``) on the stacked input ``[y2, r1]`` with weights
+    ``[L_j, -Ktilde_j C1]`` (``[I, C1]`` at j = 0). Requires a PathSet that
+    retained the stationary part and the unit-root noise.
     """
-    if J is None:
-        J = dec.truncation
-    if J > dec.truncation:
-        raise ValidationError(
-            f"requested J={J} exceeds the stored truncation {dec.truncation}"
-        )
+    J = _truncation(dec, J)
     y2 = getattr(ps, "y2", None)
     r1 = getattr(ps, "r1", None)
     if y2 is None or r1 is None:
         raise ValidationError("PathSet lacks the y2/r1 components the representation needs")
     y2 = matops.as_matrix(y2, "y2")
+    r1 = matops.as_matrix(r1, "r1")
     T = y2.shape[0]
+    if r1.shape[0] != T:
+        raise DimensionError(f"r1 has {r1.shape[0]} rows, y2 has {T}")
     if T <= J:
         raise ValidationError(f"path of length {T} is too short for J={J}")
-    c1r1 = np.asarray(r1) @ ps.c1.T
-    out = np.zeros((T - J, y2.shape[1]))
-    for j in range(J + 1):
-        seg = slice(J - j, T - j)
-        out += y2[seg] @ dec.L_coeffs[j].T
-        if j == 0:
-            out += c1r1[seg]
-        else:
-            out -= c1r1[seg] @ dec.Ktilde_coeffs[j].T
-    return out
+    C1 = np.asarray(ps.c1)
+    W = np.concatenate([dec.L_coeffs[:J + 1], -dec.Ktilde_coeffs[:J + 1] @ C1], axis=2)
+    W[0, :, y2.shape[1]:] = C1
+    return matops.fir_filter(W, np.hstack([y2, r1]))
 
 
 @dataclass(frozen=True)

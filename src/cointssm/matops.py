@@ -3,7 +3,8 @@
 Everything here is a pure function of its arguments and carries no model
 semantics: matrix exponentials, the single-sided exponential integral, a
 Bartels-Stewart Lyapunov solver, the blocked linear-recursion scan behind
-the filter and every sampler, SVD rank decisions, orthogonal complements,
+the filter and every sampler, the block-FFT FIR filter behind the error
+correction lag sums, SVD rank decisions, orthogonal complements,
 block-companion polynomial roots and the positive-lower-triangular
 orthonormalization used by the canonical form.
 """
@@ -169,6 +170,52 @@ def linear_recursion(F, U, x0) -> np.ndarray:
         block += lift[:len(block)].reshape(block.shape)
         carry = block[-1].reshape(batch, n)
     return X
+
+
+#: Overlap-save segments transformed together by ``fir_filter``; bounds its
+#: scratch memory to a few segments whatever the path length.
+FIR_CHUNK = 8
+
+
+def fir_filter(W, X) -> np.ndarray:
+    """``out[i] = sum_{j=0}^{J} W[j] X[i+J-j]`` for the ``T - J`` full windows.
+
+    ``W`` has shape ``(J+1, d, k)`` and ``X`` shape ``(T, k)`` with
+    ``T >= J+1``; the result has shape ``(T-J, d)``. Overlap-save FFT
+    convolution (Oppenheim & Schafer, Discrete-Time Signal Processing, ch. 8)
+    with ``numpy.fft``: the FFT length ``L`` is the smallest power of two
+    ``>= max(1024, 4(J+1))``, each segment of ``L`` input rows yields
+    ``L - J`` outputs, and ``FIR_CHUNK`` segments are transformed at a time
+    straight into the preallocated result, which is the only ``T``-sized
+    array allocated.
+    """
+    Wm = np.asarray(W, dtype=float)
+    Xm = as_matrix(X, "X")
+    if Wm.ndim != 3 or Wm.shape[0] < 1 or Wm.shape[2] != Xm.shape[1]:
+        raise DimensionError(
+            f"W must have shape (J+1, d, {Xm.shape[1]}), got {Wm.shape}"
+        )
+    if not np.all(np.isfinite(Wm)):
+        raise ValidationError("W contains non-finite entries")
+    J, d, k = Wm.shape[0] - 1, Wm.shape[1], Wm.shape[2]
+    T = Xm.shape[0]
+    if T < J + 1:
+        raise ValidationError(f"X has {T} rows, fewer than J + 1 = {J + 1}")
+    L = 1 << (max(1024, 4 * (J + 1)) - 1).bit_length()
+    M = L - J
+    Wf = np.fft.rfft(Wm, n=L, axis=0)  # (L//2+1, d, k)
+    out = np.empty((T - J, d))
+    span = FIR_CHUNK * M
+    for s in range(0, T - J, span):
+        rows = Xm[s:s + span + J]
+        nseg = -(-(len(rows) - J) // M)
+        buf = np.zeros((nseg * M + J, k))
+        buf[:len(rows)] = rows
+        segs = np.lib.stride_tricks.sliding_window_view(buf, L, axis=0)[::M]  # (nseg, k, L)
+        Xf = np.fft.rfft(segs, axis=-1).transpose(2, 1, 0)  # (L//2+1, k, nseg)
+        y = np.fft.irfft(Wf @ Xf, n=L, axis=0)  # (L, d, nseg)
+        out[s:s + span] = y[J:].transpose(2, 0, 1).reshape(nseg * M, d)[:len(rows) - J]
+    return out
 
 
 @dataclass(frozen=True)

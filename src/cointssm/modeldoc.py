@@ -100,6 +100,8 @@ def parse_sampling(doc: dict) -> SamplingOptions:
         raise ValidationError(f"sampling block has a malformed value: {exc}") from exc
     if opts.seed < 0:
         raise ValidationError(f"sampling block has a negative seed: {opts.seed}")
+    if not np.isfinite(opts.h):
+        raise ValidationError(f"sampling block has a non-finite sampling.h: {opts.h}")
     return opts
 
 

@@ -97,8 +97,8 @@ def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
     sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du; gamma0 solves
     A2 G + G A2' + B2 S B2' = 0.
     """
-    if h <= 0:
-        raise ValidationError(f"sampling step h must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValidationError(f"sampling step h must be positive and finite, got {h}")
     S = np.asarray(cf.levy.sigma_L)
     eAh, sigma = _van_loan(cf, h, S)
     B2 = np.asarray(cf.B2)

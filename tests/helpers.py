@@ -215,3 +215,14 @@ def kappa4(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def step_noise(ps, eA2h: np.ndarray) -> np.ndarray:
     """The i.i.d. noise rows ``[r1; x2_n - e^{A2 h} x2_{n-1}]`` of steps 2..n of a path."""
     return np.hstack([ps.r1[1:], ps.x2[1:] - ps.x2[:-1] @ eA2h.T])
+
+
+def fir_loop(W, X) -> np.ndarray:
+    """FIR oracle: ``out[i] = sum_{j=0}^{J} W[j] X[i+J-j]`` for the ``T - J``
+    full windows, one ``(T-J x k) @ (k x d)`` product per lag."""
+    W, X = np.asarray(W, dtype=float), np.asarray(X, dtype=float)
+    J, T = W.shape[0] - 1, X.shape[0]
+    out = np.zeros((T - J, W.shape[1]))
+    for j in range(J + 1):
+        out += X[J - j:T - j] @ W[j].T
+    return out

@@ -163,6 +163,14 @@ class TestSimulateCommand:
         assert "sampling block" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_non_finite_step_exits_2(self, tmp_path, capsys, h):
+        # json.dumps writes NaN / Infinity, which Python's JSON reader accepts
+        cfg = write_json(tmp_path / "model.json", scalar_doc(h=h))
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
+        assert "sampling.h" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("block,field,value", [("levy", "jump_rate", "abc"),
                                                    (None, "c", "x"), (None, "c", 1.7)])
     def test_malformed_model_value_exits_2(self, tmp_path, capsys, block, field, value):

@@ -17,7 +17,7 @@ from cointssm import (
     transfer_eval,
     whiteness_diagnostic,
 )
-from cointssm.errors import CointegrationRankError, ValidationError
+from cointssm.errors import CointegrationRankError, DimensionError, ValidationError
 from cointssm import matops
 
 
@@ -148,6 +148,19 @@ class TestEcfResiduals:
         with pytest.raises(ValidationError):
             ecf_residuals(dec, np.zeros((31, 2)), J=30)
 
+    def test_negative_truncation_rejected(self, partial_ks, partial_sm, partial_cf):
+        # J = -1 used to die in a numpy broadcasting ValueError
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
+        with pytest.raises(ValidationError):
+            ecf_residuals(dec, ps.y, J=-1)
+
+    def test_zero_truncation_keeps_long_run_term(self, partial_ks, partial_sm, partial_cf):
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
+        want = np.diff(ps.y, axis=0) - ps.y[:-1] @ (dec.alpha @ dec.beta.T).T
+        assert np.allclose(ecf_residuals(dec, ps.y, J=0), want, rtol=0.0, atol=1e-13)
+
 
 class TestStructuralCheck:
     def test_full_observation_by_hand(self, scalar_ks, scalar_sm, scalar_cf):
@@ -218,6 +231,29 @@ class TestAlternativeRepresentation:
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         alt = innovations_alt_rep(dec, zeroed, J=10)
         assert np.array_equal(alt, np.zeros_like(alt))
+
+    def test_negative_truncation_rejected(self, partial_ks, partial_sm, partial_cf):
+        # J = -1 used to return 101 rows for a 100-step path
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
+        with pytest.raises(ValidationError):
+            innovations_alt_rep(dec, ps, J=-1)
+
+    def test_mismatched_components_rejected(self, partial_ks, partial_sm, partial_cf):
+        # a short r1 used to end in numpy's broadcasting ValueError
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        short = type(ps)(h=ps.h, times=ps.times, y=ps.y, x1=ps.x1, x2=ps.x2,
+                         r1=ps.r1[:-1], y2=ps.y2, c1=ps.c1, seed=ps.seed,
+                         driver_kind=ps.driver_kind)
+        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
+        with pytest.raises(DimensionError):
+            innovations_alt_rep(dec, short, J=10)
+
+    def test_zero_truncation_is_the_current_terms(self, partial_ks, partial_sm, partial_cf):
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
+        want = ps.y2 + ps.r1 @ ps.c1.T
+        assert np.allclose(innovations_alt_rep(dec, ps, J=0), want, rtol=0.0, atol=1e-13)
 
 
 class TestWhitenessDiagnostic:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,70 @@ class TestLinearRecursion:
             matops.linear_recursion(np.eye(2), np.zeros((5, 3)), np.zeros(3))
         with pytest.raises(DimensionError):
             matops.linear_recursion(np.eye(2), np.zeros((5, 4, 2)), np.zeros((3, 2)))
+
+
+class TestFirFilter:
+    """The overlap-save FFT filter against the lag-by-lag loop, to 1e-12 of max|out|."""
+
+    @staticmethod
+    def _check(W, X):
+        got = matops.fir_filter(W, X)
+        want = helpers.fir_loop(W, X)
+        assert got.shape == want.shape == (X.shape[0] - W.shape[0] + 1, W.shape[1])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @staticmethod
+    def _weights(rng, J, d, k):
+        return rng.normal(size=(J + 1, d, k)) * 0.98 ** np.arange(J + 1)[:, None, None]
+
+    # with J = 3 the FFT length is 1024, so a segment gives M = 1021 outputs
+    # and a chunk of FIR_CHUNK segments gives FIR_CHUNK * M
+    @pytest.mark.parametrize("outputs", [1, 1020, 1021, 1022,
+                                         matops.FIR_CHUNK * 1021 - 1,
+                                         matops.FIR_CHUNK * 1021,
+                                         matops.FIR_CHUNK * 1021 + 1])
+    def test_matches_loop_around_segment_and_chunk(self, rng, outputs):
+        self._check(self._weights(rng, 3, 3, 3), rng.normal(size=(outputs + 3, 3)))
+
+    def test_no_lags(self, rng):
+        self._check(self._weights(rng, 0, 2, 2), rng.normal(size=(7, 2)))
+
+    def test_fft_length_grows_with_lags(self, rng):
+        # 4 (J+1) > 1024 at J = 300, so segments are 2048 rows long
+        self._check(self._weights(rng, 300, 2, 2), rng.normal(size=(5_000, 2)))
+
+    def test_long_path(self, rng):
+        self._check(self._weights(rng, 200, 6, 6), rng.normal(size=(50_000, 6)))
+
+    @pytest.mark.parametrize("d,k", [(2, 5), (5, 2)])
+    def test_non_square_weights(self, rng, d, k):
+        self._check(self._weights(rng, 40, d, k), rng.normal(size=(3_000, k)))
+
+    def test_zero_input_gives_exact_zeros(self, rng):
+        out = matops.fir_filter(self._weights(rng, 10, 2, 3), np.zeros((500, 3)))
+        assert np.array_equal(out, np.zeros((490, 2)))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            matops.fir_filter(np.zeros((3, 2, 2)), np.zeros((10, 3)))
+        with pytest.raises(DimensionError):
+            matops.fir_filter(np.zeros((2, 2)), np.zeros((10, 2)))
+        with pytest.raises(DimensionError):
+            matops.fir_filter(np.zeros((0, 2, 2)), np.zeros((10, 2)))
+        with pytest.raises(ValidationError):
+            matops.fir_filter(np.zeros((11, 2, 2)), np.zeros((10, 2)))
+
+    def test_scratch_memory_is_bounded(self, rng):
+        # the output is the only path-sized allocation: scratch stays a few
+        # segments whatever T is
+        W, X = self._weights(rng, 200, 6, 6), rng.normal(size=(200_000, 6))
+        tracemalloc.start()
+        try:
+            out = matops.fir_filter(W, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes
 
 
 class TestNumericalRank:

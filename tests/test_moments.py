@@ -72,6 +72,11 @@ class TestDiscretize:
         with pytest.raises(ValidationError):
             discretize(scalar_cf, 0.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_rejects_non_finite_step(self, scalar_cf, h):
+        with pytest.raises(ValidationError, match="sampling step h"):
+            discretize(scalar_cf, h)
+
     def test_noise_covariance_monte_carlo(self, scalar_cf, scalar_sm):
         n = 200_000
         ps = simulate_exact_gaussian(scalar_sm, scalar_cf, n, seed=902)
