@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+#: Autocorrelation lags of the ``ecf --path`` whiteness report.
+WHITENESS_MAX_LAG = 10
+
 
 def _csv(fh, header: list[str], rows) -> None:
     np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
@@ -243,13 +246,15 @@ def cmd_ecf(args) -> int:
         eps_ecf = ecf_mod.ecf_residuals(dec, y, args.J)
         gap = float(np.max(np.abs(eps_ecf - eps_kalman[args.J + 1:])))
         out["max_residual_gap"] = gap
-        white = ecf_mod.whiteness_diagnostic(eps_ecf, max_lag=10)
-        out["whiteness"] = {
-            "passed": white.passed,
-            "degenerate": white.degenerate,
-            "band": white.band,
-            "max_abs": white.max_abs,
-        }
+        out["whiteness"] = None
+        if len(eps_ecf) >= ecf_mod.WHITENESS_ROWS_PER_LAG * WHITENESS_MAX_LAG:
+            white = ecf_mod.whiteness_diagnostic(eps_ecf, WHITENESS_MAX_LAG)
+            out["whiteness"] = {
+                "passed": white.passed,
+                "degenerate": white.degenerate,
+                "band": white.band,
+                "max_abs": white.max_abs,
+            }
         if args.residuals_out:
             header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
             _write_csv(args.residuals_out, header,
@@ -269,6 +274,17 @@ def _finite_floats(text: str) -> list[float]:
     return values
 
 
+def _rank_tol(text: str) -> float:
+    """A finite relative tolerance in (0, 1) (an argparse ``type``)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0.0 < value < 1.0:  # also rejects NaN and infinities
+        raise argparse.ArgumentTypeError(f"must be a finite number in (0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cointssm",
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_rank_tol(p):
-        p.add_argument("--rank-tol", type=float, default=matops.RANK_REL_TOL,
+        p.add_argument("--rank-tol", type=_rank_tol, default=matops.RANK_REL_TOL,
                        help="relative tolerance for rank decisions")
 
     p_sim = sub.add_parser("simulate", help="simulate a path of the sampled model")
@@ -318,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ecf.add_argument("model", help="model document (JSON)")
     p_ecf.add_argument("--path", default=None, help="optional path CSV for residual checks")
     p_ecf.add_argument("--J", type=int, default=ecf_mod.DEFAULT_TRUNCATION,
-                       help="filter truncation order")
+                       help="highest lag of the reported filter coefficients (tail_bound "
+                            "bounds the rest); residual rows start after the first J + 1. "
+                            "The residuals always apply the whole infinite filter")
     p_ecf.add_argument("--h", type=float, default=None,
                        help="sampling step (default: CSV grid or the document's sampling block)")
     p_ecf.add_argument("--residuals-out", default=None, help="write ECF residual CSV here")

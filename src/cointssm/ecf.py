@@ -5,6 +5,8 @@ value at one has reduced rank equal to the cointegration rank and factors as
 -alpha beta' with beta spanning the cointegration space. Splitting k into
 the long-run matrix and the infinite-order short-run filter gives the error
 correction form dY_n = alpha beta' Y_{n-1} + ktilde(B) dY_n + eps_n.
+Both infinite filters are state recursions on the Kalman closed loop, so the
+residual reconstructions are exact, whatever the sampling step.
 """
 
 from __future__ import annotations
@@ -28,14 +30,21 @@ from .moments import SampledModel
 
 DEFAULT_TRUNCATION = 200
 
+#: ``whiteness_diagnostic`` needs this many observations per lag.
+WHITENESS_ROWS_PER_LAG = 100
+
 
 @dataclass(frozen=True)
 class EcfDecomposition:
-    """Long-run matrix, its factorization and the truncated filter weights.
+    """Long-run matrix, its factorization, the leading filter coefficients
+    and what the infinite filters need.
 
     ``L_coeffs[j]`` is the j-th moving-average coefficient of k (L_0 = I),
     ``Ktilde_coeffs[j]`` the j-th short-run filter coefficient (Ktilde_0 = 0);
-    both stored for j <= truncation with the geometric tail size recorded.
+    both are stored for j <= truncation, and ``tail_bound`` bounds the size of
+    the coefficients beyond it. The residual functions apply the whole
+    infinite filters through the Kalman solution ``ks`` and
+    ``settle = (I - closed_loop)^{-1} K``, not the stored coefficients.
     """
 
     k1: np.ndarray
@@ -46,6 +55,8 @@ class EcfDecomposition:
     Ktilde_coeffs: np.ndarray
     truncation: int
     tail_bound: float
+    ks: KalmanSolution
+    settle: np.ndarray
 
     @property
     def d(self) -> int:
@@ -97,7 +108,7 @@ def factor_alpha_beta(k1: np.ndarray, c: int,
 
 def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_TRUNCATION,
                          rel_tol: float = matops.RANK_REL_TOL) -> EcfDecomposition:
-    """Complete error correction decomposition truncated at lag J.
+    """Error correction decomposition with the coefficients of lags 0 .. J.
 
     ``L_j = -C closed_loop^{j-1} K`` for j >= 1 and the short-run weights in
     geometric closed form ``Ktilde_j = -C closed_loop^j (I - closed_loop)^{-1} K``,
@@ -106,7 +117,9 @@ def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_
     is pinned by that definition: it makes ``k(z) = k(1) z + (1-z)(I -
     ktilde(z))`` and the residual reconstruction hold, and implies the
     coefficient recursion ``Ktilde_j - Ktilde_{j-1} = -L_j``. ``tail_bound``
-    records the size of the discarded tail.
+    bounds the coefficients past lag J, which are not stored; J limits only
+    what is stored and shown, since ``ecf_residuals`` and
+    ``innovations_alt_rep`` apply the infinite filters.
     """
     if J < 1:
         raise ValidationError(f"truncation J must be >= 1, got {J}")
@@ -131,43 +144,47 @@ def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_
     return EcfDecomposition(
         k1=k1, alpha=alpha, beta=beta, r=d - c,
         L_coeffs=L, Ktilde_coeffs=Kt, truncation=J, tail_bound=tail,
+        ks=ks, settle=settle,
     )
 
 
-def _truncation(dec: EcfDecomposition, J: int | None) -> int:
-    """The lag count J to use: the stored truncation by default, else
-    0 <= J <= truncation (J = 0 drops the short-run terms)."""
+def _first_row(dec: EcfDecomposition, J: int | None) -> int:
+    """The residual row offset J: the stored truncation by default, else any
+    J >= 0."""
     if J is None:
         return dec.truncation
     if J < 0:
-        raise ValidationError(f"truncation J must be >= 0, got {J}")
-    if J > dec.truncation:
-        raise ValidationError(
-            f"requested J={J} exceeds the stored truncation {dec.truncation}"
-        )
+        raise ValidationError(f"first-row offset J must be >= 0, got {J}")
     return J
 
 
 def ecf_residuals(dec: EcfDecomposition, y: np.ndarray, J: int | None = None) -> np.ndarray:
     """Innovation estimates reconstructed from the error correction form.
 
-    ``eps_n = dY_n - alpha beta' Y_{n-1} - sum_{j=1}^J Ktilde_j dY_{n-j}``,
-    returned for n = J+2 .. n_obs (1-based); earlier rows are warm-up and
-    excluded rather than zero-padded. The truncated lag sum is one
-    block-FFT FIR filter (``matops.fir_filter``) with weights
-    ``[I, -Ktilde_1 .. -Ktilde_J]`` on dY.
+    ``eps_n = dY_n - alpha beta' Y_{n-1} - sum_{j>=1} Ktilde_j dY_{n-j}`` with
+    the whole infinite short-run sum: it equals ``-C w_n`` for
+    ``w_n = closed_loop (w_{n-1} + S dY_{n-1})``, ``S = (I - closed_loop)^{-1} K``,
+    so ``w_n = closed_loop q_{n-1}`` for the ``matops.linear_recursion`` scan
+    ``q_n = closed_loop q_{n-1} + S dY_n``. The pre-sample is zero
+    (``Y_{-1} = 0``), as in ``kalman.filter_innovations``, whose innovations
+    these are. Rows n = J+1 .. n_obs-1 (0-based) are returned, J defaulting
+    to the stored truncation, so the output shape follows J alone.
     """
     Y = matops.as_matrix(y, "observations")
-    J = _truncation(dec, J)
+    J = _first_row(dec, J)
     T, d = Y.shape
     if d != dec.d:
         raise DimensionError(f"path has d={d}, decomposition has d={dec.d}")
     if T < J + 2:
         raise ValidationError(f"path of length {T} is shorter than J + 2 = {J + 2}")
-    W = -dec.Ktilde_coeffs[:J + 1]
-    W[0] = np.eye(d)
-    out = matops.fir_filter(W, np.diff(Y, axis=0))  # dY_n - sum_j Ktilde_j dY_{n-j}
-    out -= Y[J:-1] @ (dec.alpha @ dec.beta.T).T  # alpha beta' Y_{n-1}
+    cl, C = dec.ks.closed_loop, dec.ks.c_matrix
+    U = Y @ dec.settle.T
+    U[1:] -= U[:-1]  # S dY_n
+    q = matops.linear_recursion(cl, U, 0.0)
+    del U
+    out = q[J:-1] @ (C @ cl).T  # C w_n = -sum_j Ktilde_j dY_{n-j}
+    out -= Y[J:-1] @ (np.eye(d) + dec.alpha @ dec.beta.T).T
+    out += Y[J + 1:]
     return out
 
 
@@ -219,13 +236,15 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
     """Innovations via the split representation
     ``eps_n = k(B) y2_n + (I - ktilde)(B) C1 r1_n``.
 
-    Both filters are truncated at J; rows n = J+1 .. n_steps are returned.
-    The two truncated lag sums are one block-FFT FIR filter
-    (``matops.fir_filter``) on the stacked input ``[y2, r1]`` with weights
-    ``[L_j, -Ktilde_j C1]`` (``[I, C1]`` at j = 0). Requires a PathSet that
+    Both infinite filters are recursions on the closed loop:
+    ``eps_n = y2_n + C1 r1_n - C z_n`` with
+    ``z_n = closed_loop z_{n-1} + K y2_{n-1} - closed_loop S C1 r1_{n-1}``
+    (one ``matops.linear_recursion`` scan, zero pre-sample,
+    ``S = (I - closed_loop)^{-1} K``). Rows n = J .. n_steps-1 (0-based) are
+    returned, J defaulting to the stored truncation. Requires a PathSet that
     retained the stationary part and the unit-root noise.
     """
-    J = _truncation(dec, J)
+    J = _first_row(dec, J)
     y2 = getattr(ps, "y2", None)
     r1 = getattr(ps, "r1", None)
     if y2 is None or r1 is None:
@@ -237,10 +256,17 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
         raise DimensionError(f"r1 has {r1.shape[0]} rows, y2 has {T}")
     if T <= J:
         raise ValidationError(f"path of length {T} is too short for J={J}")
+    cl, K, C = dec.ks.closed_loop, dec.ks.gain, dec.ks.c_matrix
     C1 = np.asarray(ps.c1)
-    W = np.concatenate([dec.L_coeffs[:J + 1], -dec.Ktilde_coeffs[:J + 1] @ C1], axis=2)
-    W[0, :, y2.shape[1]:] = C1
-    return matops.fir_filter(W, np.hstack([y2, r1]))
+    U = np.zeros((T, cl.shape[0]))
+    np.matmul(y2[:-1], K.T, out=U[1:])
+    U[1:] -= r1[:-1] @ (cl @ dec.settle @ C1).T
+    z = matops.linear_recursion(cl, U, 0.0)
+    del U
+    out = r1[J:] @ C1.T
+    out += y2[J:]
+    out -= z[J:] @ C.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -262,9 +288,10 @@ def whiteness_diagnostic(eps: np.ndarray, max_lag: int = 10) -> WhitenessReport:
     n, d = E.shape
     if max_lag < 1:
         raise ValidationError(f"max_lag must be >= 1, got {max_lag}")
-    if n < 100 * max_lag:
+    if n < WHITENESS_ROWS_PER_LAG * max_lag:
         raise ValidationError(
-            f"need at least 100 * max_lag = {100 * max_lag} observations, got {n}"
+            f"need at least {WHITENESS_ROWS_PER_LAG} * max_lag = "
+            f"{WHITENESS_ROWS_PER_LAG * max_lag} observations, got {n}"
         )
     band = 3.0 / np.sqrt(n)
     centered = E - E.mean(axis=0)

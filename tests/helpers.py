@@ -41,6 +41,13 @@ def partial_fixture() -> CointCanonicalForm:
     )
 
 
+def slow_fixture() -> CointCanonicalForm:
+    """A random (d, c, n2) = (4, 2, 6) model whose closed-loop spectral radius
+    is about 0.988 at h = 0.1 and 0.9988 at h = 0.01: 200 lags of its
+    error-correction filter leave a tail of order one."""
+    return random_canonical(np.random.default_rng(3), d=4, c=2, n2=6, m=4)
+
+
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     G = rng.normal(size=(n, n))
     return G @ G.T + n * np.eye(n)
@@ -216,13 +223,3 @@ def step_noise(ps, eA2h: np.ndarray) -> np.ndarray:
     """The i.i.d. noise rows ``[r1; x2_n - e^{A2 h} x2_{n-1}]`` of steps 2..n of a path."""
     return np.hstack([ps.r1[1:], ps.x2[1:] - ps.x2[:-1] @ eA2h.T])
 
-
-def fir_loop(W, X) -> np.ndarray:
-    """FIR oracle: ``out[i] = sum_{j=0}^{J} W[j] X[i+J-j]`` for the ``T - J``
-    full windows, one ``(T-J x k) @ (k x d)`` product per lag."""
-    W, X = np.asarray(W, dtype=float), np.asarray(X, dtype=float)
-    J, T = W.shape[0] - 1, X.shape[0]
-    out = np.zeros((T - J, W.shape[1]))
-    for j in range(J + 1):
-        out += X[J - j:T - j] @ W[j].T
-    return out

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from cointssm import canonicalize
 from cointssm.cli import _write_csv, build_parser, main
 from cointssm.errors import MinimalityError
-from cointssm.modeldoc import parse_document
+from cointssm.modeldoc import canonical_to_doc, parse_document
 
 
 def write_json(path, doc):
@@ -389,6 +390,34 @@ class TestEcfCommand:
         assert lines[0] == "t,eps_1,eps_2"
         assert len(lines) == 3000 - 201 + 1
 
+    def test_residual_gap_is_exact_at_small_step(self, tmp_path, capsys):
+        # the 200-lag truncated filter printed 0.45 here, max|eps| being 6.7
+        doc = canonical_to_doc(helpers.slow_fixture())
+        doc["sampling"] = {"h": 0.1, "n_steps": 1500, "seed": 62}
+        cfg = write_json(tmp_path / "model.json", doc)
+        csv = tmp_path / "path.csv"
+        assert main(["simulate", cfg, "-o", str(csv)]) == 0
+        assert main(["filter", cfg, str(csv), "-o", str(tmp_path / "flt")]) == 0
+        eps = np.loadtxt(tmp_path / "flt_innovations.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert main(["ecf", cfg, "--path", str(csv)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["max_residual_gap"] <= 1e-10 * np.max(np.abs(eps))
+        assert out["whiteness"] is not None
+
+    def test_short_path_reports_no_whiteness(self, tmp_path, capsys):
+        # 399 residual rows are too few for the 10-lag whiteness report,
+        # which used to end the command with exit 2
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 600
+        cfg = write_json(tmp_path / "model.json", doc)
+        csv, res_out = tmp_path / "path.csv", tmp_path / "resid.csv"
+        main(["simulate", cfg, "-o", str(csv)])
+        assert main(["ecf", cfg, "--path", str(csv), "--residuals-out", str(res_out)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["whiteness"] is None
+        assert out["max_residual_gap"] <= 1e-10
+        assert len(res_out.read_text().splitlines()) == 600 - 201 + 1
+
     def test_stationary_model_exits_3(self, tmp_path):
         doc = {
             "schema_version": "1",
@@ -425,6 +454,21 @@ class TestParser:
     def test_no_riccati_tol(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--riccati-tol", "1e-12"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1"])
+    @pytest.mark.parametrize("command,doc", [("analyze", weak_input_doc),
+                                             ("canonicalize", weak_input_doc),
+                                             ("canonicalize", partial_doc),
+                                             ("ecf", weak_input_doc)])
+    def test_rank_tol_is_a_finite_number_in_unit_interval(self, tmp_path, capsys,
+                                                          command, doc, value):
+        # NaN and infinities used to exit 3 ("not minimal") on a state-space
+        # document and 0 on a canonical one
+        cfg = write_json(tmp_path / "model.json", doc())
+        with pytest.raises(SystemExit) as exc:
+            main([command, cfg, f"--rank-tol={value}"])
+        assert exc.value.code == 2
+        assert "--rank-tol" in capsys.readouterr().err
 
     def test_filter_takes_no_rank_tol(self):
         with pytest.raises(SystemExit):

@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,30 @@ from cointssm import (
 )
 from cointssm.errors import CointegrationRankError, DimensionError, ValidationError
 from cointssm import matops
+
+
+@pytest.fixture(scope="module", params=[0.1, 0.01])
+def slow_case(request):
+    """(path, Kalman innovations, decomposition with J = 200) of
+    ``helpers.slow_fixture`` at step h, where 200 lags leave a large tail
+    (the truncated filter missed the innovations by up to 8e-2 of
+    max|eps| on this path)."""
+    cf = helpers.slow_fixture()
+    sm = discretize(cf, request.param)
+    ks = solve_steady_state(sm, cf)
+    ps = simulate_exact_gaussian(sm, cf, 3000, seed=61)
+    eps, _ = filter_innovations(ks, sm, ps.y)
+    return ps, eps, ma_and_ktilde_coeffs(ks, sm, J=200)
+
+
+def scratch_peak(fn, *args) -> tuple[int, np.ndarray]:
+    """Peak traced allocation of one call, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 class TestTransferFunction:
@@ -133,15 +160,49 @@ class TestEcfResiduals:
         assert out.shape == (3000 - 201, 2)
         assert np.max(np.abs(out - eps[201:])) <= 1e-10
 
-    def test_truncation_error_halves_when_j_doubles(self, partial_ks, partial_sm, partial_cf):
+    def test_exact_at_small_step(self, slow_case):
+        ps, eps, dec = slow_case
+        out = ecf_residuals(dec, ps.y)
+        assert out.shape == (3000 - 201, 4)
+        assert np.max(np.abs(out - eps[201:])) <= 1e-10 * np.max(np.abs(eps))
+
+    def test_long_path(self, rng):
+        cf = helpers.random_canonical(rng, d=6, c=2, n2=8, m=6)
+        sm = discretize(cf, 1.0)
+        ks = solve_steady_state(sm, cf)
+        ps = simulate_exact_gaussian(sm, cf, 50_000, seed=96)
+        eps, _ = filter_innovations(ks, sm, ps.y)
+        out = ecf_residuals(ma_and_ktilde_coeffs(ks, sm), ps.y)
+        assert np.max(np.abs(out - eps[201:])) <= 1e-10 * np.max(np.abs(eps))
+
+    def test_residuals_do_not_depend_on_j(self, partial_ks, partial_sm, partial_cf):
+        # J picks the first row returned, whatever the decomposition stores
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 2000, seed=89)
+        full = ecf_residuals(ma_and_ktilde_coeffs(partial_ks, partial_sm, J=4), ps.y, J=0)
+        for stored in (4, 8):
+            dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=stored)
+            for J in (None, 0, 3, 50):
+                out = ecf_residuals(dec, ps.y, J=J)
+                start = stored if J is None else J
+                assert out.shape == (2000 - start - 1, 2)
+                assert np.max(np.abs(out - full[start:])) <= 1e-14 * np.max(np.abs(full))
+
+    def test_zero_offset_is_exact_from_row_one(self, partial_ks, partial_sm, partial_cf):
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
         eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
-        gaps = {}
-        for J in (4, 8):
-            dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=J)
-            out = ecf_residuals(dec, ps.y, J=J)
-            gaps[J] = np.max(np.abs(out - eps[J + 1:]))
-        assert gaps[8] <= 0.5 * gaps[4]
+        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
+        out = ecf_residuals(dec, ps.y, J=0)
+        assert np.max(np.abs(out - eps[1:])) <= 1e-10 * np.max(np.abs(eps))
+
+    def test_scratch_memory_is_bounded(self, rng):
+        # beyond the result, only S dY and the scan's output are path-sized
+        cf = helpers.slow_fixture()
+        sm = discretize(cf, 1.0)
+        ks = solve_steady_state(sm, cf)
+        dec = ma_and_ktilde_coeffs(ks, sm)
+        y = rng.normal(size=(200_000, cf.d))
+        peak, out = scratch_peak(ecf_residuals, dec, y)
+        assert peak < 2 * y.shape[0] * cf.N * 8 + out.nbytes
 
     def test_short_path_rejected(self, partial_ks, partial_sm):
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=30)
@@ -154,12 +215,6 @@ class TestEcfResiduals:
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         with pytest.raises(ValidationError):
             ecf_residuals(dec, ps.y, J=-1)
-
-    def test_zero_truncation_keeps_long_run_term(self, partial_ks, partial_sm, partial_cf):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
-        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
-        want = np.diff(ps.y, axis=0) - ps.y[:-1] @ (dec.alpha @ dec.beta.T).T
-        assert np.allclose(ecf_residuals(dec, ps.y, J=0), want, rtol=0.0, atol=1e-13)
 
 
 class TestStructuralCheck:
@@ -249,11 +304,29 @@ class TestAlternativeRepresentation:
         with pytest.raises(DimensionError):
             innovations_alt_rep(dec, short, J=10)
 
-    def test_zero_truncation_is_the_current_terms(self, partial_ks, partial_sm, partial_cf):
+    def test_exact_at_small_step(self, slow_case):
+        ps, eps, dec = slow_case
+        alt = innovations_alt_rep(dec, ps)
+        assert alt.shape == (3000 - 200, 4)
+        assert np.max(np.abs(alt - eps[200:])) <= 1e-10 * np.max(np.abs(eps))
+
+    def test_zero_offset_is_exact_from_row_zero(self, partial_ks, partial_sm, partial_cf):
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
-        want = ps.y2 + ps.r1 @ ps.c1.T
-        assert np.allclose(innovations_alt_rep(dec, ps, J=0), want, rtol=0.0, atol=1e-13)
+        alt = innovations_alt_rep(dec, ps, J=0)
+        assert np.max(np.abs(alt - eps)) <= 1e-10 * np.max(np.abs(eps))
+
+    def test_scratch_memory_is_bounded(self, rng):
+        cf = helpers.slow_fixture()
+        sm = discretize(cf, 1.0)
+        ks = solve_steady_state(sm, cf)
+        dec = ma_and_ktilde_coeffs(ks, sm)
+        T = 200_000
+        ps = SimpleNamespace(y2=rng.normal(size=(T, cf.d)), r1=rng.normal(size=(T, cf.c)),
+                             c1=np.asarray(cf.C1))
+        peak, out = scratch_peak(innovations_alt_rep, dec, ps)
+        assert peak < 2 * T * cf.N * 8 + out.nbytes
 
 
 class TestWhitenessDiagnostic:
