@@ -130,15 +130,14 @@ def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_
     alpha, beta = factor_alpha_beta(k1, c, rel_tol)
 
     settle = np.linalg.solve(np.eye(N) - cl, K)  # (I - cl)^{-1} K
-    L = np.empty((J + 1, d, d))
-    Kt = np.empty((J + 1, d, d))
-    L[0] = np.eye(d)
-    Kt[0] = np.zeros((d, d))
-    power = np.eye(N)  # cl^{j-1} entering lag j
-    for j in range(1, J + 1):
-        L[j] = -C @ power @ K
-        Kt[j] = -C @ (cl @ power) @ settle
-        power = cl @ power
+    # row j of path i is column i of cl^j [K, cl S]: one scan of batch 2d
+    paths = np.zeros((2 * d, J, N))
+    steps = paths.transpose(1, 0, 2)
+    steps[0] = np.hstack([K, cl @ settle]).T
+    matops.linear_recursion(cl, steps, 0.0, out=steps)
+    lags = -C @ paths.transpose(1, 2, 0)  # (J, d, 2d): [L_j, Ktilde_j] for j = 1 .. J
+    L = np.concatenate([np.eye(d)[None], lags[:, :, :d]])
+    Kt = np.concatenate([np.zeros((1, d, d)), lags[:, :, d:]])
     rho = ks.spectral_radius
     tail = float(np.linalg.norm(C) * rho**J * np.linalg.norm(settle))
     return EcfDecomposition(
@@ -178,11 +177,10 @@ def ecf_residuals(dec: EcfDecomposition, y: np.ndarray, J: int | None = None) ->
     if T < J + 2:
         raise ValidationError(f"path of length {T} is shorter than J + 2 = {J + 2}")
     cl, C = dec.ks.closed_loop, dec.ks.c_matrix
-    U = Y @ dec.settle.T
-    U[1:] -= U[:-1]  # S dY_n
-    q = matops.linear_recursion(cl, U, 0.0)
-    del U
+    U = np.vstack([Y[:1], np.diff(Y, axis=0)]) @ dec.settle.T  # S dY_n
+    q = matops.linear_recursion(cl, U, 0.0, out=U)
     out = q[J:-1] @ (C @ cl).T  # C w_n = -sum_j Ktilde_j dY_{n-j}
+    del q, U
     out -= Y[J:-1] @ (np.eye(d) + dec.alpha @ dec.beta.T).T
     out += Y[J + 1:]
     return out
@@ -259,13 +257,13 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
     cl, K, C = dec.ks.closed_loop, dec.ks.gain, dec.ks.c_matrix
     C1 = np.asarray(ps.c1)
     U = np.zeros((T, cl.shape[0]))
-    np.matmul(y2[:-1], K.T, out=U[1:])
-    U[1:] -= r1[:-1] @ (cl @ dec.settle @ C1).T
-    z = matops.linear_recursion(cl, U, 0.0)
-    del U
-    out = r1[J:] @ C1.T
+    np.matmul(np.hstack([y2[:-1], r1[:-1]]), np.vstack([K.T, -(cl @ dec.settle @ C1).T]),
+              out=U[1:])
+    z = matops.linear_recursion(cl, U, 0.0, out=U)
+    out = z[J:] @ -C.T
+    del z, U
+    out += r1[J:] @ C1.T
     out += y2[J:]
-    out -= z[J:] @ C.T
     return out
 
 

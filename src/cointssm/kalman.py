@@ -147,8 +147,9 @@ def filter_innovations(
         xh = matops.as_vector(x_hat_0, "x_hat_0")
         if xh.size != N:
             raise DimensionError(f"x_hat_0 has length {xh.size}, expected N={N}")
-    U = np.concatenate([np.zeros((1, d)), Y])[:-1] @ ks.gain.T  # gain y_{n-1}, y_{-1} = 0
-    x_hat = matops.linear_recursion(ks.closed_loop, U, xh)
+    U = np.zeros((Y.shape[0], N))  # gain y_{n-1}, y_{-1} = 0
+    np.matmul(Y[:-1], ks.gain.T, out=U[1:])
+    x_hat = matops.linear_recursion(ks.closed_loop, U, xh, out=U)
     innovations = Y - x_hat @ ks.c_matrix.T
     return innovations, x_hat
 

@@ -1,12 +1,13 @@
 """Dense matrix kernels shared by the rest of the package.
 
-Everything here is a pure function of its arguments and carries no model
-semantics: matrix exponentials, the single-sided exponential integral, a
-Bartels-Stewart Lyapunov solver, the blocked linear-recursion scan behind
-the filter, every sampler and the error correction residuals, SVD rank
-decisions, orthogonal complements,
-block-companion polynomial roots and the positive-lower-triangular
-orthonormalization used by the canonical form.
+Everything here carries no model semantics and, apart from the optional
+output buffer of `linear_recursion`, is a pure function of its arguments:
+matrix exponentials, the single-sided exponential integral, a
+Bartels-Stewart Lyapunov solver, the ends-first blocked scan of the linear
+recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the sampler and the
+error correction residuals and coefficients, SVD rank decisions, orthogonal
+complements, block-companion polynomial roots and the
+positive-lower-triangular orthonormalization used by the canonical form.
 """
 
 from __future__ import annotations
@@ -131,42 +132,88 @@ def lyapunov_solve(A2, Q, tol: float = HURWITZ_TOL) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def linear_recursion(F, U, x0) -> np.ndarray:
+#: Block length of the ends-first scan in `linear_recursion`.
+SCAN_BLOCK = 16
+
+
+def _block_powers(A: np.ndarray) -> np.ndarray:
+    """``A^0 .. A^SCAN_BLOCK`` stacked along axis 0, by doubling."""
+    P = np.empty((SCAN_BLOCK + 1, *A.shape))
+    P[0] = np.eye(A.shape[0])
+    P[1] = A
+    k = 1
+    while k < SCAN_BLOCK:
+        m = min(k, SCAN_BLOCK - k)
+        np.matmul(P[1:m + 1], P[k], out=P[k + 1:k + m + 1])
+        k += m
+    return P
+
+
+def _scan(A: np.ndarray, X: np.ndarray, carry: np.ndarray) -> None:
+    """Ends-first scan of ``X`` (paths, T, n) in place, path p starting from
+    ``carry[p]``; see `linear_recursion`."""
+    paths, T, n = X.shape
+    b = SCAN_BLOCK
+    nb = T // b
+    prev = carry[:, None]
+    if nb:
+        P = _block_powers(A)
+        # each block's end from a zero start, sum_j A^{b-1-j} u_j, in one product
+        W = P[b - 1::-1].transpose(0, 2, 1).reshape(b * n, n)
+        ends = X[:, :nb * b].reshape(paths, nb, b * n) @ W
+        _scan(P[b], ends, carry)  # true ends: e_s = A^b e_{s-1} + ends_s
+        X[:, b - 1::b] = ends
+        prev = np.concatenate((prev, ends), axis=1)  # the state before every block
+    At = np.ascontiguousarray(A.T)
+    for j in range(min(b - 1, T)):
+        rows = X[:, j::b]  # row j of every block, the partial last one included
+        rows += prev[:, :rows.shape[1]] @ At
+        prev = rows
+
+
+def linear_recursion(F, U, x0, out=None) -> np.ndarray:
     """``X[n] = F X[n-1] + U[n]`` for ``n = 0 .. T-1`` with ``X[-1] = x0``.
 
     Time runs along axis 0 of ``U``, the state along its last axis and any
-    batch axes sit in between; ``x0`` broadcasts against ``U[0]``. Two-level
-    scan (Blelloch 1990; Martin & Cundy 2018) with block length
-    ``B = max(1, isqrt(T))``: every block is first scanned from a zero start
-    at once (``B - 1`` batched products), then one pass over the blocks adds
-    ``F^{j+1}`` times the previous block's last state to the block's row j.
-    The output is the only array of ``U``'s size the scan allocates.
+    batch axes sit in between; ``x0`` broadcasts against ``U[0]``. The result
+    is written to ``out`` (an array of ``U``'s shape, ``U`` itself allowed)
+    or, by default, to a new array; ``U`` is then left unchanged.
+
+    Ends-first blocked scan (reduce, then scan; Blelloch 1990) with the
+    block length ``SCAN_BLOCK`` = b, on a path-major view (paths, T, n) of
+    the result. One product ``blocks.reshape(rows, b n) @ [F^{b-1}; ..; F;
+    I]'`` gives the end of every block from a zero start; the true block
+    ends obey ``e_s = F^b e_{s-1} + end_s``, the same recursion, which the
+    scan solves by calling itself (depth ``ceil(log_b T)``); one pass over
+    the rows ``j = 0 .. b-2`` of every block then starts each block from the
+    true end of the one before. Every step is one product or sum over all
+    blocks of all paths at once. Beyond the result, the scan allocates
+    O(T/b) rows per path, plus one copy of the result when the rows of a
+    path are not contiguous in ``out`` (a new result always has them
+    contiguous).
     """
     A = as_square(F, "F")
-    X = np.array(U, dtype=float, order="C")
+    V = np.asarray(U, dtype=float)
     n = A.shape[0]
-    if X.ndim < 2 or X.shape[-1] != n:
-        raise DimensionError(f"U must have shape (T, ..., {n}), got {X.shape}")
-    batch = math.prod(X.shape[1:-1])
+    if V.ndim < 2 or V.shape[-1] != n:
+        raise DimensionError(f"U must have shape (T, ..., {n}), got {V.shape}")
+    T, paths = V.shape[0], math.prod(V.shape[1:-1])
+    carry = np.zeros(V.shape[1:])
     try:
-        carry = np.broadcast_to(np.asarray(x0, dtype=float), X.shape[1:]).reshape(batch, n)
+        carry += np.asarray(x0, dtype=float)
     except ValueError as exc:
-        raise DimensionError(f"x0 does not broadcast to the state shape {X.shape[1:]}") from exc
-    T = X.shape[0]
-    B = max(1, math.isqrt(T))
-    for j in range(1, B):
-        rows = X[j::B]
-        rows += X[j - 1::B][:len(rows)] @ A.T
-    powers = [A.T]
-    for _ in range(1, B):
-        powers.append(powers[-1] @ A.T)
-    powers = np.hstack(powers)  # carry @ powers holds (F^{j+1} carry)' in columns j n .. (j+1) n
-    for s in range(0, T, B):
-        block = X[s:s + B]
-        lift = (carry @ powers).reshape(batch, B, n).transpose(1, 0, 2)
-        block += lift[:len(block)].reshape(block.shape)
-        carry = block[-1].reshape(batch, n)
-    return X
+        raise DimensionError(f"x0 does not broadcast to the state shape {V.shape[1:]}") from exc
+    if out is None:
+        out = np.empty((paths, T, n)).transpose(1, 0, 2).reshape(V.shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == V.shape and out.dtype == float):
+        raise DimensionError(f"out must be a float64 array of shape {V.shape}")
+    if out is not U:
+        out[...] = V
+    X = out.reshape(T, paths, n)
+    _scan(A, X.transpose(1, 0, 2), carry.reshape(paths, n))
+    if not np.may_share_memory(X, out):  # batch axes that do not merge: X is a copy
+        out[...] = X.reshape(V.shape)
+    return out
 
 
 @dataclass(frozen=True)

@@ -76,29 +76,28 @@ def _assemble_paths(cf: CointCanonicalForm, h: float, x1_0: np.ndarray,
 JUMP_BATCH = 1 << 14
 
 
-def _add_jumps(R: np.ndarray, cf: CointCanonicalForm, h: float,
+def _add_jumps(r1: np.ndarray, r2: np.ndarray, cf: CointCanonicalForm, h: float,
                rng: np.random.Generator) -> None:
-    """Add every step's compound-Poisson jumps to its row of ``R`` in place.
+    """Add every step's compound-Poisson jumps to its rows of the unit-root
+    noise ``r1`` and the stationary noise ``r2`` in place.
 
     Each step of each path gets Poisson(lambda h) jumps at ages ``h U(0,1)``
     before the step's end; a mark ``Z ~ N(0, jump_cov)`` enters the noise as
     ``[B1 Z; e^{A2 age} B2 Z]``. Draws the counts, then the ages, then the marks.
     """
     levy = cf.levy
-    counts = rng.poisson(levy.jump_rate * h, size=R.shape[:-1])
+    counts = rng.poisson(levy.jump_rate * h, size=r1.shape[:-1])
     k = int(counts.sum())
     ages = h * rng.random(k)
     jump_factor = matops.psd_factor(np.asarray(levy.jump_cov), name="jump_cov")
     marks = rng.standard_normal((k, cf.m)) @ jump_factor.T
-    jumps = np.empty((k, cf.N))
-    jumps[:, :cf.c] = marks @ np.asarray(cf.B1).T
-    B2Z, A2 = marks @ np.asarray(cf.B2).T, np.asarray(cf.A2)
+    where = tuple(np.repeat(np.indices(counts.shape).reshape(2, -1), counts.ravel(), axis=1))
+    np.add.at(r1, where, marks @ np.asarray(cf.B1).T)
+    kicks, A2 = marks @ np.asarray(cf.B2).T, np.asarray(cf.A2)  # B2 Z, then e^{A2 age} B2 Z
     for lo in range(0, k, JUMP_BATCH):
         part = slice(lo, lo + JUMP_BATCH)
-        jumps[part, cf.c:] = np.einsum("kij,kj->ki", matops.expm(ages[part, None, None] * A2),
-                                       B2Z[part])
-    where = np.repeat(np.indices(counts.shape).reshape(2, -1), counts.ravel(), axis=1)
-    np.add.at(R, tuple(where), jumps)
+        kicks[part] = np.einsum("kij,kj->ki", matops.expm(ages[part, None, None] * A2), kicks[part])
+    np.add.at(r2, where, kicks)
 
 
 def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths: int,
@@ -111,8 +110,9 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     the Gaussian part of shape (n_paths, n_steps, N) first, then the
     stationary starts N(0, gamma0), then the jumps, so one path of an
     ensemble reproduces the single-path sampler on the same stream and the
-    Gaussian draws do not depend on the jumps. Returns ``(x1_0, r1, x2)``
-    with the path axis first.
+    Gaussian draws do not depend on the jumps. The stationary noise is kept
+    path-major and scanned in place. Returns ``(x1_0, r1, x2)`` with the
+    path axis first.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
@@ -121,13 +121,16 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     x0 = _check_x1_0(cf, x1_0)
     _, sigma_w = moments._van_loan(cf, sm.h, cf.levy.diffusion_cov)
     noise_factor = matops.psd_factor(sigma_w, name="Brownian noise covariance")
-    R = rng.standard_normal((n_paths, n_steps, sm.N)) @ noise_factor.T
+    draws = rng.standard_normal((n_paths, n_steps, sm.N))
+    r1, x2 = draws @ noise_factor[:cf.c].T, draws @ noise_factor[cf.c:].T
+    del draws
     g_factor = matops.psd_factor(np.asarray(sm.gamma0), name="gamma0")
     start = rng.standard_normal((n_paths, cf.n2)) @ g_factor.T
     if cf.levy.jump_rate > 0:
-        _add_jumps(R, cf, sm.h, rng)
-    x2 = matops.linear_recursion(sm.eA2h, R[:, :, cf.c:].transpose(1, 0, 2), start)
-    return x0, R[:, :, :cf.c], x2.transpose(1, 0, 2)
+        _add_jumps(r1, x2, cf, sm.h, rng)
+    steps = x2.transpose(1, 0, 2)
+    matops.linear_recursion(sm.eA2h, steps, start, out=steps)
+    return x0, r1, x2
 
 
 def simulate_exact_gaussian(

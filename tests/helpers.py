@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -197,6 +199,35 @@ def linear_recursion_loop(F, U, x0) -> np.ndarray:
         state = state @ F.T + U[n]
         X[n] = state
     return X
+
+
+def ecf_coeffs_loop(ks, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient oracle: ``L_j = -C cl^{j-1} K`` and
+    ``Ktilde_j = -C cl^j (I - cl)^{-1} K`` for j = 0 .. J (``L_0 = I``,
+    ``Ktilde_0 = 0``), one lag at a time."""
+    cl, K, C = ks.closed_loop, ks.gain, ks.c_matrix
+    N, d = cl.shape[0], C.shape[0]
+    settle = np.linalg.solve(np.eye(N) - cl, K)
+    L = np.empty((J + 1, d, d))
+    Kt = np.empty((J + 1, d, d))
+    L[0] = np.eye(d)
+    Kt[0] = np.zeros((d, d))
+    power = np.eye(N)  # cl^{j-1} entering lag j
+    for j in range(1, J + 1):
+        L[j] = -C @ power @ K
+        Kt[j] = -C @ (cl @ power) @ settle
+        power = cl @ power
+    return L, Kt
+
+
+def scratch_peak(fn, *args, **kwargs) -> tuple[int, object]:
+    """Peak traced allocation of one call, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 def cov_se(samples: np.ndarray, lagged: np.ndarray) -> np.ndarray:

@@ -1,4 +1,3 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,16 +35,6 @@ def slow_case(request):
     ps = simulate_exact_gaussian(sm, cf, 3000, seed=61)
     eps, _ = filter_innovations(ks, sm, ps.y)
     return ps, eps, ma_and_ktilde_coeffs(ks, sm, J=200)
-
-
-def scratch_peak(fn, *args) -> tuple[int, np.ndarray]:
-    """Peak traced allocation of one call, and its result."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return tracemalloc.get_traced_memory()[1], out
-    finally:
-        tracemalloc.stop()
 
 
 class TestTransferFunction:
@@ -139,6 +128,21 @@ class TestCoefficients:
             rhs = dec.k1 * z + (1.0 - z) * (np.eye(d) - kt)
             assert np.max(np.abs(lhs - rhs)) <= max(dec.tail_bound, 1e-12)
 
+    @pytest.mark.parametrize("J", [1, 2, 50, 200])
+    @pytest.mark.parametrize("model", ["partial", "slow"])
+    def test_matches_loop_oracle(self, partial_ks, partial_sm, J, model):
+        if model == "partial":
+            ks, sm = partial_ks, partial_sm
+        else:
+            cf = helpers.slow_fixture()
+            sm = discretize(cf, 1.0)
+            ks = solve_steady_state(sm, cf)
+        dec = ma_and_ktilde_coeffs(ks, sm, J=J)
+        L, Kt = helpers.ecf_coeffs_loop(ks, J)
+        for got, want in ((dec.L_coeffs, L), (dec.Ktilde_coeffs, Kt)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_tail_bound_decays_geometrically(self, partial_ks, partial_sm):
         d10 = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         d20 = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=20)
@@ -195,14 +199,16 @@ class TestEcfResiduals:
         assert np.max(np.abs(out - eps[1:])) <= 1e-10 * np.max(np.abs(eps))
 
     def test_scratch_memory_is_bounded(self, rng):
-        # beyond the result, only S dY and the scan's output are path-sized
+        # beyond the result, S dY is the only path-sized array (scanned in
+        # place); the extra quarter of T N covers the scan's O(T / SCAN_BLOCK)
+        # rows
         cf = helpers.slow_fixture()
         sm = discretize(cf, 1.0)
         ks = solve_steady_state(sm, cf)
         dec = ma_and_ktilde_coeffs(ks, sm)
         y = rng.normal(size=(200_000, cf.d))
-        peak, out = scratch_peak(ecf_residuals, dec, y)
-        assert peak < 2 * y.shape[0] * cf.N * 8 + out.nbytes
+        peak, out = helpers.scratch_peak(ecf_residuals, dec, y)
+        assert peak < 1.25 * y.shape[0] * cf.N * 8 + out.nbytes
 
     def test_short_path_rejected(self, partial_ks, partial_sm):
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=30)
@@ -325,8 +331,10 @@ class TestAlternativeRepresentation:
         T = 200_000
         ps = SimpleNamespace(y2=rng.normal(size=(T, cf.d)), r1=rng.normal(size=(T, cf.c)),
                              c1=np.asarray(cf.C1))
-        peak, out = scratch_peak(innovations_alt_rep, dec, ps)
-        assert peak < 2 * T * cf.N * 8 + out.nbytes
+        # path-sized: the scan's input (scanned in place) and the lagged
+        # (y2, r1) it is built from, plus O(T / SCAN_BLOCK) rows of the scan
+        peak, _ = helpers.scratch_peak(innovations_alt_rep, dec, ps)
+        assert peak < 1.25 * T * cf.N * 8 + T * (cf.d + cf.c) * 8
 
 
 class TestWhitenessDiagnostic:
