@@ -134,7 +134,7 @@ def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_
     paths = np.zeros((2 * d, J, N))
     steps = paths.transpose(1, 0, 2)
     steps[0] = np.hstack([K, cl @ settle]).T
-    matops.linear_recursion(cl, steps, 0.0, out=steps)
+    matops.linear_recursion(cl, steps, 0.0)
     lags = -C @ paths.transpose(1, 2, 0)  # (J, d, 2d): [L_j, Ktilde_j] for j = 1 .. J
     L = np.concatenate([np.eye(d)[None], lags[:, :, :d]])
     Kt = np.concatenate([np.zeros((1, d, d)), lags[:, :, d:]])
@@ -178,7 +178,7 @@ def ecf_residuals(dec: EcfDecomposition, y: np.ndarray, J: int | None = None) ->
         raise ValidationError(f"path of length {T} is shorter than J + 2 = {J + 2}")
     cl, C = dec.ks.closed_loop, dec.ks.c_matrix
     U = np.vstack([Y[:1], np.diff(Y, axis=0)]) @ dec.settle.T  # S dY_n
-    q = matops.linear_recursion(cl, U, 0.0, out=U)
+    q = matops.linear_recursion(cl, U, 0.0)
     out = q[J:-1] @ (C @ cl).T  # C w_n = -sum_j Ktilde_j dY_{n-j}
     del q, U
     out -= Y[J:-1] @ (np.eye(d) + dec.alpha @ dec.beta.T).T
@@ -259,7 +259,7 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
     U = np.zeros((T, cl.shape[0]))
     np.matmul(np.hstack([y2[:-1], r1[:-1]]), np.vstack([K.T, -(cl @ dec.settle @ C1).T]),
               out=U[1:])
-    z = matops.linear_recursion(cl, U, 0.0, out=U)
+    z = matops.linear_recursion(cl, U, 0.0)
     out = z[J:] @ -C.T
     del z, U
     out += r1[J:] @ C1.T

@@ -149,7 +149,7 @@ def filter_innovations(
             raise DimensionError(f"x_hat_0 has length {xh.size}, expected N={N}")
     U = np.zeros((Y.shape[0], N))  # gain y_{n-1}, y_{-1} = 0
     np.matmul(Y[:-1], ks.gain.T, out=U[1:])
-    x_hat = matops.linear_recursion(ks.closed_loop, U, xh, out=U)
+    x_hat = matops.linear_recursion(ks.closed_loop, U, xh)
     innovations = Y - x_hat @ ks.c_matrix.T
     return innovations, x_hat
 

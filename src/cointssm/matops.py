@@ -1,12 +1,12 @@
 """Dense matrix kernels shared by the rest of the package.
 
-Everything here carries no model semantics and, apart from the optional
-output buffer of `linear_recursion`, is a pure function of its arguments:
-matrix exponentials, the single-sided exponential integral, a
-Bartels-Stewart Lyapunov solver, the ends-first blocked scan of the linear
-recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the sampler and the
-error correction residuals and coefficients, SVD rank decisions, orthogonal
-complements, block-companion polynomial roots and the
+Everything here carries no model semantics and, apart from
+`linear_recursion`, which scans its input in place, is a pure function of
+its arguments: matrix exponentials, the single-sided exponential integral,
+a Bartels-Stewart Lyapunov solver, the ends-first blocked scan of the
+linear recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the sampler
+and the error correction residuals and coefficients, SVD rank decisions,
+orthogonal complements, block-companion polynomial roots and the
 positive-lower-triangular orthonormalization used by the canonical form.
 """
 
@@ -171,49 +171,43 @@ def _scan(A: np.ndarray, X: np.ndarray, carry: np.ndarray) -> None:
         prev = rows
 
 
-def linear_recursion(F, U, x0, out=None) -> np.ndarray:
-    """``X[n] = F X[n-1] + U[n]`` for ``n = 0 .. T-1`` with ``X[-1] = x0``.
+def linear_recursion(F, U, x0) -> np.ndarray:
+    """``X[n] = F X[n-1] + U[n]`` for ``n = 0 .. T-1`` with ``X[-1] = x0``,
+    written over ``U``, which is returned.
 
-    Time runs along axis 0 of ``U``, the state along its last axis and any
-    batch axes sit in between; ``x0`` broadcasts against ``U[0]``. The result
-    is written to ``out`` (an array of ``U``'s shape, ``U`` itself allowed)
-    or, by default, to a new array; ``U`` is then left unchanged.
+    ``U`` is a float64 array with time along axis 0, the state along its
+    last axis and any batch axes in between; those must flatten into one
+    without a copy (one batch axis, or none, always does). ``x0``
+    broadcasts against ``U[0]``. A caller that needs its input kept passes
+    a copy.
 
     Ends-first blocked scan (reduce, then scan; Blelloch 1990) with the
     block length ``SCAN_BLOCK`` = b, on a path-major view (paths, T, n) of
-    the result. One product ``blocks.reshape(rows, b n) @ [F^{b-1}; ..; F;
-    I]'`` gives the end of every block from a zero start; the true block
-    ends obey ``e_s = F^b e_{s-1} + end_s``, the same recursion, which the
-    scan solves by calling itself (depth ``ceil(log_b T)``); one pass over
-    the rows ``j = 0 .. b-2`` of every block then starts each block from the
-    true end of the one before. Every step is one product or sum over all
-    blocks of all paths at once. Beyond the result, the scan allocates
-    O(T/b) rows per path, plus one copy of the result when the rows of a
-    path are not contiguous in ``out`` (a new result always has them
-    contiguous).
+    ``U``. One product ``blocks.reshape(rows, b n) @ [F^{b-1}; ..; F; I]'``
+    gives the end of every block from a zero start; the true block ends obey
+    ``e_s = F^b e_{s-1} + end_s``, the same recursion, which the scan solves
+    by calling itself (depth ``ceil(log_b T)``); one pass over the rows
+    ``j = 0 .. b-2`` of every block then starts each block from the true end
+    of the one before. Every step is one product or sum over all blocks of
+    all paths at once. Beyond ``U``, the scan allocates O(T/b) rows per path.
     """
     A = as_square(F, "F")
-    V = np.asarray(U, dtype=float)
     n = A.shape[0]
-    if V.ndim < 2 or V.shape[-1] != n:
-        raise DimensionError(f"U must have shape (T, ..., {n}), got {V.shape}")
-    T, paths = V.shape[0], math.prod(V.shape[1:-1])
-    carry = np.zeros(V.shape[1:])
+    if not isinstance(U, np.ndarray) or U.dtype != np.float64:
+        raise DimensionError(f"U must be a float64 array, got {getattr(U, 'dtype', type(U))}")
+    if U.ndim < 2 or U.shape[-1] != n:
+        raise DimensionError(f"U must have shape (T, ..., {n}), got {U.shape}")
+    T, paths = U.shape[0], math.prod(U.shape[1:-1])
+    carry = np.zeros(U.shape[1:])
     try:
         carry += np.asarray(x0, dtype=float)
     except ValueError as exc:
-        raise DimensionError(f"x0 does not broadcast to the state shape {V.shape[1:]}") from exc
-    if out is None:
-        out = np.empty((paths, T, n)).transpose(1, 0, 2).reshape(V.shape)
-    elif not (isinstance(out, np.ndarray) and out.shape == V.shape and out.dtype == float):
-        raise DimensionError(f"out must be a float64 array of shape {V.shape}")
-    if out is not U:
-        out[...] = V
-    X = out.reshape(T, paths, n)
+        raise DimensionError(f"x0 does not broadcast to the state shape {U.shape[1:]}") from exc
+    X = U.reshape(T, paths, n)
+    if U.size and not np.may_share_memory(X, U):
+        raise DimensionError(f"the batch axes of U {U.shape} do not flatten without a copy")
     _scan(A, X.transpose(1, 0, 2), carry.reshape(paths, n))
-    if not np.may_share_memory(X, out):  # batch axes that do not merge: X is a copy
-        out[...] = X.reshape(V.shape)
-    return out
+    return U
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     if cf.levy.jump_rate > 0:
         _add_jumps(r1, x2, cf, sm.h, rng)
     steps = x2.transpose(1, 0, 2)
-    matops.linear_recursion(sm.eA2h, steps, start, out=steps)
+    matops.linear_recursion(sm.eA2h, steps, start)
     return x0, r1, x2
 
 

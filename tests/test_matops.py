@@ -169,12 +169,11 @@ class TestLinearRecursion:
     """The ends-first scan against the step-by-step loop, to 1e-12 relative."""
 
     @staticmethod
-    def _check(F, U, x0, out=None):
+    def _check(F, U, x0):
         want = helpers.linear_recursion_loop(F, U, x0)
-        got = matops.linear_recursion(F, U, x0, out=out)
-        assert got.shape == want.shape
+        got = matops.linear_recursion(F, U, x0)
+        assert got is U
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
-        return got
 
     @staticmethod
     def _stable(rng, n, rho=0.9):
@@ -202,43 +201,23 @@ class TestLinearRecursion:
         F = self._stable(rng, 3)
         self._check(F, rng.normal(size=(101, 4, 3)), np.array([1.0, -2.0, 3.0]))
 
-    def test_strided_view_of_path_major_noise(self, rng):
-        # the layout the sampler scans: the stationary columns of (paths, T, N)
-        R = rng.normal(size=(5, 1000, 7))
-        U = R[:, :, 2:].transpose(1, 0, 2)
-        kept = U.copy()
-        self._check(self._stable(rng, 5), U, rng.normal(size=(5, 5)))
-        assert np.array_equal(U, kept)
-
-    def test_input_unchanged_without_out(self, rng):
-        U = rng.normal(size=(300, 2, 3))
-        kept = U.copy()
-        self._check(self._stable(rng, 3), U, 1.0)
-        assert np.array_equal(U, kept)
-
-    # time-major arrays, and a time-major view of path-major storage (the
-    # layout the sampler and the ECF coefficient table scan in place)
-    @pytest.mark.parametrize("shape, axes", [((1000, 4), (0, 1)), ((300, 1, 4), (0, 1, 2)),
-                                             ((300, 3, 4), (0, 1, 2)), ((3, 1000, 4), (1, 0, 2))])
-    def test_in_place(self, rng, shape, axes):
-        U = rng.normal(size=shape).transpose(axes)
-        got = self._check(self._stable(rng, 4), U, rng.normal(size=4), out=U)
-        assert got is U
-
-    def test_out_with_batch_axes_that_do_not_merge(self, rng):
-        # (T, 2, 3, n) over (3, 2, T, n) storage: the batch axes cannot be
-        # flattened without a copy, which must still reach `out`
-        U = rng.normal(size=(200, 2, 3, 4))
-        out = np.empty((3, 2, 200, 4)).transpose(2, 1, 0, 3)
-        got = self._check(self._stable(rng, 4), U, 1.0, out=out)
-        assert got is out
+    # time-major arrays, and time-major views of path-major storage: the
+    # layout the ECF coefficient table scans, and the sampler's stationary
+    # columns of (paths, T, N), whose other columns stay as they were
+    @pytest.mark.parametrize("shape, axes, cols", [
+        ((1000, 4), (0, 1), 0), ((300, 1, 4), (0, 1, 2), 0), ((300, 3, 4), (0, 1, 2), 0),
+        ((3, 1000, 4), (1, 0, 2), 0), ((5, 1000, 7), (1, 0, 2), 3)])
+    def test_in_place(self, rng, shape, axes, cols):
+        R = rng.normal(size=shape)
+        kept = R[..., :cols].copy()
+        U = R[..., cols:].transpose(axes)
+        self._check(self._stable(rng, 4), U, rng.normal(size=4))
+        assert np.array_equal(R[..., :cols], kept)
 
     def test_scratch_is_a_fraction_of_the_path(self, rng):
         F = self._stable(rng, 6)
         U = rng.normal(size=(100_000, 6))
-        peak, X = helpers.scratch_peak(matops.linear_recursion, F, U, 0.0)
-        assert peak < (1 + 4 / B) * U.nbytes
-        peak, _ = helpers.scratch_peak(matops.linear_recursion, F, X, 0.0, out=X)
+        peak, _ = helpers.scratch_peak(matops.linear_recursion, F, U, 0.0)
         assert peak < 4 / B * U.nbytes
 
     def test_rejects_mismatched_shapes(self):
@@ -246,11 +225,17 @@ class TestLinearRecursion:
             matops.linear_recursion(np.eye(2), np.zeros((5, 3)), np.zeros(3))
         with pytest.raises(DimensionError):
             matops.linear_recursion(np.eye(2), np.zeros((5, 4, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("U", [
+        [[0.0, 0.0]] * 5,
+        np.zeros((5, 2), dtype=np.float32),
+        # (T, 2, 3, n) over (3, 2, T, n) storage: the batch axes do not
+        # flatten without a copy, so a scan could not reach U
+        np.zeros((3, 2, 5, 2)).transpose(2, 1, 0, 3),
+    ])
+    def test_rejects_what_it_cannot_scan_in_place(self, U):
         with pytest.raises(DimensionError):
-            matops.linear_recursion(np.eye(2), np.zeros((5, 2)), 0.0, out=np.zeros((4, 2)))
-        with pytest.raises(DimensionError):
-            matops.linear_recursion(np.eye(2), np.zeros((5, 2)), 0.0,
-                                    out=np.zeros((5, 2), dtype=np.float32))
+            matops.linear_recursion(np.eye(2), U, 0.0)
 
 
 class TestNumericalRank:
