@@ -177,7 +177,11 @@ def ecf_residuals(dec: EcfDecomposition, y: np.ndarray, J: int | None = None) ->
     if T < J + 2:
         raise ValidationError(f"path of length {T} is shorter than J + 2 = {J + 2}")
     cl, C = dec.ks.closed_loop, dec.ks.c_matrix
-    U = np.vstack([Y[:1], np.diff(Y, axis=0)]) @ dec.settle.T  # S dY_n
+    dY = np.empty(Y.shape)
+    dY[0] = Y[0]
+    np.subtract(Y[1:], Y[:-1], out=dY[1:])
+    U = dY @ dec.settle.T  # S dY_n
+    del dY
     q = matops.linear_recursion(cl, U, 0.0)
     out = q[J:-1] @ (C @ cl).T  # C w_n = -sum_j Ktilde_j dY_{n-j}
     del q, U
@@ -281,6 +285,17 @@ class WhitenessReport:
 def whiteness_diagnostic(eps: np.ndarray, max_lag: int = 10) -> WhitenessReport:
     """Entrywise sample autocorrelations of an innovation sequence with the
     plus/minus 3/sqrt(n) whiteness band.
+
+    Every autocovariance ``c_k = (1/n) sum_s e_{s+k} e_s'`` (k = 0 ..
+    max_lag, e centered) comes from two Gram products. With m = max_lag + 1,
+    the centered rows fill a zero-padded buffer of ceil(n/m) m rows, viewed
+    as X with one chunk of m rows per row; lag k sums the (i, j) blocks of
+    ``X'X`` with i - j = k (pairs within a chunk) and of ``X[1:]'X[:-1]``
+    with i + m - j = k (pairs across a chunk boundary). The zero tail adds
+    nothing, so the partial last chunk needs no separate term. A column is
+    degenerate when its standard deviation is within the rounding error of
+    its own mean, ``sd_j <= n eps rms_j`` with ``rms_j`` the column's root
+    mean square: the rule does not depend on the units.
     """
     E = matops.as_matrix(eps, "innovations")
     n, d = E.shape
@@ -292,17 +307,23 @@ def whiteness_diagnostic(eps: np.ndarray, max_lag: int = 10) -> WhitenessReport:
             f"{WHITENESS_ROWS_PER_LAG * max_lag} observations, got {n}"
         )
     band = 3.0 / np.sqrt(n)
-    centered = E - E.mean(axis=0)
-    c0 = centered.T @ centered / n
-    sd = np.sqrt(np.diag(c0))
-    degenerate = bool(np.any(sd <= 1e-14 * (1.0 + np.max(sd, initial=0.0))))
-    acf = np.zeros((max_lag, d, d))
-    if not degenerate:
-        denom = np.outer(sd, sd)
-        for k in range(1, max_lag + 1):
-            ck = centered[k:].T @ centered[:-k] / n
-            acf[k - 1] = ck / denom
-    max_abs = float(np.max(np.abs(acf))) if not degenerate else float("nan")
+    m = max_lag + 1
+    chunks = -(-n // m)
+    buf = np.zeros((chunks * m, d))
+    mean = np.ones(n) @ E / n
+    np.subtract(E, mean, out=buf[:n])
+    X = buf.reshape(chunks, m * d)
+    # block (i, i + m - k) of [X[1:]'X[:-1], X'X] holds lag k for every i
+    grams = np.hstack([X[1:].T @ X[:-1], X.T @ X]).reshape(m, d, 2 * m, d)
+    i = np.arange(m)
+    cov = grams[i, :, i + m - i[:, None], :].sum(axis=1) / n
+    sd = np.sqrt(np.diag(cov[0]))
+    degenerate = bool(np.any(sd <= n * np.finfo(float).eps * np.sqrt(mean**2 + sd**2)))
+    if degenerate:
+        acf, max_abs = np.zeros((max_lag, d, d)), float("nan")
+    else:
+        acf = cov[1:] / np.outer(sd, sd)
+        max_abs = float(np.max(np.abs(acf)))
     passed = bool(not degenerate and max_abs <= band)
     return WhitenessReport(
         n_obs=n, max_lag=max_lag, band=float(band),

@@ -150,7 +150,8 @@ def filter_innovations(
     U = np.zeros((Y.shape[0], N))  # gain y_{n-1}, y_{-1} = 0
     np.matmul(Y[:-1], ks.gain.T, out=U[1:])
     x_hat = matops.linear_recursion(ks.closed_loop, U, xh)
-    innovations = Y - x_hat @ ks.c_matrix.T
+    innovations = x_hat @ -ks.c_matrix.T
+    innovations += Y
     return innovations, x_hat
 
 

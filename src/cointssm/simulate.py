@@ -61,12 +61,22 @@ def _check_x1_0(cf: CointCanonicalForm, x1_0) -> np.ndarray:
     return x0
 
 
+def _observe(cf: CointCanonicalForm, x1_0: np.ndarray, r1: np.ndarray,
+             x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x1, y2, y)`` with ``x1 = x1_0 + cumsum(r1)``, ``y2 = C2 x2`` and
+    ``y = C1 x1 + y2``, time on axis -2; no array beyond those three."""
+    x1 = np.cumsum(r1, axis=-2)
+    x1 += x1_0
+    y2 = x2 @ np.asarray(cf.C2).T
+    y = x1 @ np.asarray(cf.C1).T
+    y += y2
+    return x1, y2, y
+
+
 def _assemble_paths(cf: CointCanonicalForm, h: float, x1_0: np.ndarray,
                     r1: np.ndarray, x2: np.ndarray, seed: int) -> PathSet:
     n_steps = r1.shape[0]
-    x1 = x1_0 + np.cumsum(r1, axis=0)
-    y2 = x2 @ np.asarray(cf.C2).T
-    y = x1 @ np.asarray(cf.C1).T + y2
+    x1, y2, y = _observe(cf, x1_0, r1, x2)
     times = h * np.arange(1, n_steps + 1)
     return PathSet(h=h, times=times, y=y, x1=x1, x2=x2, r1=r1, y2=y2,
                    c1=np.array(cf.C1), seed=seed, driver_kind=cf.levy.kind)
@@ -106,7 +116,8 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
 
     The noise of one step, ``R_n = int e^{A(nh-u)} B dL(u)``, is a Gaussian
     part N(0, sigma_W), with sigma_W the Van Loan integral of the Brownian
-    component's covariance, plus the step's jumps (``_add_jumps``). Draws
+    component's covariance (``sm.sigma_tilde`` itself for a driver without
+    jumps), plus the step's jumps (``_add_jumps``). Draws
     the Gaussian part of shape (n_paths, n_steps, N) first, then the
     stationary starts N(0, gamma0), then the jumps, so one path of an
     ensemble reproduces the single-path sampler on the same stream and the
@@ -119,7 +130,10 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
     x0 = _check_x1_0(cf, x1_0)
-    _, sigma_w = moments._van_loan(cf, sm.h, cf.levy.diffusion_cov)
+    if cf.levy.jump_rate > 0:
+        _, sigma_w = moments._van_loan(cf, sm.h, cf.levy.diffusion_cov)
+    else:
+        sigma_w = sm.sigma_tilde
     noise_factor = matops.psd_factor(sigma_w, name="Brownian noise covariance")
     draws = rng.standard_normal((n_paths, n_steps, sm.N))
     r1, x2 = draws @ noise_factor[:cf.c].T, draws @ noise_factor[cf.c:].T
@@ -167,7 +181,7 @@ def simulate_gaussian_ensemble(
     ``simulate_exact_gaussian(..., seed=seed).y``.
     """
     x0, r1, x2 = _exact_paths(sm, cf, n_steps, n_paths, x1_0, _stream(seed, 0))
-    return (x0 + np.cumsum(r1, axis=1)) @ np.asarray(cf.C1).T + x2 @ np.asarray(cf.C2).T
+    return _observe(cf, x0, r1, x2)[2]
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,18 @@ def ecf_coeffs_loop(ks, J: int) -> tuple[np.ndarray, np.ndarray]:
     return L, Kt
 
 
+def whiteness_acf_loop(eps, max_lag: int) -> np.ndarray:
+    """Whiteness oracle: the sample autocorrelations ``c_k / (sd sd')`` of
+    ``whiteness_diagnostic`` for k = 1 .. max_lag, with
+    ``c_k = (1/n) sum_s e_{s+k} e_s'`` of the centered rows, one lag at a time."""
+    E = np.asarray(eps, dtype=float)
+    n = E.shape[0]
+    centered = E - E.mean(axis=0)
+    sd = np.sqrt(np.diag(centered.T @ centered / n))
+    return np.stack([centered[k:].T @ centered[:-k] / n / np.outer(sd, sd)
+                     for k in range(1, max_lag + 1)])
+
+
 def scratch_peak(fn, *args, **kwargs) -> tuple[int, object]:
     """Peak traced allocation of one call, and its result."""
     tracemalloc.start()

@@ -360,6 +360,36 @@ class TestWhitenessDiagnostic:
         report = whiteness_diagnostic(np.zeros((2000, 2)), max_lag=5)
         assert report.degenerate and not report.passed
 
+    @pytest.mark.parametrize("d", [1, 2, 6, 9])
+    @pytest.mark.parametrize("max_lag", [1, 3, 10, 25])
+    def test_matches_per_lag_oracle(self, d, max_lag):
+        # a moving average with a nonzero mean, n not a multiple of max_lag + 1
+        n = 100 * max_lag + 37
+        assert n % (max_lag + 1)
+        rng = np.random.default_rng(10 * d + max_lag)
+        z = rng.standard_normal((n + 2, d))
+        eps = z[2:] + 0.6 * z[1:-1] - 0.3 * z[:-2] + rng.normal(size=d)
+        report = whiteness_diagnostic(eps, max_lag=max_lag)
+        want = helpers.whiteness_acf_loop(eps, max_lag)
+        assert report.autocorrelations.shape == (max_lag, d, d)
+        assert np.max(np.abs(report.autocorrelations - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-15, 1e-20])
+    def test_scaled_white_noise_passes(self, scale):
+        # the old rule sd <= 1e-14 (1 + max sd) called the last two degenerate
+        eps = np.random.default_rng(7).standard_normal((5000, 2)) * scale
+        report = whiteness_diagnostic(eps, max_lag=5)
+        assert report.passed and not report.degenerate
+
+    @pytest.mark.parametrize("value", [0.0, 1e9, 1234567000.1])
+    def test_constant_column_degenerate(self, value):
+        # the last constant's mean is off by more than 1e-14 of it, so its
+        # centered column is a small nonzero constant
+        eps = np.random.default_rng(8).standard_normal((2000, 2))
+        eps[:, 1] = value
+        report = whiteness_diagnostic(eps, max_lag=5)
+        assert report.degenerate and not report.passed
+
     def test_short_input_rejected(self):
         with pytest.raises(ValidationError):
             whiteness_diagnostic(np.zeros((99, 1)), max_lag=1)

@@ -145,6 +145,17 @@ class TestFilterInnovations:
             acc -= W @ ps.y[n - i]
         assert np.max(np.abs(acc - eps[n])) < 1e-6
 
+    def test_scratch_memory_is_bounded(self, rng):
+        # beyond the states and the innovations (both returned), only the
+        # scan's O(T / SCAN_BLOCK) rows, freed before the innovations exist
+        cf = helpers.slow_fixture()
+        sm = discretize(cf, 1.0)
+        ks = solve_steady_state(sm, cf)
+        T = 200_000
+        y = rng.normal(size=(T, cf.d))
+        peak, (eps, x_hat) = helpers.scratch_peak(filter_innovations, ks, sm, y)
+        assert peak < 0.05 * T * cf.N * 8 + eps.nbytes + x_hat.nbytes
+
     def test_shape_validation(self, scalar_ks, scalar_sm):
         with pytest.raises(DimensionError):
             filter_innovations(scalar_ks, scalar_sm, np.zeros((10, 3)))

@@ -11,7 +11,7 @@ from cointssm import (
     simulate_exact_gaussian,
     simulate_gaussian_ensemble,
 )
-from cointssm import simulate
+from cointssm import matops, simulate
 from cointssm.errors import ValidationError
 
 
@@ -64,6 +64,13 @@ class TestExactGaussian:
         emp = R.T @ R / R.shape[0]
         se = helpers.cov_se(R, R)
         assert np.all(np.abs(emp - partial_sm.sigma_tilde) <= 3.0 * se)
+
+    def test_brownian_sampler_computes_no_exponential(self, partial_sm, partial_cf,
+                                                       monkeypatch):
+        # the Brownian step covariance is sm.sigma_tilde, already computed
+        monkeypatch.setattr(matops, "expm", lambda M: pytest.fail("expm called"))
+        simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=31)
+        simulate_gaussian_ensemble(partial_sm, partial_cf, 100, 4, seed=31)
 
     def test_x1_start(self, scalar_sm, scalar_cf):
         ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 10, x1_0=[4.0], seed=2)
