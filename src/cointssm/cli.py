@@ -49,7 +49,10 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
 
 
 def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read a path CSV with d observation columns; returns (times, observations)."""
+    """Read a path CSV with d observation columns; returns (times, observations).
+
+    Every column is parsed, so a ragged row or a non-numeric entry anywhere
+    is rejected; both results are copies, so the parsed table is freed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -67,7 +70,7 @@ def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"path CSV {path} needs at least two rows")
     if len(y_cols) != d:
         raise ValidationError(f"path has {len(y_cols)} observation columns, model has d={d}")
-    return data[:, 0], data[:, y_cols]
+    return data[:, 0].copy(), data[:, y_cols]
 
 
 def _sidecar_path(csv_path: str) -> str:

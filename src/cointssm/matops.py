@@ -2,11 +2,12 @@
 
 Everything here carries no model semantics and, apart from
 `linear_recursion`, which scans its input in place, is a pure function of
-its arguments: matrix exponentials, the single-sided exponential integral,
-a Bartels-Stewart Lyapunov solver, the ends-first blocked scan of the
-linear recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the sampler
-and the error correction residuals and coefficients, SVD rank decisions,
-orthogonal complements, block-companion polynomial roots and the
+its arguments: matrix exponentials and their action on many vectors at
+many times, the single-sided exponential integral, a Bartels-Stewart
+Lyapunov solver, the ends-first blocked scan of the linear recursion
+``x_n = F x_{n-1} + u_n`` behind the filter, the sampler and the error
+correction residuals and coefficients, SVD rank decisions, orthogonal
+complements, block-companion polynomial roots and the
 positive-lower-triangular orthonormalization used by the canonical form.
 """
 
@@ -68,16 +69,8 @@ def check_symmetric(M: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> 
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade) of a square matrix, or
-    of each matrix in a stack over the last two axes."""
-    A = np.asarray(M, dtype=float)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimensionError(
-            f"expm input must be square over its last two axes, got shape {A.shape}"
-        )
-    if A.size and not np.all(np.isfinite(A)):
-        raise ValidationError("expm input contains non-finite entries")
-    return sla.expm(A)
+    """Matrix exponential (scaling-and-squaring Pade) of a square matrix."""
+    return sla.expm(as_square(M, "expm input"))
 
 
 def cross_integral(A2, G, h: float) -> np.ndarray:
@@ -102,6 +95,100 @@ def cross_integral(A2, G, h: float) -> np.ndarray:
     blk[:n, n:] = Gm
     phi = sla.expm(blk * h)
     return phi[:n, n:]
+
+
+#: Degree of the Taylor polynomials in `expm_action`: for ``||M||_1 <= 1/2``
+#: the remainder of ``e^M``, about 0.5^15/15!, is below the unit roundoff 2^-53.
+TAYLOR_DEGREE = 14
+
+#: Bits of the time index per table of `expm_action`: each table holds at
+#: most ``2^ACTION_DIGIT_BITS`` matrices.
+ACTION_DIGIT_BITS = 6
+
+
+def _expm1_taylor(M: np.ndarray) -> np.ndarray:
+    """``e^M - I`` for ``||M||_1 <= 1/2``, by Horner, without forming ``e^M``."""
+    eye = np.eye(M.shape[0])
+    X = eye + M / TAYLOR_DEGREE
+    for j in range(TAYLOR_DEGREE - 1, 1, -1):
+        X = eye + (M / j) @ X
+    return M @ X
+
+
+def _expm1_powers(D: np.ndarray, count: int) -> np.ndarray:
+    """``(I + D)^i - I`` for ``i = 0 .. count-1`` stacked along axis 0, by
+    doubling as in `_block_powers`, through ``D_{j+k} = D_j + D_k + D_j D_k``.
+    Kept as differences from I, a mode of ``I + D`` near 1 keeps its relative
+    accuracy over any number of powers; the powers themselves would carry
+    the rounding of ``I + D`` times the exponent."""
+    P = np.zeros((count, *D.shape))
+    P[1:2] = D
+    k = 1
+    while k < count - 1:
+        m = min(k, count - 1 - k)
+        new = P[k + 1:k + m + 1]
+        np.matmul(P[1:m + 1], P[k], out=new)
+        new += P[1:m + 1]
+        new += P[k]
+        k += m
+    return P
+
+
+def _add_grouped(table: np.ndarray, key: np.ndarray, rows: np.ndarray) -> None:
+    """``rows[j] += table[key[j]] rows[j]`` in place, one product per table
+    entry that a row uses; entry 0 is zero and skipped."""
+    order = np.argsort(key)
+    ends = np.cumsum(np.bincount(key, minlength=len(table)))
+    for g in range(1, len(table)):
+        idx = order[ends[g - 1]:ends[g]]
+        if idx.size:
+            rows[idx] += rows[idx] @ table[g].T
+
+
+def expm_action(A, horizon: float, times, V) -> np.ndarray:
+    """Rows ``e^{A times[j]} V[j]`` for times in ``[0, horizon]``, with no
+    exponential per row (the action of the exponential; Al-Mohy and Higham
+    2011, SIAM J. Sci. Comput. 33(2)).
+
+    Each time is ``i delta + r`` with ``delta = horizon / 2^s``, ``s`` the
+    least with ``||A delta||_1 < 1/2``, and ``0 <= r < delta``. The Taylor
+    polynomial of ``e^{A r}`` of degree ``TAYLOR_DEGREE`` is applied to every
+    row by Horner, one ``(k, n)`` product per degree. Then ``e^{A i delta}``
+    is applied one base-2^ACTION_DIGIT_BITS digit of ``i`` at a time: digit
+    ``l`` selects ``I + (E_l^digit - I)`` from a table of powers of
+    ``E_l = e^{A delta 2^{l ACTION_DIGIT_BITS}}``, each entry applied to its
+    rows in one product. The tables hold ``E^i - I`` (`_expm1_taylor`,
+    `_expm1_powers`), so rounding is not raised to the power ``i``, and at
+    most ``2^ACTION_DIGIT_BITS ceil(s / ACTION_DIGIT_BITS)`` matrices in all
+    however stiff ``A``.
+    """
+    A = as_square(A, "A")
+    Vm = as_matrix(V, "V")
+    t = as_vector(times, "times")
+    if Vm.shape != (t.size, A.shape[0]):
+        raise DimensionError(f"V has shape {Vm.shape}, expected ({t.size}, {A.shape[0]})")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
+    if t.size and not (t.min() >= 0 and t.max() <= horizon):
+        raise ValidationError(f"times must lie in [0, {horizon}]")
+    s = max(0, math.frexp(2.0 * float(np.abs(A).sum(axis=0).max(initial=0.0)) * horizon)[1])
+    if s > 62:
+        raise NumericError(f"||A||_1 horizon is too large for a 64-bit time index (2^{s} steps)")
+    delta = math.ldexp(horizon, -s)
+    i = np.minimum((t / delta).astype(np.int64), (1 << s) - 1)
+    r = (t - i * delta)[:, None]
+    out = Vm
+    for j in range(TAYLOR_DEGREE, 0, -1):  # V + (r A / j) out
+        out = out @ A.T
+        out *= r / j
+        out += Vm
+    D = _expm1_taylor(A * delta)
+    for lo in range(0, s, ACTION_DIGIT_BITS):
+        bits = min(ACTION_DIGIT_BITS, s - lo)
+        table = _expm1_powers(D, (1 << bits) + 1)
+        _add_grouped(table[:-1], (i >> lo) & ((1 << bits) - 1), out)
+        D = table[-1]
+    return out
 
 
 def spectral_abscissa(A: np.ndarray) -> float:

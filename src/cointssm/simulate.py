@@ -3,9 +3,10 @@
 One exact sampler of the discrete recursion for every supported driver:
 the i.i.d. step noise is a Gaussian draw from the exact covariance of the
 driver's Brownian component plus compound-Poisson jumps, each placed at its
-exact time within the step. Paths are fully reproducible from
-(seed, path_index) via independent derived streams, and the stationary
-block is stepped with `matops.linear_recursion`.
+exact time within the step and carried to the step's end by
+`matops.expm_action` (no exponential per jump). Paths are fully
+reproducible from (seed, path_index) via independent derived streams, and
+the stationary block is stepped with `matops.linear_recursion`.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ def _assemble_paths(cf: CointCanonicalForm, h: float, x1_0: np.ndarray,
                    c1=np.array(cf.C1), seed=seed, driver_kind=cf.levy.kind)
 
 
-#: Jumps per batched exponential, which bounds its (k, n2, n2) stack.
-JUMP_BATCH = 1 << 14
-
-
 def _add_jumps(r1: np.ndarray, r2: np.ndarray, cf: CointCanonicalForm, h: float,
                rng: np.random.Generator) -> None:
     """Add every step's compound-Poisson jumps to its rows of the unit-root
@@ -93,21 +90,24 @@ def _add_jumps(r1: np.ndarray, r2: np.ndarray, cf: CointCanonicalForm, h: float,
 
     Each step of each path gets Poisson(lambda h) jumps at ages ``h U(0,1)``
     before the step's end; a mark ``Z ~ N(0, jump_cov)`` enters the noise as
-    ``[B1 Z; e^{A2 age} B2 Z]``. Draws the counts, then the ages, then the marks.
+    ``[B1 Z; e^{A2 age} B2 Z]``, the second part from `matops.expm_action`
+    (no exponential per jump). Draws the counts, then the ages, then the
+    marks. The jumps come in (path, step) order, so one reduction sums each
+    step's jumps before they are added to its noise row.
     """
     levy = cf.levy
     counts = rng.poisson(levy.jump_rate * h, size=r1.shape[:-1])
-    k = int(counts.sum())
-    ages = h * rng.random(k)
+    ages = h * rng.random(int(counts.sum()))
     jump_factor = matops.psd_factor(np.asarray(levy.jump_cov), name="jump_cov")
-    marks = rng.standard_normal((k, cf.m)) @ jump_factor.T
-    where = tuple(np.repeat(np.indices(counts.shape).reshape(2, -1), counts.ravel(), axis=1))
-    np.add.at(r1, where, marks @ np.asarray(cf.B1).T)
-    kicks, A2 = marks @ np.asarray(cf.B2).T, np.asarray(cf.A2)  # B2 Z, then e^{A2 age} B2 Z
-    for lo in range(0, k, JUMP_BATCH):
-        part = slice(lo, lo + JUMP_BATCH)
-        kicks[part] = np.einsum("kij,kj->ki", matops.expm(ages[part, None, None] * A2), kicks[part])
-    np.add.at(r2, where, kicks)
+    marks = rng.standard_normal((ages.size, cf.m)) @ jump_factor.T
+    kicks = np.hstack([marks @ np.asarray(cf.B1).T, marks @ np.asarray(cf.B2).T])
+    del marks
+    kicks[:, cf.c:] = matops.expm_action(cf.A2, h, ages, kicks[:, cf.c:])
+    steps = np.nonzero(counts)
+    n_jumps = counts[steps]
+    sums = np.add.reduceat(kicks, np.cumsum(n_jumps) - n_jumps, axis=0)
+    r1[steps] += sums[:, :cf.c]
+    r2[steps] += sums[:, cf.c:]
 
 
 def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths: int,

@@ -266,3 +266,24 @@ def step_noise(ps, eA2h: np.ndarray) -> np.ndarray:
     """The i.i.d. noise rows ``[r1; x2_n - e^{A2 h} x2_{n-1}]`` of steps 2..n of a path."""
     return np.hstack([ps.r1[1:], ps.x2[1:] - ps.x2[:-1] @ eA2h.T])
 
+
+
+def add_jumps_expm(r1: np.ndarray, r2: np.ndarray, cf, h: float,
+                   rng: np.random.Generator) -> None:
+    """Jump oracle with the draws of `simulate._add_jumps`: one Pade
+    exponential per jump, ``e^{A2 age} B2 Z`` from ``(2^14, n2, n2)`` stacks,
+    and each jump added to its step's noise row on its own (``np.add.at``)."""
+    levy = cf.levy
+    counts = rng.poisson(levy.jump_rate * h, size=r1.shape[:-1])
+    k = int(counts.sum())
+    ages = h * rng.random(k)
+    jump_factor = matops.psd_factor(np.asarray(levy.jump_cov), name="jump_cov")
+    marks = rng.standard_normal((k, cf.m)) @ jump_factor.T
+    where = tuple(np.repeat(np.indices(counts.shape).reshape(2, -1), counts.ravel(), axis=1))
+    np.add.at(r1, where, marks @ np.asarray(cf.B1).T)
+    kicks, A2 = marks @ np.asarray(cf.B2).T, np.asarray(cf.A2)
+    batch = 1 << 14
+    for lo in range(0, k, batch):
+        part = slice(lo, lo + batch)
+        kicks[part] = np.einsum("kij,kj->ki", sla.expm(ages[part, None, None] * A2), kicks[part])
+    np.add.at(r2, where, kicks)

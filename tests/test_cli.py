@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from cointssm import canonicalize
-from cointssm.cli import _write_csv, build_parser, main
+from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
 from cointssm.errors import MinimalityError
 from cointssm.modeldoc import canonical_to_doc, parse_document
 
@@ -442,6 +442,56 @@ class TestEcfCommand:
         out = json.loads(capsys.readouterr().out)
         rho = (out["tail_bound"] / t10) ** (1.0 / 190.0)
         assert 0.0 < rho < 1.0
+
+
+class TestPathCsvValidation:
+    @staticmethod
+    def _break_ragged(lines):
+        lines[3] = lines[3].rsplit(",", 1)[0]
+
+    @staticmethod
+    def _break_x2(lines):
+        col = lines[0].split(",").index("x2_1")
+        fields = lines[3].split(",")
+        fields[col] = "abc"
+        lines[3] = ",".join(fields)
+
+    @staticmethod
+    def _break_time_header(lines):
+        lines[0] = "time" + lines[0][1:]
+
+    @staticmethod
+    def _break_y_count(lines):
+        lines[0] = lines[0].replace("y_2", "z_2")
+
+    @pytest.mark.parametrize("command", ["filter", "ecf"])
+    @pytest.mark.parametrize("breaker,message", [
+        ("_break_ragged", "number of columns changed"),
+        ("_break_x2", "'abc'"),
+        ("_break_time_header", "must start with a 't' column"),
+        ("_break_y_count", "path has 1 observation columns, model has d=2"),
+    ])
+    def test_bad_path_csv_exits_2(self, tmp_path, capsys, command, breaker, message):
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 50
+        cfg = write_json(tmp_path / "model.json", doc)
+        csv = tmp_path / "path.csv"
+        assert main(["simulate", cfg, "-o", str(csv), "--columns", "full"]) == 0
+        lines = csv.read_text().splitlines()
+        getattr(self, breaker)(lines)
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = (["filter", cfg, str(csv), "-o", str(tmp_path / "flt")] if command == "filter"
+                else ["ecf", cfg, "--path", str(csv)])
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_times_do_not_keep_the_table(self, tmp_path):
+        cfg = write_json(tmp_path / "model.json", partial_doc())
+        csv = tmp_path / "path.csv"
+        assert main(["simulate", cfg, "-o", str(csv), "--columns", "full"]) == 0
+        times, y = _read_path_csv(str(csv), 2)
+        assert times.base is None and y.shape == (3000, 2)
 
 
 class TestParser:

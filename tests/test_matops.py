@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import helpers
 from cointssm import CointCanonicalForm, LevySpec, discretize, matops
@@ -37,19 +38,74 @@ class TestExpm:
             with pytest.raises(DimensionError):
                 matops.expm(np.zeros(shape))
 
-    def test_stack_matches_each_matrix(self, rng):
-        # the jump sampler exponentiates (k, n2, n2) stacks, empty ones included
-        M = rng.normal(size=(2, 5, 3, 3)) * rng.uniform(0.1, 8.0, size=(2, 5, 1, 1))
-        out = matops.expm(M)
-        for idx in np.ndindex(2, 5):
-            want = matops.expm(M[idx])
-            assert np.max(np.abs(out[idx] - want)) <= 1e-14 * np.max(np.abs(want))
-        assert matops.expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
-        assert matops.expm(np.zeros((4, 0, 0))).shape == (4, 0, 0)
+    def test_rejects_stack(self):
+        for shape in ((2, 3, 3), (0, 3, 3)):
+            with pytest.raises(DimensionError):
+                matops.expm(np.zeros(shape))
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             matops.expm([[np.nan, 0.0], [0.0, 0.0]])
+
+
+class TestExpmAction:
+    @staticmethod
+    def _rows(A, times, V):
+        return np.stack([sla.expm(A * t) @ v for t, v in zip(times, V)])
+
+    def test_matches_expm_per_row(self, rng):
+        for n in (1, 2, 3, 6):
+            for horizon in (0.01, 1.0, 20.0):
+                A = helpers.random_hurwitz(rng, n)
+                times = horizon * rng.random(300)
+                V = rng.normal(size=(300, n))
+                want = self._rows(A, times, V)
+                out = matops.expm_action(A, horizon, times, V)
+                assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_endpoints(self, rng):
+        A = helpers.random_hurwitz(rng, 3)
+        V = rng.normal(size=(2, 3))
+        out = matops.expm_action(A, 2.0, [0.0, 2.0], V)
+        assert np.array_equal(out[0], V[0])
+        want = sla.expm(2.0 * A) @ V[1]
+        assert np.max(np.abs(out[1] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_stiff_triangular_closed_form_and_table_size(self, monkeypatch):
+        # ||A||_1 h = 10^6: s = 21 halvings, yet the tables stay far below
+        # 2 * 2^(s/2) matrices, and the slow mode keeps full accuracy
+        a, b, d, h = -2e6, 30.0, -2.0, 0.5
+        A = np.array([[a, b], [0.0, d]])
+        sizes = []
+        powers = matops._expm1_powers
+        monkeypatch.setattr(matops, "_expm1_powers",
+                            lambda D, count: sizes.append(count) or powers(D, count))
+        rng = np.random.default_rng(0)
+        times = h * rng.random(2_000)
+        V = rng.normal(size=(2_000, 2))
+        out = matops.expm_action(A, h, times, V)
+        ea, ed = np.exp(a * times), np.exp(d * times)
+        want = np.stack([ea * V[:, 0] + b * (ea - ed) / (a - d) * V[:, 1], ed * V[:, 1]], axis=1)
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+        assert len(sizes) == 4 and sum(sizes) <= 2 * 2 ** (21 / 2)
+
+    def test_empty_shapes(self):
+        assert matops.expm_action(-np.eye(2), 1.0, np.zeros(0), np.zeros((0, 2))).shape == (0, 2)
+        assert matops.expm_action(np.zeros((0, 0)), 1.0, [0.5], np.zeros((1, 0))).shape == (1, 0)
+
+    def test_validation(self):
+        A, V = -np.eye(2), np.ones((2, 2))
+        with pytest.raises(DimensionError):
+            matops.expm_action(A, 1.0, [0.1, 0.2], np.ones((2, 3)))
+        with pytest.raises(ValidationError):
+            matops.expm_action(A, 1.0, [0.1, 1.5], V)
+        with pytest.raises(ValidationError):
+            matops.expm_action(A, 1.0, [-0.1, 0.5], V)
+        for horizon in (0.0, np.inf):
+            with pytest.raises(ValidationError):
+                matops.expm_action(A, horizon, [0.0, 0.0], V)
+        with pytest.raises(NumericError):  # 2^68 steps overflow the time index
+            matops.expm_action(-1e20 * np.eye(2), 1.0, [0.1, 0.2], V)
 
 
 class TestGramianIntegral:

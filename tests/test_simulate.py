@@ -35,6 +35,25 @@ def jump_partial_fixture() -> CointCanonicalForm:
                               levy=levy)
 
 
+def jump_random_fixture() -> CointCanonicalForm:
+    """The random (4, 2, 6) model of ``helpers.slow_fixture`` with a
+    Brownian-plus-jump driver, about one jump per unit of time."""
+    cf = helpers.slow_fixture()
+    levy = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=np.eye(4),
+                    jump_rate=1.0, jump_cov=0.5 * np.eye(4))
+    return CointCanonicalForm(c=cf.c, A2=cf.A2, B1=cf.B1, B2=cf.B2, C1=cf.C1, C2=cf.C2,
+                              levy=levy)
+
+
+def jump_stiff_fixture() -> CointCanonicalForm:
+    """`jump_partial_fixture` with a stiff triangular A2, ``||A2||_1 = 10^6``,
+    so ``||A2||_1 h >= 10^4`` from h = 0.01. The expm oracle is exact to
+    rounding on triangular input, where scipy recomputes the diagonal."""
+    cf = jump_partial_fixture()
+    return CointCanonicalForm(c=1, A2=[[-1e6, 30.0], [0.0, -2.0]], B1=cf.B1, B2=cf.B2,
+                              C1=cf.C1, C2=cf.C2, levy=cf.levy)
+
+
 class TestExactGaussian:
     def test_internal_identities(self, scalar_sm, scalar_cf):
         ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 500, seed=1)
@@ -139,14 +158,63 @@ class TestLevyEuler:
         k4, se = helpers.kappa4(R)
         assert np.all(np.abs(k4 - want) <= 4.0 * se)
 
-    def test_batched_exponentials_do_not_change_the_path(self, monkeypatch):
-        cf = jump_partial_fixture()
-        sm = discretize(cf, 0.5)
-        ref = simulate_exact_gaussian(sm, cf, 2_000, seed=5)
-        monkeypatch.setattr(simulate, "JUMP_BATCH", 7)
-        ps = simulate_exact_gaussian(sm, cf, 2_000, seed=5)
-        assert np.array_equal(ps.r1, ref.r1)
+    @pytest.mark.parametrize("h", [0.01, 0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("make", [jump_partial_fixture, jump_random_fixture,
+                                      jump_stiff_fixture])
+    def test_jumps_match_the_expm_oracle(self, make, h, monkeypatch):
+        # about 800 jumps per path set; the oracle takes one Pade exponential per jump
+        cf = make()
+        sm = discretize(cf, h)
+        n_steps = min(20_000, round(800 / (cf.levy.jump_rate * h)))
+        ps = simulate_exact_gaussian(sm, cf, n_steps, seed=5)
+        ens = simulate_gaussian_ensemble(sm, cf, n_steps // 4, 4, seed=6)
+        monkeypatch.setattr(simulate, "_add_jumps", helpers.add_jumps_expm)
+        ref = simulate_exact_gaussian(sm, cf, n_steps, seed=5)
+        ens_ref = simulate_gaussian_ensemble(sm, cf, n_steps // 4, 4, seed=6)
         assert np.max(np.abs(ps.x2 - ref.x2)) <= 1e-13 * np.max(np.abs(ref.x2))
+        assert np.max(np.abs(ens - ens_ref)) <= 1e-13 * np.max(np.abs(ens_ref))
+
+    def test_r1_changes_only_in_steps_with_two_jumps(self, monkeypatch):
+        # the oracle adds a step's jumps to r1 one at a time, the sampler adds
+        # their sum: only the summation order within a step differs
+        cf = jump_random_fixture()
+        sm = discretize(cf, 1.0)
+        counts = []
+
+        def oracle(r1, r2, cf, h, rng):
+            state = rng.bit_generator.state
+            counts.append(rng.poisson(cf.levy.jump_rate * h, size=r1.shape[:-1])[0])
+            rng.bit_generator.state = state
+            helpers.add_jumps_expm(r1, r2, cf, h, rng)
+
+        ps = simulate_exact_gaussian(sm, cf, 5_000, seed=2)
+        monkeypatch.setattr(simulate, "_add_jumps", oracle)
+        ref = simulate_exact_gaussian(sm, cf, 5_000, seed=2)
+        single = counts[0] <= 1
+        assert not single.all()
+        assert np.array_equal(ps.r1[single], ref.r1[single])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(ps.r1 - ref.r1)) <= 4 * eps * np.max(np.abs(ref.r1))
+
+    def test_one_exponential_per_call(self, monkeypatch):
+        # the Brownian component's Van Loan exponential; none per jump
+        cf = jump_random_fixture()
+        sm = discretize(cf, 1.0)
+        calls = []
+        expm = matops.expm
+        monkeypatch.setattr(matops, "expm", lambda M: calls.append(1) or expm(M))
+        simulate_exact_gaussian(sm, cf, 40_000, seed=1)
+        assert len(calls) == 1
+
+    def test_jump_sampler_scratch_is_bounded(self):
+        # about one jump per step, the rate of the benchmark's CLI document;
+        # a (2^14, n2, n2) exponential stack per batch of jumps exceeds the bound
+        cf = jump_random_fixture()
+        sm = discretize(cf, 1.0)
+        T = 20_000
+        peak, ps = helpers.scratch_peak(simulate_exact_gaussian, sm, cf, T, seed=3)
+        kept = sum(getattr(ps, f).nbytes for f in ("times", "y", "x1", "x2", "r1", "y2", "c1"))
+        assert peak - kept < 3.0 * T * cf.N * 8
 
     @pytest.mark.parametrize("c,n2", [(0, 1), (0, 0)])
     def test_boundary_shapes(self, c, n2):
