@@ -68,6 +68,9 @@ def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"path CSV {path} has no y_* columns")
     if data.shape[0] < 2:
         raise ValidationError(f"path CSV {path} needs at least two rows")
+    if data.shape[1] != len(header):
+        raise ValidationError(f"path CSV {path} has {data.shape[1]} columns per row, "
+                              f"its header names {len(header)}")
     if len(y_cols) != d:
         raise ValidationError(f"path has {len(y_cols)} observation columns, model has d={d}")
     return data[:, 0].copy(), data[:, y_cols]
@@ -80,10 +83,10 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def _load_canonical(config_path: str,
-                    rank_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, dict]:
+                    rel_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, dict]:
     doc = load_document(config_path)
     mod = parse_document(doc)
-    return to_canonical(mod, rank_tol), doc
+    return to_canonical(mod, rel_tol), doc
 
 
 def cmd_simulate(args) -> int:
@@ -148,13 +151,13 @@ def cmd_analyze(args) -> int:
         out["canonical_form"] = canonical_to_doc(cf)
         out["c"] = cf.c
         if 0 < cf.c < cf.d:
-            out["cointegration_space"] = mat_to_list(cointegration_space(cf))
+            out["cointegration_space"] = mat_to_list(cointegration_space(cf, args.rank_tol))
     if args.moments:
         if cf is None:
             raise ValidationError("--moments needs a model with a canonical form")
         header = ["t", "s"] + [f"cov_{i+1}_{j+1}" for i in range(cf.d) for j in range(cf.d)]
-        rows = [[t, s, *moments.cov_continuous(cf, t, s).ravel()]
-                for t in args.t_grid for s in args.s_grid]
+        t_grid, s_grid = args.t_grid or [0.0, 1.0, 2.0], args.s_grid or [0.0, 1.0]
+        rows = [[t, s, *moments.cov_continuous(cf, t, s).ravel()] for t in t_grid for s in s_grid]
         buf = io.StringIO()
         _csv(buf, header, rows)
         out["moments_csv"] = buf.getvalue()
@@ -188,7 +191,7 @@ def _infer_h(times: np.ndarray) -> float:
     if steps.size == 0 or np.any(steps <= 0):
         raise ValidationError("path CSV times must be strictly increasing")
     h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * max(1.0, h):
+    if np.max(np.abs(steps - h)) > matops.GRID_TOL * max(1.0, h):
         raise ValidationError("path CSV must be sampled on a uniform grid")
     return h
 
@@ -224,9 +227,9 @@ def cmd_ecf(args) -> int:
         times, y = _read_path_csv(args.path, cf.d)
     h = args.h if args.h is not None else (_infer_h(times) if times is not None else opts.h)
     sm = moments.discretize(cf, h)
-    ks = kalman.solve_steady_state(sm, cf)
+    ks = kalman.solve_steady_state(sm, cf, args.rank_tol)
     dec = ecf_mod.ma_and_ktilde_coeffs(ks, sm, args.J, rel_tol=args.rank_tol)
-    check = ecf_mod.structural_check(ks, sm, cf)
+    check = ecf_mod.structural_check(ks, sm, cf, args.rank_tol)
     out = {
         "h": sm.h,
         "truncation": dec.truncation,
@@ -298,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_rank_tol(p):
         p.add_argument("--rank-tol", type=_rank_tol, default=matops.RANK_REL_TOL,
-                       help="relative tolerance for rank decisions")
+                       help="relative tolerance of every rank decision after the model document "
+                            "is parsed; parsing checks the document against fixed tolerances")
 
     p_sim = sub.add_parser("simulate", help="simulate a path of the sampled model")
     p_sim.add_argument("config", help="model document (JSON)")
@@ -311,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("config", help="model document (JSON)")
     p_an.add_argument("--moments", action="store_true",
                       help="also evaluate the closed-form covariance on a (t, s) grid")
-    p_an.add_argument("--t-grid", type=_finite_floats, default="0,1,2",
-                      help="comma separated t values")
-    p_an.add_argument("--s-grid", type=_finite_floats, default="0,1",
-                      help="comma separated s values")
-    p_an.add_argument("--output", default=None, help="write the moments CSV here")
+    p_an.add_argument("--t-grid", type=_finite_floats, default=None,
+                      help="comma separated t values (default 0,1,2; needs --moments)")
+    p_an.add_argument("--s-grid", type=_finite_floats, default=None,
+                      help="comma separated s values (default 0,1; needs --moments)")
+    p_an.add_argument("--output", default=None, help="write the moments CSV here (needs --moments)")
     add_rank_tol(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -351,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "analyze" and not args.moments:
+        for flag in ("--t-grid", "--s-grid", "--output"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                parser.error(f"analyze: {flag} needs --moments")
     try:
         return args.func(args)
     except ModelInputError as exc:

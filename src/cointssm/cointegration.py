@@ -18,11 +18,6 @@ from . import matops
 from .errors import ValidationError
 from .model import CointCanonicalForm, McarmaModel
 
-#: Roots of det P with modulus below this (scaled) threshold count as zero.
-ROOT_ZERO_REL_TOL = 1e-7
-#: Roots with real part above this threshold count as unstable.
-ROOT_UNSTABLE_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class CointReport:
@@ -45,7 +40,7 @@ def signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     U, s, Vt = np.linalg.svd(M)
     alpha = U[:, :r] * s[:r]
     beta = Vt[:r].T.copy()
-    tol = 1e-12 * (1.0 + (s[0] if s.size else 0.0))
+    tol = matops.SIGN_PIVOT_TOL * (1.0 + (s[0] if s.size else 0.0))
     for j in range(r):
         nz = np.nonzero(np.abs(beta[:, j]) > tol)[0]
         if nz.size and beta[nz[0], j] < 0:
@@ -66,9 +61,9 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
     Pp1 = np.asarray(m.p_coeffs[-2]) if p >= 2 else np.eye(d)
     roots = matops.poly_det_roots(m.ar_poly())
 
-    zero_tol = ROOT_ZERO_REL_TOL * (1.0 + np.linalg.norm(Pp) ** (1.0 / p))
+    zero_tol = matops.ROOT_ZERO_REL_TOL * (1.0 + np.linalg.norm(Pp) ** (1.0 / p))
     is_zero = np.abs(roots) < zero_tol
-    is_stable = roots.real < -ROOT_UNSTABLE_TOL
+    is_stable = roots.real < -matops.ROOT_UNSTABLE_TOL
     offending = roots[~(is_zero | is_stable)]
     cond_a = offending.size == 0
 
@@ -77,8 +72,6 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
     alpha = beta = None
     if cond_b:
         alpha, beta = signed_rank_factors(Pp, r)
-
-    if 0 < r < d:
         a_perp = matops.orth_complement(alpha, rel_tol)
         b_perp = matops.orth_complement(beta, rel_tol)
         trans_rank = matops.numerical_rank(a_perp.T @ Pp1 @ b_perp, rel_tol).rank
@@ -126,7 +119,7 @@ def integrate_by_integration(m: McarmaModel) -> McarmaModel:
     The result is integrated but not cointegrated since its P_{p+1} = 0.
     """
     roots = matops.poly_det_roots(m.ar_poly())
-    if roots.size and np.max(roots.real) >= -ROOT_UNSTABLE_TOL:
+    if roots.size and np.max(roots.real) >= -matops.ROOT_UNSTABLE_TOL:
         raise ValidationError(
             "input model is not stationary; all det P roots must have Re < 0"
         )

@@ -200,7 +200,7 @@ class StructuralCheckReport:
 
 
 def structural_check(ks: KalmanSolution, sm: SampledModel, cf: CointCanonicalForm,
-                     tol_idem: float = 1e-10, tol_k1: float = 1e-8) -> StructuralCheckReport:
+                     rel_tol: float = matops.RANK_REL_TOL) -> StructuralCheckReport:
     """Verify the structural identities behind the rank law of k(1).
 
     With the gain partitioned along the unit-root split,
@@ -213,18 +213,18 @@ def structural_check(ks: KalmanSolution, sm: SampledModel, cf: CointCanonicalFor
     K2 = ks.gain[c:, :]
     C1, C2 = np.asarray(cf.C1), np.asarray(cf.C2)
     core = K1 @ C1
-    if c > 0 and matops.numerical_rank(core).rank < c:
+    if c > 0 and matops.numerical_rank(core, rel_tol).rank < c:
         raise ConditioningError("K1 C1 is singular; structural identities unavailable")
     P = np.eye(d) - (C1 @ np.linalg.solve(core, K1) if c else np.zeros((d, d)))
     idem = float(np.linalg.norm(P @ P - P))
-    rank_p = matops.numerical_rank(P).rank
+    rank_p = matops.numerical_rank(P, rel_tol).rank
 
     n2 = cf.n2
     R = C2 @ np.linalg.solve(np.eye(n2) - sm.eA2h, K2) if n2 else np.zeros((d, d))
     PRP = P @ R @ P
     k1_rebuilt = P @ np.linalg.inv(np.eye(d) + PRP)
     err = float(np.linalg.norm(k1_rebuilt - k_at_one(ks)))
-    ok = idem <= tol_idem and rank_p == d - c and err <= tol_k1
+    ok = idem <= matops.IDEMPOTENCY_TOL and rank_p == d - c and err <= matops.K1_REBUILD_TOL
     return StructuralCheckReport(
         projector=P,
         idempotency_defect=idem,

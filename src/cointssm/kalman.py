@@ -26,8 +26,6 @@ from .model import CointCanonicalForm
 from .moments import SampledModel
 from .realization import MinimalityReport, matrix_minimality_report
 
-RESIDUAL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class KalmanSolution:
@@ -70,7 +68,8 @@ def _riccati_step(omega: np.ndarray, eAh: np.ndarray, C: np.ndarray,
     return 0.5 * (new + new.T), G, S
 
 
-def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm) -> KalmanSolution:
+def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
+                       rel_tol: float = matops.RANK_REL_TOL) -> KalmanSolution:
     """Stabilizing solution of ``omega = F omega F' - G S^{-1} G' + sigma_tilde``
     with ``F = e^{Ah}``, ``G = F omega C'`` and ``S = C omega C'``.
 
@@ -86,7 +85,7 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm) -> KalmanSoluti
         raise DimensionError(
             f"C has {C.shape[1]} columns but the sampled model has N={eAh.shape[0]}"
         )
-    if matops.numerical_rank(C).rank < cf.d:
+    if matops.numerical_rank(C, rel_tol).rank < cf.d:
         raise ConditioningError("observation matrix C does not have full row rank")
 
     try:
@@ -97,7 +96,7 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm) -> KalmanSoluti
     new, G, S = _riccati_step(omega, eAh, C, sigma)
     residual = float(np.linalg.norm(omega - new))
     scale = 1.0 + np.linalg.norm(omega)
-    if residual > RESIDUAL_TOL * scale:
+    if residual > matops.RESIDUAL_TOL * scale:
         raise ConvergenceError(
             f"Riccati solution violates the residual bound: {residual:.3e}"
         )

@@ -27,12 +27,26 @@ from .errors import (
     ValidationError,
 )
 
-#: Default relative tolerance (w.r.t. the largest singular value) for every
-#: rank decision made in the package; overridable at each call site.
-RANK_REL_TOL = 1e-9
-
-#: Real-part threshold below which an eigenvalue counts as strictly stable.
-HURWITZ_TOL = 1e-9
+# Tolerance table: every numerical threshold of the package and what it is relative to
+# (Frobenius norms). Only RANK_REL_TOL can be replaced, per call, as ``rel_tol`` (the
+# CLI's ``--rank-tol``); model construction always validates against the table.
+RANK_REL_TOL = 1e-9       #: rank: a singular value counts when > tol sigma_max
+HURWITZ_TOL = 1e-9        #: Hurwitz A2: every eigenvalue has Re < -tol (absolute)
+ZERO_EIG_REL_TOL = 1e-8   #: unit roots of A: |eig| < t = tol (1 + ||A||), and their Schur
+                          #: block is semisimple when its norm is <= t max(1, ||A||)
+ROOT_ZERO_REL_TOL = 1e-7  #: zero roots of det P: |z| < tol (1 + ||P_p||^(1/p))
+ROOT_UNSTABLE_TOL = 1e-7  #: stable roots of det P: Re z < -tol (absolute)
+C1_ORTHO_TOL = 1e-10      #: canonical C1: ||C1' C1 - I|| <= tol (1 + c)
+PLT_TOL = 1e-8            #: canonical C1: a column's pivot is its first |x| > tol (absolute)
+RESIDUAL_TOL = 1e-10      #: Riccati: ||Omega - Ric(Omega)|| <= tol (1 + ||Omega||)
+IDEMPOTENCY_TOL = 1e-10   #: `structural_check`: ||P P - P|| <= tol (absolute)
+K1_REBUILD_TOL = 1e-8     #: `structural_check`: ||k(1) - P (I + P R P)^-1|| <= tol (absolute)
+COV_TOL = 1e-10           #: symmetric covariance: ||S - S'|| <= tol (1 + ||S||); `validate_levy`
+LEVY_SPLIT_TOL = 1e-8     #: Brownian part of a jump driver: tol (1 + ||sigma_L||); `validate_levy`
+PSD_TOL = 1e-8            #: `psd_factor`: min eigenvalue >= -tol max(1, max eigenvalue)
+SIGN_PIVOT_TOL = 1e-12    #: column signs: the first |x| > tol (1 + sigma_max) is made positive
+MONIC_TOL = 1e-12         #: monic polynomial: ||P_0 - I|| <= tol (1 + d)
+GRID_TOL = 1e-9           #: uniform path grid: |t_{n+1} - t_n - h| <= tol max(1, h)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -59,12 +73,16 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return x
 
 
-def check_symmetric(M: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
-    """Validate symmetry up to ``tol`` (relative) and return the symmetrized matrix."""
+def is_symmetric(A: np.ndarray) -> bool:
+    """``||A - A'|| <= COV_TOL (1 + ||A||)`` for a square matrix."""
+    return bool(np.linalg.norm(A - A.T) <= COV_TOL * (1.0 + np.linalg.norm(A)))
+
+
+def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate symmetry (`is_symmetric`) and return the symmetrized matrix."""
     A = as_square(M, name)
-    scale = 1.0 + np.linalg.norm(A)
-    if np.linalg.norm(A - A.T) > tol * scale:
-        raise ValidationError(f"{name} is not symmetric to tolerance {tol}")
+    if not is_symmetric(A):
+        raise ValidationError(f"{name} is not symmetric to tolerance {COV_TOL}")
     return 0.5 * (A + A.T)
 
 
@@ -198,7 +216,7 @@ def spectral_abscissa(A: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(A).real))
 
 
-def lyapunov_solve(A2, Q, tol: float = HURWITZ_TOL) -> np.ndarray:
+def lyapunov_solve(A2, Q) -> np.ndarray:
     """Unique solution of ``A2 G + G A2' + Q = 0`` for Hurwitz ``A2``.
 
     Solved by Bartels-Stewart (Schur decomposition of ``A2``).
@@ -210,10 +228,10 @@ def lyapunov_solve(A2, Q, tol: float = HURWITZ_TOL) -> np.ndarray:
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    if spectral_abscissa(A) >= -tol:
+    if spectral_abscissa(A) >= -HURWITZ_TOL:
         raise StabilityError(
             "A2 is not Hurwitz: an eigenvalue has real part >= "
-            f"{-tol} (max Re = {spectral_abscissa(A):.3e})"
+            f"{-HURWITZ_TOL} (max Re = {spectral_abscissa(A):.3e})"
         )
     G = sla.solve_continuous_lyapunov(A, -Qs)
     return 0.5 * (G + G.T)
@@ -358,7 +376,7 @@ def companion_matrix(coeffs: list[np.ndarray]) -> np.ndarray:
     for i, Ci in enumerate(mats):
         if Ci.shape != (d, d):
             raise DimensionError(f"coefficient {i} has shape {Ci.shape}, expected ({d}, {d})")
-    if np.linalg.norm(mats[0] - np.eye(d)) > 1e-12 * (1.0 + d):
+    if np.linalg.norm(mats[0] - np.eye(d)) > MONIC_TOL * (1.0 + d):
         raise ValidationError("matrix polynomial is not monic (leading coefficient != I)")
     p = len(mats) - 1
     if p == 0:
@@ -438,18 +456,18 @@ def positive_lower_triangularize(C, rel_tol: float = RANK_REL_TOL) -> tuple[np.n
     return C1, T1
 
 
-def psd_factor(S: np.ndarray, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
+def psd_factor(S: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Symmetric factor ``F`` with ``F F' = S`` for a PSD matrix.
 
     Eigen-based so that exactly singular covariances are handled; raises if
-    the smallest eigenvalue is below ``-tol * scale``.
+    the smallest eigenvalue is below ``-PSD_TOL max(1, largest eigenvalue)``.
     """
     Ss = check_symmetric(S, name)
     if Ss.shape[0] == 0:
         return Ss.copy()
     w, V = np.linalg.eigh(Ss)
     scale = max(1.0, float(w[-1]))
-    if w[0] < -tol * scale:
+    if w[0] < -PSD_TOL * scale:
         raise NumericError(
             f"{name} is not positive semidefinite to tolerance "
             f"(min eigenvalue {w[0]:.3e})"

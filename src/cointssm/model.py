@@ -7,7 +7,7 @@ marked read-only), so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,6 @@ LEVY_KINDS = (
     "compound_poisson_gaussian_jumps",
     "brownian_plus_compound_poisson",
 )
-
-#: Orthonormality tolerance for the canonical C1 block.
-C1_ORTHO_TOL = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -83,39 +80,41 @@ class LevyValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_levy(spec: LevySpec, tol: float = 1e-10) -> LevyValidationReport:
+def validate_levy(spec: LevySpec) -> LevyValidationReport:
     """Check the standing assumptions on the driver, clause by clause.
 
-    Passes iff ``sigma_L`` is symmetric with strictly positive smallest
-    eigenvalue and the kind-specific covariance decomposition is coherent.
+    Passes iff ``sigma_L`` is symmetric with smallest eigenvalue above
+    ``COV_TOL (1 + ||sigma_L||)``, ``jump_cov`` symmetric with smallest eigenvalue
+    at least ``-COV_TOL (1 + ||jump_cov||)``, and the Brownian part zero (pure jumps)
+    or PSD to ``LEVY_SPLIT_TOL (1 + ||sigma_L||)``, the tolerances of `matops`.
     Failures are collected rather than raised so callers can report them all.
     """
     failures: list[str] = []
     sig = np.asarray(spec.sigma_L, dtype=float)
     scale = 1.0 + np.linalg.norm(sig)
-    if np.linalg.norm(sig - sig.T) > tol * scale:
+    if not matops.is_symmetric(sig):
         failures.append("sigma_L is not symmetric")
     else:
         min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (sig + sig.T))))
-        if min_eig <= tol * scale:
+        if min_eig <= matops.COV_TOL * scale:
             failures.append(
                 f"sigma_L is singular or not positive definite (min eigenvalue {min_eig:.3e})"
             )
     if spec.kind != "brownian":
         jc = np.asarray(spec.jump_cov, dtype=float)
-        if np.linalg.norm(jc - jc.T) > tol * (1.0 + np.linalg.norm(jc)):
+        if not matops.is_symmetric(jc):
             failures.append("jump_cov is not symmetric")
-        elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -tol * (1.0 + np.linalg.norm(jc)):
+        elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -matops.COV_TOL * (1 + np.linalg.norm(jc)):
             failures.append("jump_cov is not positive semidefinite")
         diff = spec.diffusion_cov
         if spec.kind == "compound_poisson_gaussian_jumps":
-            if np.linalg.norm(diff) > 1e-8 * scale:
+            if np.linalg.norm(diff) > matops.LEVY_SPLIT_TOL * scale:
                 failures.append(
                     "sigma_L != jump_rate * jump_cov for the pure-jump driver"
                 )
         else:
             dmin = float(np.min(np.linalg.eigvalsh(0.5 * (diff + diff.T))))
-            if dmin < -1e-8 * scale:
+            if dmin < -matops.LEVY_SPLIT_TOL * scale:
                 failures.append(
                     "sigma_L - jump_rate * jump_cov is not PSD, no Brownian component fits"
                 )
@@ -229,7 +228,7 @@ class McarmaModel:
         return [np.eye(self.d)] + [np.array(Pi) for Pi in self.p_coeffs]
 
 
-def _check_plt(C1: np.ndarray, tol: float) -> None:
+def _check_plt(C1: np.ndarray) -> None:
     """Positive lower triangular in the column sense: in every column the
     first nonzero entry is positive, pivots strictly increase across columns.
     """
@@ -237,7 +236,7 @@ def _check_plt(C1: np.ndarray, tol: float) -> None:
     prev = -1
     for j in range(c):
         col = C1[:, j]
-        nz = np.nonzero(np.abs(col) > tol)[0]
+        nz = np.nonzero(np.abs(col) > matops.PLT_TOL)[0]
         if nz.size == 0:
             raise ValidationError(f"column {j} of C1 is numerically zero")
         piv = int(nz[0])
@@ -270,7 +269,6 @@ class CointCanonicalForm:
     C1: np.ndarray
     C2: np.ndarray
     levy: LevySpec
-    plt_tol: float = field(default=1e-8, repr=False)
 
     def __post_init__(self):
         A2 = matops.as_square(self.A2, "A2")
@@ -302,9 +300,9 @@ class CointCanonicalForm:
         _require_valid_levy(self.levy)
         if c > 0:
             gram = C1.T @ C1
-            if np.linalg.norm(gram - np.eye(c)) > C1_ORTHO_TOL * (1.0 + c):
+            if np.linalg.norm(gram - np.eye(c)) > matops.C1_ORTHO_TOL * (1.0 + c):
                 raise ValidationError("C1 does not have orthonormal columns")
-            _check_plt(C1, self.plt_tol)
+            _check_plt(C1)
             if matops.numerical_rank(B1).rank != c:
                 raise ValidationError(f"B1 must have full row rank {c}")
         if n2 > 0 and matops.spectral_abscissa(A2) >= -matops.HURWITZ_TOL:

@@ -58,7 +58,7 @@ class SampledModel:
         return self.eAh[self.c:, self.c:]
 
 
-def _van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(e^{Ah}, int_0^h e^{A u} B S B' e^{A' u} du)`` for a driver covariance ``S``.
 
     With ``A = diag(0_c, A2)`` and ``B = [B1; B2]``, one exponential
@@ -92,7 +92,7 @@ def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
     """Exact sampled model on the grid {nh}.
 
     ``eAh`` and ``sigma_tilde`` come from one Van Loan exponential and its
-    doublings with ``S = sigma_L`` (see ``_van_loan``). Blockwise,
+    doublings with ``S = sigma_L`` (see `van_loan`). Blockwise,
     sigma11 = h B1 S B1', sigma21 = int_0^h e^{A2 u} B2 S B1' du and
     sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du; gamma0 solves
     A2 G + G A2' + B2 S B2' = 0.
@@ -100,7 +100,7 @@ def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
     if not (np.isfinite(h) and h > 0):
         raise ValidationError(f"sampling step h must be positive and finite, got {h}")
     S = np.asarray(cf.levy.sigma_L)
-    eAh, sigma = _van_loan(cf, h, S)
+    eAh, sigma = van_loan(cf, h, S)
     B2 = np.asarray(cf.B2)
     gamma0 = matops.lyapunov_solve(np.asarray(cf.A2), B2 @ S @ B2.T)
     return SampledModel(h=float(h), c=cf.c, eAh=eAh, sigma_tilde=sigma, gamma0=gamma0)

@@ -20,10 +20,6 @@ from .errors import (
 )
 from .model import CointCanonicalForm, McarmaModel, StateSpaceModel
 
-#: Relative threshold (scaled by 1 + ||A||) below which an eigenvalue of A
-#: counts as the unit-root eigenvalue zero.
-ZERO_EIG_REL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class MinimalityReport:
@@ -190,11 +186,8 @@ def _echelon_transform(A2: np.ndarray, C2: np.ndarray,
     return O[rows]
 
 
-def canonicalize(
-    m: StateSpaceModel,
-    zero_tol: float | None = None,
-    rel_tol: float = matops.RANK_REL_TOL,
-) -> tuple[CointCanonicalForm, np.ndarray]:
+def canonicalize(m: StateSpaceModel,
+                 rel_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, np.ndarray]:
     """Unique observationally equivalent decoupled canonical form.
 
     Steps: ordered real Schur form placing near-zero eigenvalues first;
@@ -211,7 +204,7 @@ def canonicalize(
             f"model is not minimal (observability rank {rep.observability_rank}, "
             f"controllability rank {rep.controllability_rank}, N={N})"
         )
-    tol0 = (ZERO_EIG_REL_TOL if zero_tol is None else zero_tol) * (1.0 + np.linalg.norm(A))
+    tol0 = matops.ZERO_EIG_REL_TOL * (1.0 + np.linalg.norm(A))
     eigs = np.linalg.eigvals(A)
     near_zero = np.abs(eigs) < tol0
     if np.any(~near_zero & (eigs.real > tol0)):

@@ -131,7 +131,7 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
     x0 = _check_x1_0(cf, x1_0)
     if cf.levy.jump_rate > 0:
-        _, sigma_w = moments._van_loan(cf, sm.h, cf.levy.diffusion_cov)
+        _, sigma_w = moments.van_loan(cf, sm.h, cf.levy.diffusion_cov)
     else:
         sigma_w = sm.sigma_tilde
     noise_factor = matops.psd_factor(sigma_w, name="Brownian noise covariance")

@@ -200,7 +200,7 @@ def test_criterion_07_k1_rank_law(coint_mcarma_batch):
         k1 = k_at_one(ks)
         assert matops.numerical_rank(k1).rank == m.d - cf.c
         assert np.linalg.norm(k1 @ np.asarray(cf.C1)) <= 1e-8
-        chk = structural_check(ks, sm, cf, tol_idem=1e-8, tol_k1=1e-8)
+        chk = structural_check(ks, sm, cf)
         assert chk.idempotency_defect <= 1e-8
         assert chk.projector_rank == m.d - cf.c
         assert chk.k1_reconstruction_error <= 1e-8

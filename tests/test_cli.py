@@ -1,10 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import helpers
-from cointssm import canonicalize
+from cointssm import canonicalize, matops
 from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
 from cointssm.errors import MinimalityError
 from cointssm.modeldoc import canonical_to_doc, parse_document
@@ -272,6 +273,17 @@ class TestAnalyzeCommand:
         assert np.isclose(first[2], 1.0)  # Var(Y_1(1)) = t
         assert out["moments_csv"].splitlines()[1] == lines[1]
 
+    @pytest.mark.parametrize("flag,value", [("--t-grid", "1,2"), ("--s-grid", "0"),
+                                            ("--output", "mom.csv")])
+    def test_moment_flags_need_moments(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_json(tmp_path / "model.json", scalar_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", cfg, flag, value])
+        assert exc.value.code == 2
+        assert f"analyze: {flag} needs --moments" in capsys.readouterr().err
+        assert not (tmp_path / "mom.csv").exists()
+
     @pytest.mark.parametrize("flag,value", [("--t-grid", "abc"), ("--t-grid", "nan,1"),
                                             ("--s-grid", "0,inf"), ("--s-grid", "")])
     def test_bad_grid_is_a_usage_error(self, tmp_path, capsys, flag, value):
@@ -464,12 +476,22 @@ class TestPathCsvValidation:
     def _break_y_count(lines):
         lines[0] = lines[0].replace("y_2", "z_2")
 
+    @staticmethod
+    def _break_wide_header(lines):
+        lines[0] += ",y_3"
+
+    @staticmethod
+    def _break_wide_rows(lines):
+        lines[1:] = [line + ",0" for line in lines[1:]]
+
     @pytest.mark.parametrize("command", ["filter", "ecf"])
     @pytest.mark.parametrize("breaker,message", [
         ("_break_ragged", "number of columns changed"),
         ("_break_x2", "'abc'"),
         ("_break_time_header", "must start with a 't' column"),
         ("_break_y_count", "path has 1 observation columns, model has d=2"),
+        ("_break_wide_header", "has 7 columns per row, its header names 8"),
+        ("_break_wide_rows", "has 8 columns per row, its header names 7"),
     ])
     def test_bad_path_csv_exits_2(self, tmp_path, capsys, command, breaker, message):
         doc = partial_doc()
@@ -519,6 +541,23 @@ class TestParser:
             main([command, cfg, f"--rank-tol={value}"])
         assert exc.value.code == 2
         assert "--rank-tol" in capsys.readouterr().err
+
+    def test_rank_tol_reaches_every_rank_decision(self, tmp_path, capsys, monkeypatch):
+        cfg = write_json(tmp_path / "model.json", mcar1_doc())
+        rank = matops.numerical_rank
+        seen = []
+
+        def recording(M, rel_tol=matops.RANK_REL_TOL):
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "__post_init__":  # model construction checks against the table
+                seen.append((caller, rel_tol))
+            return rank(M, rel_tol)
+
+        monkeypatch.setattr(matops, "numerical_rank", recording)
+        for command in ("analyze", "ecf"):
+            seen.clear()
+            assert main([command, cfg, "--rank-tol", "1e-6"]) == 0
+            assert seen and all(tol == 1e-6 for _, tol in seen), (command, seen)
 
     def test_filter_takes_no_rank_tol(self):
         with pytest.raises(SystemExit):

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -446,3 +449,32 @@ class TestFirstIndependentRows:
     def test_raises_when_rank_deficient(self):
         with pytest.raises(RankError):
             matops.first_independent_rows(np.ones((3, 2)), 2)
+
+
+class TestToleranceTable:
+    SOURCES = sorted(pathlib.Path(matops.__file__).parent.glob("*.py"))
+
+    @staticmethod
+    def _table_values(tree):
+        """Id of every value node of a module-level ``*_TOL = <literal>``."""
+        return {id(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id.endswith("_TOL")}
+
+    def test_thresholds_only_in_the_matops_table(self):
+        stray = []
+        for path in self.SOURCES:
+            tree = ast.parse(path.read_text())
+            table = self._table_values(tree) if path.name == "matops.py" else set()
+            stray += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and type(node.value) is float
+                      and 0.0 < node.value <= 1e-6 and id(node) not in table]
+        assert not stray, f"thresholds outside the matops tolerance table: {stray}"
+
+    def test_rel_tol_is_the_only_tolerance_argument(self):
+        knobs = [f"{path.name}:{node.lineno} {arg.arg}" for path in self.SOURCES
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)
+                 for arg in node.args.args + node.args.kwonlyargs
+                 if "tol" in arg.arg and arg.arg != "rel_tol"]
+        assert not knobs, knobs
