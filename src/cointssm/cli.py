@@ -8,6 +8,7 @@ codes: 0 success, 2 validation failure, 3 numeric/convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -82,6 +83,17 @@ def _sidecar_path(csv_path: str) -> str:
     return csv_path + ".json"
 
 
+def _refuse_overwrite(inputs, outputs) -> None:
+    """Raise `ValidationError` (exit 2) when an output path resolves to an
+    input file; commands call it before they write anything. ``None``
+    entries (options not given) are skipped."""
+    taken = {os.path.realpath(p): p for p in inputs if p}
+    for out in filter(None, outputs):
+        src = taken.get(os.path.realpath(out))
+        if src is not None:
+            raise ValidationError(f"writing {out} would overwrite the input file {src}")
+
+
 def _load_canonical(config_path: str,
                     rel_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, dict]:
     doc = load_document(config_path)
@@ -91,11 +103,7 @@ def _load_canonical(config_path: str,
 
 def cmd_simulate(args) -> int:
     sidecar_path = _sidecar_path(args.output)
-    if os.path.realpath(args.config) in {os.path.realpath(p) for p in (args.output, sidecar_path)}:
-        raise ValidationError(
-            f"writing {args.output} and its sidecar {sidecar_path} would overwrite "
-            f"the model document {args.config}"
-        )
+    _refuse_overwrite([args.config], [args.output, sidecar_path])
     cf, doc = _load_canonical(args.config)
     opts = parse_sampling(doc)
     sm = moments.discretize(cf, opts.h)
@@ -139,6 +147,7 @@ def _coint_report_doc(report) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    _refuse_overwrite([args.config], [args.output])
     doc = load_document(args.config)
     mod = parse_document(doc)
     out: dict = {"model_kind": doc["model_kind"]}
@@ -197,15 +206,16 @@ def _infer_h(times: np.ndarray) -> float:
 
 
 def cmd_filter(args) -> int:
+    innovations_path = args.output_prefix + "_innovations.csv"
+    solution_path = args.output_prefix + "_solution.json"
+    _refuse_overwrite([args.model, args.path], [innovations_path, solution_path])
     cf, _ = _load_canonical(args.model)
     times, y = _read_path_csv(args.path, cf.d)
-    h = args.h if args.h is not None else _infer_h(times)
-    sm = moments.discretize(cf, h)
+    sm = moments.discretize(cf, _infer_h(times))
     ks = kalman.solve_steady_state(sm, cf)
     eps, _ = kalman.filter_innovations(ks, sm, y)
     header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
-    _write_csv(args.output_prefix + "_innovations.csv", header,
-               np.hstack([times[:, None], eps]))
+    _write_csv(innovations_path, header, np.hstack([times[:, None], eps]))
     solution = {
         "h": sm.h,
         "omega": mat_to_list(ks.omega),
@@ -214,19 +224,19 @@ def cmd_filter(args) -> int:
         "residual": ks.residual,
         "rho_closed_loop": ks.spectral_radius,
     }
-    with open(args.output_prefix + "_solution.json", "w", encoding="utf-8", newline="\n") as fh:
+    with open(solution_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_json(solution))
     return EXIT_OK
 
 
 def cmd_ecf(args) -> int:
+    _refuse_overwrite([args.model, args.path], [args.residuals_out])
     cf, doc = _load_canonical(args.model, args.rank_tol)
     opts = parse_sampling(doc)
     times = y = None
     if args.path:
         times, y = _read_path_csv(args.path, cf.d)
-    h = args.h if args.h is not None else (_infer_h(times) if times is not None else opts.h)
-    sm = moments.discretize(cf, h)
+    sm = moments.discretize(cf, _infer_h(times) if times is not None else opts.h)
     ks = kalman.solve_steady_state(sm, cf, args.rank_tol)
     dec = ecf_mod.ma_and_ktilde_coeffs(ks, sm, args.J, rel_tol=args.rank_tol)
     check = ecf_mod.structural_check(ks, sm, cf, args.rank_tol)
@@ -297,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cointegrated continuous-time state-space models: "
                     "simulation, analysis, Kalman filtering and error correction forms.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Options must be spelled out: an abbreviation would let a removed flag
+    # resolve to another one (``--h`` to ``--help``, exit 0).
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     def add_rank_tol(p):
         p.add_argument("--rank-tol", type=_rank_tol, default=matops.RANK_REL_TOL,
@@ -330,22 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fil = sub.add_parser("filter", help="steady state Kalman filter over a path CSV")
     p_fil.add_argument("model", help="model document (JSON)")
-    p_fil.add_argument("path", help="path CSV with t and y_* columns")
+    p_fil.add_argument("path", help="path CSV with t and y_* columns on a uniform grid; "
+                                    "its step is the sampling step h")
     p_fil.add_argument("-o", "--output-prefix", required=True,
                        help="prefix for _innovations.csv and _solution.json")
-    p_fil.add_argument("--h", type=float, default=None,
-                       help="override the sampling step inferred from the CSV")
     p_fil.set_defaults(func=cmd_filter)
 
     p_ecf = sub.add_parser("ecf", help="error correction decomposition report")
     p_ecf.add_argument("model", help="model document (JSON)")
-    p_ecf.add_argument("--path", default=None, help="optional path CSV for residual checks")
+    p_ecf.add_argument("--path", default=None,
+                       help="optional path CSV for residual checks; its grid step is the "
+                            "sampling step h (default: the document's sampling block)")
     p_ecf.add_argument("--J", type=int, default=ecf_mod.DEFAULT_TRUNCATION,
                        help="highest lag of the reported filter coefficients (tail_bound "
                             "bounds the rest); residual rows start after the first J + 1. "
                             "The residuals always apply the whole infinite filter")
-    p_ecf.add_argument("--h", type=float, default=None,
-                       help="sampling step (default: CSV grid or the document's sampling block)")
     p_ecf.add_argument("--residuals-out", default=None, help="write ECF residual CSV here")
     add_rank_tol(p_ecf)
     p_ecf.set_defaults(func=cmd_ecf)

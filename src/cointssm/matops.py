@@ -3,12 +3,12 @@
 Everything here carries no model semantics and, apart from
 `linear_recursion`, which scans its input in place, is a pure function of
 its arguments: matrix exponentials and their action on many vectors at
-many times, the single-sided exponential integral, a Bartels-Stewart
-Lyapunov solver, the ends-first blocked scan of the linear recursion
-``x_n = F x_{n-1} + u_n`` behind the filter, the sampler and the error
-correction residuals and coefficients, SVD rank decisions, orthogonal
-complements, block-companion polynomial roots and the
-positive-lower-triangular orthonormalization used by the canonical form.
+many times, a Bartels-Stewart Lyapunov solver, the ends-first blocked scan
+of the linear recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the
+sampler and the error correction residuals and coefficients, SVD rank
+decisions, orthogonal complements, block-companion polynomial roots and
+the positive-lower-triangular orthonormalization used by the canonical
+form.
 """
 
 from __future__ import annotations
@@ -89,30 +89,6 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 def expm(M) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade) of a square matrix."""
     return sla.expm(as_square(M, "expm input"))
-
-
-def cross_integral(A2, G, h: float) -> np.ndarray:
-    """Single-sided integral ``int_0^h e^{A2 u} G du``: the top-right block
-    of the augmented exponential ``exp([[A2, G], [0, 0]] h)`` (Van Loan
-    1978), accurate to working precision for singular ``A2`` and small h
-    alike.
-    """
-    A = as_square(A2, "A2")
-    Gm = as_matrix(G, "G")
-    if Gm.shape[0] != A.shape[0]:
-        raise DimensionError(
-            f"G has {Gm.shape[0]} rows, expected {A.shape[0]}"
-        )
-    if h < 0:
-        raise ValidationError(f"integration length h must be >= 0, got {h}")
-    n, k = A.shape[0], Gm.shape[1]
-    if h == 0 or n == 0 or k == 0:
-        return np.zeros((n, k))
-    blk = np.zeros((n + k, n + k))
-    blk[:n, :n] = A
-    blk[:n, n:] = Gm
-    phi = sla.expm(blk * h)
-    return phi[:n, n:]
 
 
 #: Degree of the Taylor polynomials in `expm_action`: for ``||M||_1 <= 1/2``

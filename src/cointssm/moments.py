@@ -115,31 +115,25 @@ def mean(cf: CointCanonicalForm, x1_0) -> np.ndarray:
 
 
 def cov_continuous(cf: CointCanonicalForm, t: float, s: float) -> np.ndarray:
-    """``Cov(Y(t), Y(t+s)) = E[Y(t) Y(t+s)']`` under the convention ``X1(0) = 0``.
+    """``Cov(Y(t), Y(t+s)) = E[Y(t) Y(t+s)'] = C P(t) e^{A' s} C'`` with
+    ``X1(0) = 0`` and X2 started in its stationary law.
 
-    Four closed-form terms: the stationary autocovariance
-    ``C2 Gamma0 e^{A2' s} C2'`` (the later time sits on the transposed side;
-    Monte-Carlo arbitration picks this orientation), two Levy/stationary
-    cross integrals, and the random-walk term ``t C1 B1 S (C1 B1)'``.
+    ``P(t) = Cov(X(t))`` is the Van Loan covariance at t (`van_loan`) with its
+    stationary block set to gamma0, and ``e^{As} = diag(I_c, e^{A2 s})``
+    carries X(t) to the later time, which sits on the transposed side
+    (Monte-Carlo arbitration picks this orientation). No term is a difference
+    of integrals, so every entry keeps its relative accuracy at any lag.
     """
     if t < 0 or s < 0:
         raise ValidationError(f"need t, s >= 0, got t={t}, s={s}")
-    C1, C2 = np.asarray(cf.C1), np.asarray(cf.C2)
-    B1, B2, A2 = np.asarray(cf.B1), np.asarray(cf.B2), np.asarray(cf.A2)
+    c, A2, B2 = cf.c, np.asarray(cf.A2), np.asarray(cf.B2)
     S = np.asarray(cf.levy.sigma_L)
-    d = cf.d
-
-    out = np.zeros((d, d))
-    if cf.n2:
-        gamma0 = matops.lyapunov_solve(A2, B2 @ S @ B2.T)
-        out += C2 @ gamma0 @ matops.expm(A2.T * s) @ C2.T
-        G = B2 @ S @ (C1 @ B1).T
-        if t > 0:
-            out += C2 @ matops.cross_integral(A2, G, t)
-            tail = matops.cross_integral(A2, G, t + s) - matops.cross_integral(A2, G, s)
-            out += (C2 @ tail).T
-    out += t * (C1 @ B1) @ S @ (C1 @ B1).T
-    return out
+    _, P = van_loan(cf, t, S)
+    P[c:, c:] = matops.lyapunov_solve(A2, B2 @ S @ B2.T)
+    eAs = np.eye(cf.N)
+    eAs[c:, c:] = matops.expm(A2 * s)
+    C = cf.full_C()
+    return C @ P @ eAs.T @ C.T
 
 
 def cov_sampled(sm: SampledModel, cf: CointCanonicalForm, n: int, s: int) -> np.ndarray:

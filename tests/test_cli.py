@@ -295,6 +295,13 @@ class TestAnalyzeCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_over_model_document_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "model.json", scalar_doc())
+        before = (tmp_path / "model.json").read_bytes()
+        assert main(["analyze", cfg, "--moments", "--output", cfg]) == 2
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "model.json").read_bytes() == before
+
 
 class TestCanonicalizeCommand:
     def test_canonicalizes_state_space(self, tmp_path, capsys):
@@ -369,6 +376,19 @@ class TestFilterCommand:
         })
         assert main(["filter", other, str(csv), "-o", str(tmp_path / "f2")]) == 2
 
+    def test_outputs_over_inputs_exit_2(self, tmp_path):
+        # the prefix "run" names run_innovations.csv and run_solution.json
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 50
+        cfg = write_json(tmp_path / "run_solution.json", doc)
+        csv = tmp_path / "run_innovations.csv"
+        assert main(["simulate", cfg, "-o", str(csv)]) == 0
+        other_cfg = write_json(tmp_path / "model.json", doc)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for model in (cfg, other_cfg):
+            assert main(["filter", model, str(csv), "-o", str(tmp_path / "run")]) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg, csv = self._simulated(tmp_path, partial_doc())
         main(["filter", cfg, str(csv), "-o", str(tmp_path / "r1")])
@@ -430,6 +450,19 @@ class TestEcfCommand:
         assert out["max_residual_gap"] <= 1e-10
         assert len(res_out.read_text().splitlines()) == 600 - 201 + 1
 
+    def test_residuals_over_inputs_exit_2(self, tmp_path, capsys):
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 600
+        cfg = write_json(tmp_path / "model.json", doc)
+        csv = tmp_path / "path.csv"
+        main(["simulate", cfg, "-o", str(csv)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        for out in (cfg, str(csv)):
+            assert main(["ecf", cfg, "--path", str(csv), "--residuals-out", out]) == 2
+            assert capsys.readouterr().out == ""
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_stationary_model_exits_3(self, tmp_path):
         doc = {
             "schema_version": "1",
@@ -473,6 +506,10 @@ class TestPathCsvValidation:
         lines[0] = "time" + lines[0][1:]
 
     @staticmethod
+    def _break_time_order(lines):
+        lines[3], lines[4] = lines[4], lines[3]
+
+    @staticmethod
     def _break_y_count(lines):
         lines[0] = lines[0].replace("y_2", "z_2")
 
@@ -489,6 +526,7 @@ class TestPathCsvValidation:
         ("_break_ragged", "number of columns changed"),
         ("_break_x2", "'abc'"),
         ("_break_time_header", "must start with a 't' column"),
+        ("_break_time_order", "times must be strictly increasing"),
         ("_break_y_count", "path has 1 observation columns, model has d=2"),
         ("_break_wide_header", "has 7 columns per row, its header names 8"),
         ("_break_wide_rows", "has 8 columns per row, its header names 7"),
@@ -558,6 +596,22 @@ class TestParser:
             seen.clear()
             assert main([command, cfg, "--rank-tol", "1e-6"]) == 0
             assert seen and all(tol == 1e-6 for _, tol in seen), (command, seen)
+
+    @pytest.mark.parametrize("argv", [["filter", "model.json", "path.csv", "-o", "flt"],
+                                      ["ecf", "model.json", "--path", "path.csv"],
+                                      ["ecf", "model.json"]])
+    def test_no_step_override(self, tmp_path, capsys, monkeypatch, argv):
+        # h comes from the path's grid or the document; --h skipped the
+        # time-column check and could contradict the grid
+        monkeypatch.chdir(tmp_path)
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 50
+        write_json(tmp_path / "model.json", doc)
+        assert main(["simulate", "model.json", "-o", "path.csv"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--h", "1"])
+        assert exc.value.code == 2
+        assert "--h" in capsys.readouterr().err
 
     def test_filter_takes_no_rank_tol(self):
         with pytest.raises(SystemExit):

@@ -159,44 +159,6 @@ class TestGramianIntegral:
             self._model(1.0, helpers.brownian(3))
 
 
-class TestCrossIntegral:
-    def test_zero_generator(self):
-        assert np.allclose(matops.cross_integral(np.zeros((1, 1)), [[1.0]], 2.0), [[2.0]])
-
-    def test_scalar_decay(self):
-        for h in (0.5, 1.0, 3.0):
-            out = matops.cross_integral([[-1.0]], [[1.0]], h)
-            assert np.allclose(out, [[1.0 - np.exp(-h)]], atol=1e-13)
-
-    def test_matches_quadrature(self, rng):
-        for _ in range(4):
-            n, k = rng.integers(1, 4), rng.integers(1, 4)
-            A = helpers.random_hurwitz(rng, n)
-            G = rng.normal(size=(n, k))
-            h = rng.uniform(0.2, 2.0)
-            out = matops.cross_integral(A, G, h)
-            assert np.allclose(out, helpers.simpson_cross(A, G, h), atol=1e-8)
-
-    def test_singular_generator_falls_back_to_augmented(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        G = np.eye(2)
-        out = matops.cross_integral(A, G, 2.0)
-        assert np.allclose(out, helpers.simpson_cross(A, G, 2.0), atol=1e-8)
-
-    def test_rejects_mismatched_rows(self):
-        with pytest.raises(DimensionError):
-            matops.cross_integral(np.eye(2), np.eye(3), 1.0)
-
-    @pytest.mark.parametrize("h", [1e-9, 1e-12])
-    def test_small_step_matches_series(self, h):
-        # A2^{-1}(e^{A2 h} - I) G cancels here: 3e-8 and 2.5e-5 off (relative)
-        A = np.array([[-1.0, 0.4], [0.0, -2.0]])
-        G = np.array([[0.3, 1.0], [-0.4, 0.5]])
-        want = h * G + 0.5 * h**2 * A @ G
-        out = matops.cross_integral(A, G, h)
-        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
-
-
 class TestLyapunov:
     def test_scalar(self):
         assert np.allclose(matops.lyapunov_solve([[-1.0]], [[2.0]]), [[1.0]])
@@ -478,3 +440,27 @@ class TestToleranceTable:
                  for arg in node.args.args + node.args.kwonlyargs
                  if "tol" in arg.arg and arg.arg != "rel_tol"]
         assert not knobs, knobs
+
+
+class TestUnreadParameters:
+    SOURCES = TestToleranceTable.SOURCES
+    #: (function, parameter) pairs allowed to go unread, with the reason.
+    ALLOWED = {
+        # the benchmark's tracer passes it positionally; it goes with the next
+        # change to the benchmark
+        ("kalman.filter_innovations", "sm"),
+    }
+
+    def test_every_parameter_is_read(self):
+        unread = set()
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                read = {n.id for n in ast.walk(node)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread |= {(f"{path.stem}.{node.name}", p.arg) for p in params
+                           if p is not None and p.arg not in read}
+        assert unread == self.ALLOWED

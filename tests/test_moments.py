@@ -3,6 +3,7 @@ import pytest
 
 import helpers
 from cointssm import (
+    CointCanonicalForm,
     cointegration_space,
     cov_continuous,
     cov_sampled,
@@ -13,6 +14,7 @@ from cointssm import (
     simulate_gaussian_ensemble,
 )
 from cointssm.errors import ValidationError
+from cointssm.moments import van_loan
 
 
 class TestDiscretize:
@@ -87,6 +89,18 @@ class TestDiscretize:
         assert np.all(np.abs(emp - scalar_sm.sigma_tilde) <= 3.0 * se)
 
 
+class TestVanLoan:
+    @pytest.mark.parametrize("h", [1e-9, 1e-12])
+    def test_small_step_matches_series(self, partial_cf, h):
+        # the cross block int_0^h e^{A2 u} G du against its two-term series
+        S = np.asarray(partial_cf.levy.sigma_L)
+        B1, B2, A2 = map(np.asarray, (partial_cf.B1, partial_cf.B2, partial_cf.A2))
+        G = B2 @ S @ B1.T
+        want = h * G + 0.5 * h**2 * A2 @ G
+        out = van_loan(partial_cf, h, S)[1][1:, :1]
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestCovContinuous:
     def test_zero_time_reduces_to_stationary_term(self, partial_cf):
         C2 = np.asarray(partial_cf.C2)
@@ -135,6 +149,17 @@ class TestCovContinuous:
         slope = C1B1 @ np.asarray(partial_cf.levy.sigma_L) @ C1B1.T
         c35, c45 = cov_continuous(partial_cf, 35.0, 0.0), cov_continuous(partial_cf, 45.0, 0.0)
         assert np.allclose((c45 - c35) / 10.0, slope, atol=1e-8)
+
+    @pytest.mark.parametrize("s", [20.0, 30.0, 36.0])
+    def test_large_lag_keeps_relative_accuracy(self, s):
+        # Cov(Y1(1), Y2(1 + s)) = e^{-s} (1 - e^{-1}) decays with the lag; a
+        # difference of two cross integrals loses it to cancellation
+        cf = CointCanonicalForm(
+            c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[1.0, 1.0]],
+            C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=helpers.brownian(2),
+        )
+        want = np.exp(-s) * (1.0 - np.exp(-1.0))
+        assert abs(cov_continuous(cf, 1.0, s)[0, 1] - want) <= 1e-12 * want
 
     def test_monte_carlo_cross_covariance(self, partial_cf):
         sm = discretize(partial_cf, 1.0)
