@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="highest lag of the reported filter coefficients (tail_bound "
                             "bounds the rest); residual rows start after the first J + 1. "
                             "The residuals always apply the whole infinite filter")
-    p_ecf.add_argument("--residuals-out", default=None, help="write ECF residual CSV here")
+    p_ecf.add_argument("--residuals-out", default=None,
+                       help="write ECF residual CSV here (needs --path)")
     add_rank_tol(p_ecf)
     p_ecf.set_defaults(func=cmd_ecf)
     return parser
@@ -371,6 +372,8 @@ def main(argv=None) -> int:
         for flag in ("--t-grid", "--s-grid", "--output"):
             if getattr(args, flag[2:].replace("-", "_")) is not None:
                 parser.error(f"analyze: {flag} needs --moments")
+    if args.command == "ecf" and args.residuals_out is not None and args.path is None:
+        parser.error("ecf: --residuals-out needs --path")
     try:
         return args.func(args)
     except ModelInputError as exc:

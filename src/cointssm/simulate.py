@@ -7,11 +7,23 @@ exact time within the step and carried to the step's end by
 `matops.expm_action` (no exponential per jump). Paths are fully
 reproducible from (seed, path_index) via independent derived streams, and
 the stationary block is stepped with `matops.linear_recursion`.
+
+A path is ``y = C1 (x1_0 + cumsum(r1)) + C2 x2``, so `PathSet` stores the
+observations ``y``, the stationary state ``x2`` and the unit-root noise
+``r1`` and derives ``times``, ``x1`` and ``y2 = C2 x2`` when first read.
+The Gaussian noise is drawn ``DRAW_ROWS`` rows at a time into one block
+and multiplied from there into ``r1`` and ``x2``, and ``C2 x2`` is added to
+``y`` in blocks of rows, so no path-sized draws or ``C2 x2`` array is
+formed. The stream and the values are bitwise those of one draw of the
+whole array, except in one-step ensembles (an ulp at most: numpy multiplied
+each one-row path by gemv, and the blocks use gemm).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,32 +32,48 @@ from .errors import ValidationError
 from .model import CointCanonicalForm
 from .moments import SampledModel
 
+#: Rows per block of the Gaussian noise draws and of the ``C2 x2`` sums.
+DRAW_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class PathSet:
     """One simulated path of the sampled model.
 
-    Row ``n`` (0-based) holds time ``(n+1) h``; ``r1`` retains the unit-root
-    noise ``B1 (L(nh) - L((n-1)h))`` and ``y2 = C2 x2`` the stationary part,
-    both needed by the innovation-representation cross-checks. ``c1`` keeps
-    the observation block of the generating model so the decompositions can
-    be reproduced from the path alone.
+    Row ``n`` (0-based) holds time ``(n+1) h``. Stored: the observations
+    ``y``, the stationary state ``x2``, the unit-root noise
+    ``r1 = B1 (L(nh) - L((n-1)h))``, the unit-root start ``x1_0`` and the
+    observation blocks ``c1`` and ``c2`` of the generating model, so the
+    decompositions can be reproduced from the path alone. Derived on first
+    read and then kept: ``times = h (1..n)``, ``x1 = x1_0 + cumsum(r1)`` and
+    the stationary part ``y2 = C2 x2``, with ``y = C1 x1 + y2``.
     """
 
     h: float
-    times: np.ndarray
     y: np.ndarray
-    x1: np.ndarray
     x2: np.ndarray
     r1: np.ndarray
-    y2: np.ndarray
+    x1_0: np.ndarray
     c1: np.ndarray
+    c2: np.ndarray
     seed: int
     driver_kind: str
 
     @property
     def n_steps(self) -> int:
         return self.y.shape[0]
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self.h * np.arange(1, self.n_steps + 1)
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        return _levels(self.x1_0, self.r1)
+
+    @cached_property
+    def y2(self) -> np.ndarray:
+        return self.x2 @ self.c2.T
 
 
 def _stream(seed: int, path_index: int) -> np.random.Generator:
@@ -62,25 +90,50 @@ def _check_x1_0(cf: CointCanonicalForm, x1_0) -> np.ndarray:
     return x0
 
 
-def _observe(cf: CointCanonicalForm, x1_0: np.ndarray, r1: np.ndarray,
-             x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(x1, y2, y)`` with ``x1 = x1_0 + cumsum(r1)``, ``y2 = C2 x2`` and
-    ``y = C1 x1 + y2``, time on axis -2; no array beyond those three."""
-    x1 = np.cumsum(r1, axis=-2)
+def _row_blocks(n_rows: int) -> list[slice]:
+    """Consecutive slices of at most ``DRAW_ROWS`` rows covering
+    ``range(n_rows)``, none of one row unless ``n_rows`` is 1: numpy
+    multiplies one row by gemv, which rounds differently from gemm."""
+    stops = list(range(DRAW_ROWS, n_rows, DRAW_ROWS)) + [n_rows]
+    if len(stops) > 1 and n_rows % DRAW_ROWS == 1:
+        stops[-2] -= 1
+    return [slice(lo, hi) for lo, hi in zip([0] + stops[:-1], stops)]
+
+
+def _levels(x1_0: np.ndarray, r1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x1 = x1_0 + cumsum(r1)`` along the time axis -2, into ``out`` if given."""
+    x1 = np.cumsum(r1, axis=-2, out=out)
     x1 += x1_0
-    y2 = x2 @ np.asarray(cf.C2).T
+    return x1
+
+
+def _observe(cf: CointCanonicalForm, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """``y = C1 x1 + C2 x2``, time on axis -2; ``C2 x2`` is added in row
+    blocks, so the only path-sized array formed is ``y``."""
     y = x1 @ np.asarray(cf.C1).T
-    y += y2
-    return x1, y2, y
+    c2t = np.asarray(cf.C2).T
+    n_rows = math.prod(y.shape[:-1])
+    flat_y, flat_x2 = y.reshape(n_rows, cf.d), x2.reshape(n_rows, cf.n2)
+    for rows in _row_blocks(n_rows):
+        flat_y[rows] += flat_x2[rows] @ c2t
+    return y
 
 
-def _assemble_paths(cf: CointCanonicalForm, h: float, x1_0: np.ndarray,
-                    r1: np.ndarray, x2: np.ndarray, seed: int) -> PathSet:
-    n_steps = r1.shape[0]
-    x1, y2, y = _observe(cf, x1_0, r1, x2)
-    times = h * np.arange(1, n_steps + 1)
-    return PathSet(h=h, times=times, y=y, x1=x1, x2=x2, r1=r1, y2=y2,
-                   c1=np.array(cf.C1), seed=seed, driver_kind=cf.levy.kind)
+def _gaussian_noise(rng: np.random.Generator, factor: np.ndarray, c: int, n_paths: int,
+                    n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(r1, x2)``: the rows ``Z @ factor[:c].T`` and ``Z @ factor[c:].T`` of
+    ``Z = rng.standard_normal((n_paths, n_steps, N))``, drawn ``DRAW_ROWS``
+    rows at a time into one block; the stream and the products are those of
+    the one-shot draw."""
+    n_rows, N = n_paths * n_steps, factor.shape[0]
+    r1, x2 = np.empty((n_rows, c)), np.empty((n_rows, N - c))
+    block = np.empty((min(DRAW_ROWS, n_rows), N))
+    for rows in _row_blocks(n_rows):
+        draws = block[:rows.stop - rows.start]
+        rng.standard_normal(out=draws)
+        np.matmul(draws, factor[:c].T, out=r1[rows])
+        np.matmul(draws, factor[c:].T, out=x2[rows])
+    return r1.reshape(n_paths, n_steps, c), x2.reshape(n_paths, n_steps, N - c)
 
 
 def _add_jumps(r1: np.ndarray, r2: np.ndarray, cf: CointCanonicalForm, h: float,
@@ -118,12 +171,12 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     part N(0, sigma_W), with sigma_W the Van Loan integral of the Brownian
     component's covariance (``sm.sigma_tilde`` itself for a driver without
     jumps), plus the step's jumps (``_add_jumps``). Draws
-    the Gaussian part of shape (n_paths, n_steps, N) first, then the
-    stationary starts N(0, gamma0), then the jumps, so one path of an
-    ensemble reproduces the single-path sampler on the same stream and the
-    Gaussian draws do not depend on the jumps. The stationary noise is kept
-    path-major and scanned in place. Returns ``(x1_0, r1, x2)`` with the
-    path axis first.
+    the Gaussian part of shape (n_paths, n_steps, N) first (in blocks,
+    ``_gaussian_noise``), then the stationary starts N(0, gamma0), then the
+    jumps, so a one-path ensemble reproduces the single-path sampler on the
+    same stream and the Gaussian draws do not depend on the jumps. The
+    stationary noise is kept path-major and scanned in place. Returns
+    ``(x1_0, r1, x2)`` with the path axis first.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
@@ -135,9 +188,7 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     else:
         sigma_w = sm.sigma_tilde
     noise_factor = matops.psd_factor(sigma_w, name="Brownian noise covariance")
-    draws = rng.standard_normal((n_paths, n_steps, sm.N))
-    r1, x2 = draws @ noise_factor[:cf.c].T, draws @ noise_factor[cf.c:].T
-    del draws
+    r1, x2 = _gaussian_noise(rng, noise_factor, cf.c, n_paths, n_steps)
     g_factor = matops.psd_factor(np.asarray(sm.gamma0), name="gamma0")
     start = rng.standard_normal((n_paths, cf.n2)) @ g_factor.T
     if cf.levy.jump_rate > 0:
@@ -164,7 +215,9 @@ def simulate_exact_gaussian(
     cumulants); the unit-root block starts from x1_0.
     """
     x0, r1, x2 = _exact_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
-    return _assemble_paths(cf, sm.h, x0, r1[0], x2[0], seed)
+    r1, x2 = r1[0], x2[0]
+    return PathSet(h=sm.h, y=_observe(cf, _levels(x0, r1), x2), x2=x2, r1=r1, x1_0=x0,
+                   c1=np.array(cf.C1), c2=np.array(cf.C2), seed=seed, driver_kind=cf.levy.kind)
 
 
 def simulate_gaussian_ensemble(
@@ -177,11 +230,13 @@ def simulate_gaussian_ensemble(
 ) -> np.ndarray:
     """Monte-Carlo sampler: ``n_paths`` independent exact paths at once, for
     every supported driver, returning observations of shape
-    (n_paths, n_steps, d). Path 0 equals
-    ``simulate_exact_gaussian(..., seed=seed).y``.
+    (n_paths, n_steps, d). With ``n_paths = 1`` the path equals
+    ``simulate_exact_gaussian(..., seed=seed).y``; with more, path 0 does
+    not, since every path's Gaussian noise is drawn before the stationary
+    starts. The unit-root levels are summed over ``r1`` in place.
     """
     x0, r1, x2 = _exact_paths(sm, cf, n_steps, n_paths, x1_0, _stream(seed, 0))
-    return _observe(cf, x0, r1, x2)[2]
+    return _observe(cf, _levels(x0, r1, out=r1), x2)
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,16 @@ class TestEcfCommand:
         assert out["max_residual_gap"] <= 1e-10
         assert len(res_out.read_text().splitlines()) == 600 - 201 + 1
 
+    def test_residuals_out_needs_path(self, tmp_path, capsys):
+        # the option used to be ignored without --path (exit 0, no file)
+        cfg = write_json(tmp_path / "model.json", partial_doc())
+        res_out = tmp_path / "resid.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ecf", cfg, "--residuals-out", str(res_out)])
+        assert exc.value.code == 2
+        assert "ecf: --residuals-out needs --path" in capsys.readouterr().err
+        assert not res_out.exists()
+
     def test_residuals_over_inputs_exit_2(self, tmp_path, capsys):
         doc = partial_doc()
         doc["sampling"]["n_steps"] = 600

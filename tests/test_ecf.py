@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,10 +275,8 @@ class TestAlternativeRepresentation:
         for i in range(n):
             state = partial_sm.eA2h @ state
             x2[i] = state
-        y2 = x2 @ C2.T
-        y = x1 @ C1.T + y2
-        ps = PathSet(h=partial_sm.h, times=partial_sm.h * np.arange(1, n + 1),
-                     y=y, x1=x1, x2=x2, r1=r1, y2=y2, c1=C1,
+        y = x1 @ C1.T + x2 @ C2.T
+        ps = PathSet(h=partial_sm.h, y=y, x2=x2, r1=r1, x1_0=np.zeros(1), c1=C1, c2=C2,
                      seed=0, driver_kind="brownian")
         eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=60)
@@ -286,9 +285,8 @@ class TestAlternativeRepresentation:
 
     def test_zero_components_give_zero(self, partial_ks, partial_sm, partial_cf):
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=94)
-        zeroed = type(ps)(h=ps.h, times=ps.times, y=ps.y, x1=ps.x1, x2=ps.x2,
-                          r1=np.zeros_like(ps.r1), y2=np.zeros_like(ps.y2),
-                          c1=ps.c1, seed=ps.seed, driver_kind=ps.driver_kind)
+        # y2 = C2 x2 is derived, so a zero x2 gives a zero y2
+        zeroed = dataclasses.replace(ps, x2=np.zeros_like(ps.x2), r1=np.zeros_like(ps.r1))
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         alt = innovations_alt_rep(dec, zeroed, J=10)
         assert np.array_equal(alt, np.zeros_like(alt))
@@ -303,9 +301,7 @@ class TestAlternativeRepresentation:
     def test_mismatched_components_rejected(self, partial_ks, partial_sm, partial_cf):
         # a short r1 used to end in numpy's broadcasting ValueError
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
-        short = type(ps)(h=ps.h, times=ps.times, y=ps.y, x1=ps.x1, x2=ps.x2,
-                         r1=ps.r1[:-1], y2=ps.y2, c1=ps.c1, seed=ps.seed,
-                         driver_kind=ps.driver_kind)
+        short = dataclasses.replace(ps, r1=ps.r1[:-1])
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         with pytest.raises(DimensionError):
             innovations_alt_rep(dec, short, J=10)

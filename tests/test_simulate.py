@@ -115,6 +115,58 @@ class TestExactGaussian:
             simulate_gaussian_ensemble(scalar_sm, scalar_cf, n_steps, n_paths, seed=0)
 
 
+class TestStorage:
+    """A path stores y, x2 and r1 and derives times, x1 and y2; the noise is
+    drawn, and C2 x2 summed, in blocks of DRAW_ROWS rows."""
+
+    @pytest.mark.parametrize("n_paths", [1, 2])
+    @pytest.mark.parametrize("n_steps", [simulate.DRAW_ROWS - 1, simulate.DRAW_ROWS,
+                                         simulate.DRAW_ROWS + 1, 2 * simulate.DRAW_ROWS + 1])
+    def test_blocked_draws_equal_one_shot_draws(self, n_paths, n_steps):
+        # a one-row block (gemv) would miss the one-shot product by an ulp
+        cf = helpers.slow_fixture()
+        factor = matops.psd_factor(discretize(cf, 1.0).sigma_tilde)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        r1, x2 = simulate._gaussian_noise(rng, factor, cf.c, n_paths, n_steps)
+        draws = ref.standard_normal((n_paths, n_steps, cf.N))
+        assert np.array_equal(r1, draws @ factor[:cf.c].T)
+        assert np.array_equal(x2, draws @ factor[cf.c:].T)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_derived_fields_equal_the_eager_formulas(self, partial_sm, partial_cf):
+        T = 2 * simulate.DRAW_ROWS + 1
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, T, x1_0=[2.0], seed=19)
+        x1 = np.cumsum(ps.r1, axis=0)
+        x1 += np.array([2.0])
+        y2 = ps.x2 @ np.asarray(partial_cf.C2).T
+        y = x1 @ np.asarray(partial_cf.C1).T
+        y += y2
+        assert np.array_equal(ps.x1, x1) and ps.x1 is ps.x1
+        assert np.array_equal(ps.y2, y2)
+        assert np.array_equal(ps.y, y)
+        assert np.array_equal(ps.times, partial_sm.h * np.arange(1, T + 1))
+        assert ps.n_steps == T
+
+    def test_single_path_scratch_is_bounded(self):
+        # beyond the stored y, x2 and r1 only the levels x1 (T c = 0.25 T N
+        # doubles here) and row blocks; eager draws, x1, y2 and times took 1.0 T N
+        cf = helpers.slow_fixture()
+        sm = discretize(cf, 1.0)
+        T = 100_000
+        peak, ps = helpers.scratch_peak(simulate_exact_gaussian, sm, cf, T, seed=3)
+        kept = ps.y.nbytes + ps.x2.nbytes + ps.r1.nbytes
+        assert peak - kept <= 0.3 * T * cf.N * 8
+
+    def test_ensemble_scratch_is_bounded(self):
+        # r1 and x2 (P T N doubles, the levels summed over r1 in place) and
+        # row blocks; eager draws, x1 and y2 took 1.75 P T N
+        cf = helpers.slow_fixture()
+        sm = discretize(cf, 1.0)
+        P, T = 8, 20_000
+        peak, y = helpers.scratch_peak(simulate_gaussian_ensemble, sm, cf, T, P, seed=3)
+        assert peak - y.nbytes <= 1.1 * P * T * cf.N * 8
+
+
 class TestLevyEuler:
     """Exact paths for the compound-Poisson drivers (the class keeps its name
     so its test ids stay stable)."""
@@ -213,7 +265,8 @@ class TestLevyEuler:
         sm = discretize(cf, 1.0)
         T = 20_000
         peak, ps = helpers.scratch_peak(simulate_exact_gaussian, sm, cf, T, seed=3)
-        kept = sum(getattr(ps, f).nbytes for f in ("times", "y", "x1", "x2", "r1", "y2", "c1"))
+        # stored fields only: reading the derived ones would loosen the bound
+        kept = sum(getattr(ps, f).nbytes for f in ("y", "x2", "r1", "x1_0", "c1", "c2"))
         assert peak - kept < 3.0 * T * cf.N * 8
 
     @pytest.mark.parametrize("c,n2", [(0, 1), (0, 0)])
