@@ -46,11 +46,9 @@ from .kalman import KalmanSolution, check_filtered_controllability, filter_innov
 from .model import (
     CointCanonicalForm,
     LevySpec,
-    LevyValidationReport,
     McarmaModel,
     StateSpaceModel,
     assemble_from_canonical,
-    validate_levy,
 )
 from .moments import SampledModel, cov_continuous, cov_sampled, discretize, mean
 from .realization import (

@@ -53,21 +53,28 @@ def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read a path CSV with d observation columns; returns (times, observations).
 
     Every column is parsed, so a ragged row or a non-numeric entry anywhere
-    is rejected; both results are copies, so the parsed table is freed."""
+    is rejected; both results are copies, so the parsed table is freed.
+    `np.loadtxt` only reads a file whose header is right and which has a
+    data row, since it warns on a table with no rows."""
+    data = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            start = fh.tell()
+            if header[0] == "t" and any(line.split("#", 1)[0].strip()
+                                        for line in iter(fh.readline, "")):
+                fh.seek(start)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ValidationError(f"cannot read path CSV {path}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"malformed path CSV {path}: {exc}") from exc
-    if not header or header[0] != "t":
+    if header[0] != "t":
         raise ValidationError(f"path CSV {path} must start with a 't' column")
     y_cols = [i for i, name in enumerate(header) if name.startswith("y_")]
     if not y_cols:
         raise ValidationError(f"path CSV {path} has no y_* columns")
-    if data.shape[0] < 2:
+    if data is None or data.shape[0] < 2:
         raise ValidationError(f"path CSV {path} needs at least two rows")
     if data.shape[1] != len(header):
         raise ValidationError(f"path CSV {path} has {data.shape[1]} columns per row, "

@@ -43,7 +43,7 @@ class EcfDecomposition:
     ``Ktilde_coeffs[j]`` the j-th short-run filter coefficient (Ktilde_0 = 0);
     both are stored for j <= truncation, and ``tail_bound`` bounds the size of
     the coefficients beyond it. The residual functions apply the whole
-    infinite filters through the Kalman solution ``ks`` and
+    infinite filters through the Kalman solution ``ks`` and its
     ``settle = (I - closed_loop)^{-1} K``, not the stored coefficients.
     """
 
@@ -56,7 +56,6 @@ class EcfDecomposition:
     truncation: int
     tail_bound: float
     ks: KalmanSolution
-    settle: np.ndarray
 
     @property
     def d(self) -> int:
@@ -77,9 +76,8 @@ def transfer_eval(ks: KalmanSolution, z: complex) -> np.ndarray:
 
 def k_at_one(ks: KalmanSolution) -> np.ndarray:
     """Long-run matrix ``k(1) = I - C [I - closed_loop]^{-1} K`` (real)."""
-    cl, K, C = ks.closed_loop, ks.gain, ks.c_matrix
-    N, d = cl.shape[0], C.shape[0]
-    return np.eye(d) - C @ np.linalg.solve(np.eye(N) - cl, K)
+    C = ks.c_matrix
+    return np.eye(C.shape[0]) - C @ ks.settle
 
 
 def factor_alpha_beta(k1: np.ndarray, c: int,
@@ -129,21 +127,19 @@ def ma_and_ktilde_coeffs(ks: KalmanSolution, sm: SampledModel, J: int = DEFAULT_
     k1 = k_at_one(ks)
     alpha, beta = factor_alpha_beta(k1, c, rel_tol)
 
-    settle = np.linalg.solve(np.eye(N) - cl, K)  # (I - cl)^{-1} K
-    # row j of path i is column i of cl^j [K, cl S]: one scan of batch 2d
+    # row j of path i is column i of cl^j [K, cl settle]: one scan of batch 2d
     paths = np.zeros((2 * d, J, N))
     steps = paths.transpose(1, 0, 2)
-    steps[0] = np.hstack([K, cl @ settle]).T
+    steps[0] = np.hstack([K, cl @ ks.settle]).T
     matops.linear_recursion(cl, steps, 0.0)
     lags = -C @ paths.transpose(1, 2, 0)  # (J, d, 2d): [L_j, Ktilde_j] for j = 1 .. J
     L = np.concatenate([np.eye(d)[None], lags[:, :, :d]])
     Kt = np.concatenate([np.zeros((1, d, d)), lags[:, :, d:]])
-    rho = ks.spectral_radius
-    tail = float(np.linalg.norm(C) * rho**J * np.linalg.norm(settle))
+    tail = float(np.linalg.norm(C) * ks.spectral_radius**J * np.linalg.norm(ks.settle))
     return EcfDecomposition(
         k1=k1, alpha=alpha, beta=beta, r=d - c,
         L_coeffs=L, Ktilde_coeffs=Kt, truncation=J, tail_bound=tail,
-        ks=ks, settle=settle,
+        ks=ks,
     )
 
 
@@ -180,7 +176,7 @@ def ecf_residuals(dec: EcfDecomposition, y: np.ndarray, J: int | None = None) ->
     dY = np.empty(Y.shape)
     dY[0] = Y[0]
     np.subtract(Y[1:], Y[:-1], out=dY[1:])
-    U = dY @ dec.settle.T  # S dY_n
+    U = dY @ dec.ks.settle.T  # S dY_n
     del dY
     q = matops.linear_recursion(cl, U, 0.0)
     out = q[J:-1] @ (C @ cl).T  # C w_n = -sum_j Ktilde_j dY_{n-j}
@@ -261,7 +257,7 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
     cl, K, C = dec.ks.closed_loop, dec.ks.gain, dec.ks.c_matrix
     C1 = np.asarray(ps.c1)
     U = np.zeros((T, cl.shape[0]))
-    np.matmul(np.hstack([y2[:-1], r1[:-1]]), np.vstack([K.T, -(cl @ dec.settle @ C1).T]),
+    np.matmul(np.hstack([y2[:-1], r1[:-1]]), np.vstack([K.T, -(cl @ dec.ks.settle @ C1).T]),
               out=U[1:])
     z = matops.linear_recursion(cl, U, 0.0)
     out = z[J:] @ -C.T

@@ -11,6 +11,7 @@ measurement covariance, and every solution is verified before use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,6 +38,9 @@ class KalmanSolution:
     radius < 1. ``c_matrix`` retains the observation matrix the solution
     was computed for. ``iterations`` is always 0, as the solve is direct; it
     stays until the benchmark's work counter, which reads it, is updated.
+    ``spectral_radius`` and ``settle = (I - closed_loop)^{-1} gain``, from
+    which the long-run matrix ``k(1) = I - C settle`` and the
+    error-correction filters are built, are computed on first read and kept.
     """
 
     omega: np.ndarray
@@ -47,25 +51,14 @@ class KalmanSolution:
     residual: float
     c_matrix: np.ndarray
 
-    @property
+    @cached_property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.closed_loop))))
 
-
-def _riccati_step(omega: np.ndarray, eAh: np.ndarray, C: np.ndarray,
-                  sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One application of the Riccati map, returning (new omega, G, S) with
-    G = e^{Ah} omega C' and S = C omega C'.
-    """
-    G = eAh @ omega @ C.T
-    S = C @ omega @ C.T
-    S = 0.5 * (S + S.T)
-    try:
-        cf = sla.cho_factor(S)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"C omega C' is numerically singular: {exc}") from exc
-    new = eAh @ omega @ eAh.T - G @ sla.cho_solve(cf, G.T) + sigma
-    return 0.5 * (new + new.T), G, S
+    @cached_property
+    def settle(self) -> np.ndarray:
+        N = self.closed_loop.shape[0]
+        return np.linalg.solve(np.eye(N) - self.closed_loop, self.gain)
 
 
 def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
@@ -93,32 +86,37 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConvergenceError(f"discrete Riccati solver failed: {exc}") from exc
     omega = 0.5 * (omega + omega.T)
-    new, G, S = _riccati_step(omega, eAh, C, sigma)
-    residual = float(np.linalg.norm(omega - new))
+    G = eAh @ omega @ C.T
+    S = C @ omega @ C.T
+    S = 0.5 * (S + S.T)
+    try:
+        cho = sla.cho_factor(S)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"C omega C' is numerically singular: {exc}") from exc
+    new = eAh @ omega @ eAh.T - G @ sla.cho_solve(cho, G.T) + sigma
+    residual = float(np.linalg.norm(omega - 0.5 * (new + new.T)))
     scale = 1.0 + np.linalg.norm(omega)
     if residual > matops.RESIDUAL_TOL * scale:
         raise ConvergenceError(
             f"Riccati solution violates the residual bound: {residual:.3e}"
         )
     gain = np.linalg.solve(S, G.T).T
-    v = 0.5 * (S + S.T)
-    closed_loop = eAh - gain @ C
-    rho = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
-    if rho >= 1.0:
-        raise StabilityError(
-            f"closed loop is not Schur stable (spectral radius {rho:.6f})"
-        )
-    if np.min(np.linalg.eigvalsh(v)) <= 0:
-        raise ConditioningError("innovation covariance V is not positive definite")
-    return KalmanSolution(
+    ks = KalmanSolution(
         omega=omega,
         gain=gain,
-        v=v,
-        closed_loop=closed_loop,
+        v=S,
+        closed_loop=eAh - gain @ C,
         iterations=0,
         residual=residual,
         c_matrix=C,
     )
+    if ks.spectral_radius >= 1.0:
+        raise StabilityError(
+            f"closed loop is not Schur stable (spectral radius {ks.spectral_radius:.6f})"
+        )
+    if np.min(np.linalg.eigvalsh(S)) <= 0:
+        raise ConditioningError("innovation covariance V is not positive definite")
+    return ks
 
 
 def filter_innovations(

@@ -41,8 +41,8 @@ PLT_TOL = 1e-8            #: canonical C1: a column's pivot is its first |x| > t
 RESIDUAL_TOL = 1e-10      #: Riccati: ||Omega - Ric(Omega)|| <= tol (1 + ||Omega||)
 IDEMPOTENCY_TOL = 1e-10   #: `structural_check`: ||P P - P|| <= tol (absolute)
 K1_REBUILD_TOL = 1e-8     #: `structural_check`: ||k(1) - P (I + P R P)^-1|| <= tol (absolute)
-COV_TOL = 1e-10           #: symmetric covariance: ||S - S'|| <= tol (1 + ||S||); `validate_levy`
-LEVY_SPLIT_TOL = 1e-8     #: Brownian part of a jump driver: tol (1 + ||sigma_L||); `validate_levy`
+COV_TOL = 1e-10           #: symmetric covariance: ||S - S'|| <= tol (1 + ||S||); `LevySpec`
+LEVY_SPLIT_TOL = 1e-8     #: Brownian part of a jump driver: tol (1 + ||sigma_L||); `LevySpec`
 PSD_TOL = 1e-8            #: `psd_factor`: min eigenvalue >= -tol max(1, max eigenvalue)
 SIGN_PIVOT_TOL = 1e-12    #: column signs: the first |x| > tol (1 + sigma_max) is made positive
 MONIC_TOL = 1e-12         #: monic polynomial: ||P_0 - I|| <= tol (1 + d)

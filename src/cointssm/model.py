@@ -36,6 +36,13 @@ class LevySpec:
     ``jump_cov`` arriving at rate ``jump_rate``; any leftover
     ``sigma_L - jump_rate * jump_cov`` is the covariance of an independent
     Brownian component and must be PSD (zero for the pure-jump kind).
+
+    Construction checks, with the tolerances of `matops`: ``sigma_L``
+    symmetric with smallest eigenvalue above ``COV_TOL (1 + ||sigma_L||)``,
+    ``jump_cov`` symmetric with smallest eigenvalue at least
+    ``-COV_TOL (1 + ||jump_cov||)``, and the Brownian part zero (pure jumps)
+    or PSD to ``LEVY_SPLIT_TOL (1 + ||sigma_L||)``. One `ValidationError`
+    names every clause that fails.
     """
 
     kind: str
@@ -62,6 +69,36 @@ class LevySpec:
         if self.kind != "brownian" and self.jump_cov is None:
             raise ValidationError(f"{self.kind} driver requires jump_cov")
 
+        failures: list[str] = []
+        sig = self.sigma_L
+        scale = 1.0 + np.linalg.norm(sig)
+        if not matops.is_symmetric(sig):
+            failures.append("sigma_L is not symmetric")
+        else:
+            min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (sig + sig.T))))
+            if min_eig <= matops.COV_TOL * scale:
+                failures.append(
+                    f"sigma_L is singular or not positive definite (min eigenvalue {min_eig:.3e})"
+                )
+        if self.kind != "brownian":
+            jc = self.jump_cov
+            if not matops.is_symmetric(jc):
+                failures.append("jump_cov is not symmetric")
+            elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -matops.COV_TOL * (1 + np.linalg.norm(jc)):
+                failures.append("jump_cov is not positive semidefinite")
+            diff = self.diffusion_cov
+            if self.kind == "compound_poisson_gaussian_jumps":
+                if np.linalg.norm(diff) > matops.LEVY_SPLIT_TOL * scale:
+                    failures.append("sigma_L != jump_rate * jump_cov for the pure-jump driver")
+            else:
+                dmin = float(np.min(np.linalg.eigvalsh(0.5 * (diff + diff.T))))
+                if dmin < -matops.LEVY_SPLIT_TOL * scale:
+                    failures.append(
+                        "sigma_L - jump_rate * jump_cov is not PSD, no Brownian component fits"
+                    )
+        if failures:
+            raise ValidationError("invalid Levy driver: " + "; ".join(failures))
+
     @property
     def m(self) -> int:
         return self.sigma_L.shape[0]
@@ -72,59 +109,6 @@ class LevySpec:
         if self.kind == "brownian":
             return np.array(self.sigma_L)
         return self.sigma_L - self.jump_rate * self.jump_cov
-
-
-@dataclass(frozen=True)
-class LevyValidationReport:
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def validate_levy(spec: LevySpec) -> LevyValidationReport:
-    """Check the standing assumptions on the driver, clause by clause.
-
-    Passes iff ``sigma_L`` is symmetric with smallest eigenvalue above
-    ``COV_TOL (1 + ||sigma_L||)``, ``jump_cov`` symmetric with smallest eigenvalue
-    at least ``-COV_TOL (1 + ||jump_cov||)``, and the Brownian part zero (pure jumps)
-    or PSD to ``LEVY_SPLIT_TOL (1 + ||sigma_L||)``, the tolerances of `matops`.
-    Failures are collected rather than raised so callers can report them all.
-    """
-    failures: list[str] = []
-    sig = np.asarray(spec.sigma_L, dtype=float)
-    scale = 1.0 + np.linalg.norm(sig)
-    if not matops.is_symmetric(sig):
-        failures.append("sigma_L is not symmetric")
-    else:
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (sig + sig.T))))
-        if min_eig <= matops.COV_TOL * scale:
-            failures.append(
-                f"sigma_L is singular or not positive definite (min eigenvalue {min_eig:.3e})"
-            )
-    if spec.kind != "brownian":
-        jc = np.asarray(spec.jump_cov, dtype=float)
-        if not matops.is_symmetric(jc):
-            failures.append("jump_cov is not symmetric")
-        elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -matops.COV_TOL * (1 + np.linalg.norm(jc)):
-            failures.append("jump_cov is not positive semidefinite")
-        diff = spec.diffusion_cov
-        if spec.kind == "compound_poisson_gaussian_jumps":
-            if np.linalg.norm(diff) > matops.LEVY_SPLIT_TOL * scale:
-                failures.append(
-                    "sigma_L != jump_rate * jump_cov for the pure-jump driver"
-                )
-        else:
-            dmin = float(np.min(np.linalg.eigvalsh(0.5 * (diff + diff.T))))
-            if dmin < -matops.LEVY_SPLIT_TOL * scale:
-                failures.append(
-                    "sigma_L - jump_rate * jump_cov is not PSD, no Brownian component fits"
-                )
-    return LevyValidationReport(ok=not failures, failures=tuple(failures))
-
-
-def _require_valid_levy(levy: LevySpec):
-    report = validate_levy(levy)
-    if not report.ok:
-        raise ValidationError("invalid Levy driver: " + "; ".join(report.failures))
 
 
 @dataclass(frozen=True)
@@ -154,7 +138,6 @@ class StateSpaceModel:
             raise DimensionError(
                 f"observation dimension d={C.shape[0]} exceeds state dimension N={N}"
             )
-        _require_valid_levy(self.levy)
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "B", _frozen(B))
         object.__setattr__(self, "C", _frozen(C))
@@ -203,7 +186,6 @@ class McarmaModel:
             raise ValidationError(
                 f"orders must satisfy p > q, got p={len(P)}, q={len(Q) - 1}"
             )
-        _require_valid_levy(self.levy)
         object.__setattr__(self, "p_coeffs", tuple(_frozen(Pi) for Pi in P))
         object.__setattr__(self, "q_coeffs", tuple(_frozen(Qi) for Qi in Q))
 
@@ -297,7 +279,6 @@ class CointCanonicalForm:
             raise DimensionError(
                 f"observation dimension d={d} exceeds state dimension N={c + n2}"
             )
-        _require_valid_levy(self.levy)
         if c > 0:
             gram = C1.T @ C1
             if np.linalg.norm(gram - np.eye(c)) > matops.C1_ORTHO_TOL * (1.0 + c):

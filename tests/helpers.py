@@ -204,7 +204,9 @@ def linear_recursion_loop(F, U, x0) -> np.ndarray:
 def ecf_coeffs_loop(ks, J: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient oracle: ``L_j = -C cl^{j-1} K`` and
     ``Ktilde_j = -C cl^j (I - cl)^{-1} K`` for j = 0 .. J (``L_0 = I``,
-    ``Ktilde_0 = 0``), one lag at a time."""
+    ``Ktilde_0 = 0``), one lag at a time. The columns ``V = cl^{j-1} [K, cl S]``
+    advance as ``V <- cl V``: no power of cl is formed, since on non-normal
+    closed loops the powers lose digits that the vectors keep."""
     cl, K, C = ks.closed_loop, ks.gain, ks.c_matrix
     N, d = cl.shape[0], C.shape[0]
     settle = np.linalg.solve(np.eye(N) - cl, K)
@@ -212,11 +214,11 @@ def ecf_coeffs_loop(ks, J: int) -> tuple[np.ndarray, np.ndarray]:
     Kt = np.empty((J + 1, d, d))
     L[0] = np.eye(d)
     Kt[0] = np.zeros((d, d))
-    power = np.eye(N)  # cl^{j-1} entering lag j
+    V = np.hstack([K, cl @ settle])  # entering lag j
     for j in range(1, J + 1):
-        L[j] = -C @ power @ K
-        Kt[j] = -C @ (cl @ power) @ settle
-        power = cl @ power
+        lag = -C @ V
+        L[j], Kt[j] = lag[:, :d], lag[:, d:]
+        V = cl @ V
     return L, Kt
 
 

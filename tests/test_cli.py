@@ -126,6 +126,16 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
         assert "positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model_kind", ["canonical", "state_space", "mcarma"])
+    def test_invalid_driver_document_exits_2(self, tmp_path, capsys, model_kind):
+        doc = {"canonical": scalar_doc(), "state_space": weak_input_doc(),
+               "mcarma": mcar1_doc()}[model_kind]
+        doc["levy"] = dict(mixed_levy(), jump_rate=8.0)
+        cfg = write_json(tmp_path / "model.json", doc)
+        assert main(["canonicalize", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "invalid Levy driver" in err and "no Brownian component fits" in err
+
     def test_mcarma_document_pipeline(self, tmp_path):
         cfg = write_json(tmp_path / "model.json", mcar1_doc())
         out = tmp_path / "path.csv"
@@ -555,6 +565,21 @@ class TestPathCsvValidation:
                 else ["ecf", cfg, "--path", str(csv)])
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["filter", "ecf"])
+    @pytest.mark.parametrize("text,message", [
+        ("t,y_1,y_2\n", "needs at least two rows"),
+        ("", "must start with a 't' column"),
+    ], ids=["header_only", "zero_bytes"])
+    def test_empty_path_csv_exits_2(self, tmp_path, capsys, command, text, message):
+        cfg = write_json(tmp_path / "model.json", partial_doc())
+        csv = tmp_path / "path.csv"
+        csv.write_text(text)
+        argv = (["filter", cfg, str(csv), "-o", str(tmp_path / "flt")] if command == "filter"
+                else ["ecf", cfg, "--path", str(csv)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
 
     def test_times_do_not_keep_the_table(self, tmp_path):
         cfg = write_json(tmp_path / "model.json", partial_doc())

@@ -80,6 +80,14 @@ class TestSolveSteadyState:
             with pytest.raises(ComputationError):
                 solve_steady_state(dataclasses.replace(sm, sigma_tilde=sigma), cf)
 
+    def test_closed_loop_quantities_computed_once(self, partial_cf, partial_sm):
+        ks = solve_steady_state(partial_sm, partial_cf)
+        assert ks.settle is ks.settle
+        N = ks.closed_loop.shape[0]
+        assert np.array_equal(ks.settle, np.linalg.solve(np.eye(N) - ks.closed_loop, ks.gain))
+        assert "spectral_radius" in vars(ks)  # read by the stability check
+        assert ks.spectral_radius == float(np.max(np.abs(np.linalg.eigvals(ks.closed_loop))))
+
 
 class TestFilterInnovations:
     def test_zero_observations(self, scalar_ks, scalar_sm):

@@ -9,50 +9,66 @@ from cointssm import (
     StateSpaceModel,
     assemble_from_canonical,
     canonicalize,
-    validate_levy,
 )
 from cointssm.errors import DimensionError, ValidationError
 
 
 class TestLevySpec:
     def test_brownian_identity_valid(self):
-        report = validate_levy(LevySpec(kind="brownian", sigma_L=np.eye(2)))
-        assert report.ok and not report.failures
+        spec = LevySpec(kind="brownian", sigma_L=np.eye(2))
+        assert np.array_equal(spec.diffusion_cov, np.eye(2))
 
     def test_singular_covariance_flagged(self):
-        spec = LevySpec(kind="brownian", sigma_L=[[1.0, 0.0], [0.0, 0.0]])
-        report = validate_levy(spec)
-        assert not report.ok
-        assert any("positive definite" in msg for msg in report.failures)
+        with pytest.raises(ValidationError, match="positive definite"):
+            LevySpec(kind="brownian", sigma_L=[[1.0, 0.0], [0.0, 0.0]])
 
     def test_pure_jump_decomposition(self):
         spec = LevySpec(
             kind="compound_poisson_gaussian_jumps",
             sigma_L=2.0 * np.eye(2), jump_rate=2.0, jump_cov=np.eye(2),
         )
-        assert validate_levy(spec).ok
         assert np.allclose(spec.diffusion_cov, 0.0)
 
     def test_pure_jump_mismatch_flagged(self):
-        spec = LevySpec(
-            kind="compound_poisson_gaussian_jumps",
-            sigma_L=3.0 * np.eye(2), jump_rate=2.0, jump_cov=np.eye(2),
-        )
-        report = validate_levy(spec)
-        assert not report.ok
+        with pytest.raises(ValidationError,
+                           match=r"sigma_L != jump_rate \* jump_cov for the pure-jump driver"):
+            LevySpec(
+                kind="compound_poisson_gaussian_jumps",
+                sigma_L=3.0 * np.eye(2), jump_rate=2.0, jump_cov=np.eye(2),
+            )
 
     def test_mixed_driver_needs_psd_diffusion(self):
-        bad = LevySpec(
-            kind="brownian_plus_compound_poisson",
-            sigma_L=np.eye(2), jump_rate=4.0, jump_cov=np.eye(2),
-        )
-        assert not validate_levy(bad).ok
+        with pytest.raises(ValidationError, match="is not PSD, no Brownian component fits"):
+            LevySpec(
+                kind="brownian_plus_compound_poisson",
+                sigma_L=np.eye(2), jump_rate=4.0, jump_cov=np.eye(2),
+            )
         good = LevySpec(
             kind="brownian_plus_compound_poisson",
             sigma_L=2.0 * np.eye(2), jump_rate=1.0, jump_cov=np.eye(2),
         )
-        assert validate_levy(good).ok
         assert np.allclose(good.diffusion_cov, np.eye(2))
+
+    @pytest.mark.parametrize("kind,sigma,jump_cov,message", [
+        ("brownian", [[1.0, 0.5], [0.0, 1.0]], None, "sigma_L is not symmetric"),
+        ("brownian_plus_compound_poisson", 2.0 * np.eye(2), [[1.0, 0.5], [0.0, 1.0]],
+         "jump_cov is not symmetric"),
+        ("brownian_plus_compound_poisson", 2.0 * np.eye(2), [[1.0, 0.0], [0.0, -1.0]],
+         "jump_cov is not positive semidefinite"),
+    ])
+    def test_each_clause_rejected_at_construction(self, kind, sigma, jump_cov, message):
+        rate = 0.0 if jump_cov is None else 1.0
+        with pytest.raises(ValidationError, match="^invalid Levy driver: .*" + message):
+            LevySpec(kind=kind, sigma_L=sigma, jump_rate=rate, jump_cov=jump_cov)
+
+    def test_every_failed_clause_listed(self):
+        with pytest.raises(ValidationError) as info:
+            LevySpec(kind="brownian_plus_compound_poisson", sigma_L=[[1.0, 0.5], [0.0, 1.0]],
+                     jump_rate=4.0, jump_cov=[[1.0, 0.0], [0.0, -1.0]])
+        assert str(info.value) == (
+            "invalid Levy driver: sigma_L is not symmetric; jump_cov is not positive "
+            "semidefinite; sigma_L - jump_rate * jump_cov is not PSD, no Brownian "
+            "component fits")
 
     def test_brownian_rejects_jump_parameters(self):
         with pytest.raises(ValidationError):
@@ -87,8 +103,8 @@ class TestStateSpaceModel:
                             C=np.ones((2, 1)), levy=levy)
 
     def test_singular_driver_rejected(self):
-        levy = LevySpec(kind="brownian", sigma_L=np.diag([1.0, 0.0]))
         with pytest.raises(ValidationError):
+            levy = LevySpec(kind="brownian", sigma_L=np.diag([1.0, 0.0]))
             StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2), levy=levy)
 
     def test_properties(self):
@@ -187,4 +203,6 @@ class TestAssemble:
 
     def test_levy_passes_for_accepted_models(self, rng):
         cf = helpers.random_canonical(rng, d=2, c=1, n2=2, m=2)
-        assert validate_levy(assemble_from_canonical(cf).levy).ok
+        levy = assemble_from_canonical(cf).levy
+        LevySpec(kind=levy.kind, sigma_L=levy.sigma_L, jump_rate=levy.jump_rate,
+                 jump_cov=levy.jump_cov)

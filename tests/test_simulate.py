@@ -304,8 +304,8 @@ class TestLevyEuler:
         assert not np.array_equal(a.y, simulate_exact_gaussian(sm, cf, 200, seed=5).y)
 
     def test_driver_validation_flows_through(self):
-        levy = LevySpec(kind="brownian", sigma_L=np.diag([1.0, 0.0]))
         with pytest.raises(ValidationError):
+            levy = LevySpec(kind="brownian", sigma_L=np.diag([1.0, 0.0]))
             CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
                                C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
 
