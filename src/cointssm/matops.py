@@ -95,10 +95,6 @@ def expm(M) -> np.ndarray:
 #: the remainder of ``e^M``, about 0.5^15/15!, is below the unit roundoff 2^-53.
 TAYLOR_DEGREE = 14
 
-#: Bits of the time index per table of `expm_action`: each table holds at
-#: most ``2^ACTION_DIGIT_BITS`` matrices.
-ACTION_DIGIT_BITS = 6
-
 
 def _expm1_taylor(M: np.ndarray) -> np.ndarray:
     """``e^M - I`` for ``||M||_1 <= 1/2``, by Horner, without forming ``e^M``."""
@@ -107,36 +103,6 @@ def _expm1_taylor(M: np.ndarray) -> np.ndarray:
     for j in range(TAYLOR_DEGREE - 1, 1, -1):
         X = eye + (M / j) @ X
     return M @ X
-
-
-def _expm1_powers(D: np.ndarray, count: int) -> np.ndarray:
-    """``(I + D)^i - I`` for ``i = 0 .. count-1`` stacked along axis 0, by
-    doubling as in `_block_powers`, through ``D_{j+k} = D_j + D_k + D_j D_k``.
-    Kept as differences from I, a mode of ``I + D`` near 1 keeps its relative
-    accuracy over any number of powers; the powers themselves would carry
-    the rounding of ``I + D`` times the exponent."""
-    P = np.zeros((count, *D.shape))
-    P[1:2] = D
-    k = 1
-    while k < count - 1:
-        m = min(k, count - 1 - k)
-        new = P[k + 1:k + m + 1]
-        np.matmul(P[1:m + 1], P[k], out=new)
-        new += P[1:m + 1]
-        new += P[k]
-        k += m
-    return P
-
-
-def _add_grouped(table: np.ndarray, key: np.ndarray, rows: np.ndarray) -> None:
-    """``rows[j] += table[key[j]] rows[j]`` in place, one product per table
-    entry that a row uses; entry 0 is zero and skipped."""
-    order = np.argsort(key)
-    ends = np.cumsum(np.bincount(key, minlength=len(table)))
-    for g in range(1, len(table)):
-        idx = order[ends[g - 1]:ends[g]]
-        if idx.size:
-            rows[idx] += rows[idx] @ table[g].T
 
 
 def expm_action(A, horizon: float, times, V) -> np.ndarray:
@@ -148,13 +114,11 @@ def expm_action(A, horizon: float, times, V) -> np.ndarray:
     least with ``||A delta||_1 < 1/2``, and ``0 <= r < delta``. The Taylor
     polynomial of ``e^{A r}`` of degree ``TAYLOR_DEGREE`` is applied to every
     row by Horner, one ``(k, n)`` product per degree. Then ``e^{A i delta}``
-    is applied one base-2^ACTION_DIGIT_BITS digit of ``i`` at a time: digit
-    ``l`` selects ``I + (E_l^digit - I)`` from a table of powers of
-    ``E_l = e^{A delta 2^{l ACTION_DIGIT_BITS}}``, each entry applied to its
-    rows in one product. The tables hold ``E^i - I`` (`_expm1_taylor`,
-    `_expm1_powers`), so rounding is not raised to the power ``i``, and at
-    most ``2^ACTION_DIGIT_BITS ceil(s / ACTION_DIGIT_BITS)`` matrices in all
-    however stiff ``A``.
+    is applied one bit of ``i`` at a time: each row whose bit ``b`` is set
+    gains ``D_b`` times itself, where ``D_b = e^{A delta 2^b} - I`` comes
+    from `_expm1_taylor` and doubling. Held as differences from ``I``, a
+    mode of ``e^{A delta}`` near 1 keeps its relative accuracy over any
+    number of doublings, however stiff ``A``.
     """
     A = as_square(A, "A")
     Vm = as_matrix(V, "V")
@@ -176,12 +140,17 @@ def expm_action(A, horizon: float, times, V) -> np.ndarray:
         out = out @ A.T
         out *= r / j
         out += Vm
-    D = _expm1_taylor(A * delta)
-    for lo in range(0, s, ACTION_DIGIT_BITS):
-        bits = min(ACTION_DIGIT_BITS, s - lo)
-        table = _expm1_powers(D, (1 << bits) + 1)
-        _add_grouped(table[:-1], (i >> lo) & ((1 << bits) - 1), out)
-        D = table[-1]
+    del r
+    Dt = np.ascontiguousarray(_expm1_taylor(A * delta).T)  # (e^{A delta 2^bit} - I)'
+    step, bit_set = np.empty_like(out), np.empty((t.size, 1))
+    for bit in range(s):
+        if bit:
+            Dt = Dt @ Dt + 2.0 * Dt  # e^{2x} - 1 = (e^x - 1)^2 + 2 (e^x - 1)
+        np.matmul(out, Dt, out=step)
+        np.bitwise_and(i[:, None], 1, out=bit_set)  # 1.0 where the bit is set, else 0.0
+        i >>= 1
+        step *= bit_set
+        out += step
     return out
 
 

@@ -13,6 +13,7 @@ from cointssm import (
     McarmaModel,
     StateSpaceModel,
     assemble_from_canonical,
+    canonicalize,
     check_cointegration,
     matops,
     mcarma_to_ss,
@@ -48,6 +49,29 @@ def slow_fixture() -> CointCanonicalForm:
     is about 0.988 at h = 0.1 and 0.9988 at h = 0.01: 200 lags of its
     error-correction filter leave a tail of order one."""
     return random_canonical(np.random.default_rng(3), d=4, c=2, n2=6, m=4)
+
+
+#: A cointegrated MCARMA(3, 1) model with a non-normal sampled closed loop:
+#: the seventh draw of ``perfbench.models.random_coint_mcarma`` from
+#: ``np.random.default_rng(11)``, after six draws at (d, c, p) = (2, 1, 2).
+MCARMA31_P = (
+    [[3.3758727083942963, 0.10805785044989423], [3.02449226107339, 2.9453179640099223]],
+    [[2.9863505907278802, 0.10841439340735695], [3.034471743462651, 2.5543752067391345]],
+    [[0.19627253485827742, -0.05361244070767845], [-1.5005889099452117, 0.4098904312777548]],
+)
+MCARMA31_Q = (
+    [[-0.07228295450292373, 0.22534578702721786], [1.084475594643844, 0.5778638956158266]],
+    [[0.22743301996147597, 0.49161341546058857], [1.2828943558712116, 0.7995457481224375]],
+)
+
+
+def mcarma31_fixture() -> CointCanonicalForm:
+    """The canonical form of the `MCARMA31_P`, `MCARMA31_Q` model with a
+    standard Brownian driver; relative degree 3, so CB = CAB = 0, and its
+    sampled closed loop has norm about 33, 360 and 3,650 at h = 0.1, 0.01
+    and 0.001."""
+    mc = McarmaModel(p_coeffs=MCARMA31_P, q_coeffs=MCARMA31_Q, levy=brownian(2))
+    return canonicalize(mcarma_to_ss(mc))[0]
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -6,8 +6,6 @@ import pytest
 
 import helpers
 from cointssm import (
-    McarmaModel,
-    canonicalize,
     cointegration_space,
     discretize,
     ecf_residuals,
@@ -16,7 +14,6 @@ from cointssm import (
     innovations_alt_rep,
     k_at_one,
     ma_and_ktilde_coeffs,
-    mcarma_to_ss,
     simulate_exact_gaussian,
     solve_steady_state,
     structural_check,
@@ -25,20 +22,6 @@ from cointssm import (
 )
 from cointssm.errors import CointegrationRankError, DimensionError, ValidationError
 from cointssm import matops
-
-
-#: A cointegrated MCARMA(3, 1) model with a non-normal sampled closed loop:
-#: the seventh draw of ``perfbench.models.random_coint_mcarma`` from
-#: ``np.random.default_rng(11)``, after six draws at (d, c, p) = (2, 1, 2).
-MCARMA31_P = (
-    [[3.3758727083942963, 0.10805785044989423], [3.02449226107339, 2.9453179640099223]],
-    [[2.9863505907278802, 0.10841439340735695], [3.034471743462651, 2.5543752067391345]],
-    [[0.19627253485827742, -0.05361244070767845], [-1.5005889099452117, 0.4098904312777548]],
-)
-MCARMA31_Q = (
-    [[-0.07228295450292373, 0.22534578702721786], [1.084475594643844, 0.5778638956158266]],
-    [[0.22743301996147597, 0.49161341546058857], [1.2828943558712116, 0.7995457481224375]],
-)
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.01])
@@ -165,8 +148,7 @@ class TestCoefficients:
     def test_matches_loop_oracle_on_non_normal_loop(self, h, bound):
         # MCARMA(3, 1), so CB = 0: at h = 0.001 the closed loop has norm
         # about 3,650, and matrix powers of it lose 2.5e-8 of the table
-        mc = McarmaModel(p_coeffs=MCARMA31_P, q_coeffs=MCARMA31_Q, levy=helpers.brownian(2))
-        cf, _ = canonicalize(mcarma_to_ss(mc))
+        cf = helpers.mcarma31_fixture()
         sm = discretize(cf, h)
         ks = solve_steady_state(sm, cf)
         dec = ma_and_ktilde_coeffs(ks, sm, J=50)

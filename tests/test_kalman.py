@@ -105,6 +105,23 @@ class TestFilterInnovations:
         eps_want = y - want @ partial_ks.c_matrix.T
         assert np.max(np.abs(eps - eps_want)) <= 1e-12 * np.max(np.abs(y))
 
+    @pytest.mark.parametrize("h", [
+        0.1,
+        pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+    ])
+    def test_matches_loop_oracle_on_non_normal_loop(self, h):
+        # ||cl||_2 is 33 at h = 0.1 and 360 at h = 0.01, where the scan's
+        # products of closed-loop powers miss the loop by 1.4e-7
+        cf = helpers.mcarma31_fixture()
+        sm = discretize(cf, h)
+        ks = solve_steady_state(sm, cf)
+        y = simulate_exact_gaussian(sm, cf, 5_000, seed=1).y
+        eps, _ = filter_innovations(ks, sm, y)
+        U = np.vstack([np.zeros((1, 2)), y[:-1]]) @ ks.gain.T
+        X = helpers.linear_recursion_loop(ks.closed_loop, U, np.zeros(cf.N))
+        want = (y - X @ ks.c_matrix.T)[200:]
+        assert np.max(np.abs(eps[200:] - want)) <= 1e-8 * np.max(np.abs(want))
+
     def test_full_observation_reduces_to_one_step_predictor(self, scalar_ks, scalar_sm, rng):
         y = rng.normal(size=(50, 2))
         eps, _ = filter_innovations(scalar_ks, scalar_sm, y)
