@@ -30,7 +30,6 @@ from .modeldoc import (
     parse_sampling,
     to_canonical,
 )
-from .realization import canonicalize, mcarma_to_ss
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -105,7 +104,7 @@ def _load_canonical(config_path: str,
                     rel_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, dict]:
     doc = load_document(config_path)
     mod = parse_document(doc)
-    return to_canonical(mod, rel_tol), doc
+    return to_canonical(mod, rel_tol)[0], doc
 
 
 def cmd_simulate(args) -> int:
@@ -158,16 +157,18 @@ def cmd_analyze(args) -> int:
     doc = load_document(args.config)
     mod = parse_document(doc)
     out: dict = {"model_kind": doc["model_kind"]}
+    cf = None
     if isinstance(mod, McarmaModel):
         out["cointegration"] = _coint_report_doc(check_cointegration(mod, args.rank_tol))
-        cf = to_canonical(mod, args.rank_tol) if out["cointegration"]["is_cointegrated"] else None
+        if out["cointegration"]["is_cointegrated"]:
+            cf, _ = to_canonical(mod, args.rank_tol)
     else:
-        cf = to_canonical(mod, args.rank_tol)
+        cf, _ = to_canonical(mod, args.rank_tol)
     if cf is not None:
         out["canonical_form"] = canonical_to_doc(cf)
         out["c"] = cf.c
         if 0 < cf.c < cf.d:
-            out["cointegration_space"] = mat_to_list(cointegration_space(cf, args.rank_tol))
+            out["cointegration_space"] = mat_to_list(cointegration_space(cf))
     if args.moments:
         if cf is None:
             raise ValidationError("--moments needs a model with a canonical form")
@@ -185,14 +186,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
-    doc = load_document(args.config)
-    mod = parse_document(doc)
-    if isinstance(mod, McarmaModel):
-        mod = mcarma_to_ss(mod)
-    if isinstance(mod, CointCanonicalForm):
-        cf, T = mod, np.eye(mod.N)
-    else:
-        cf, T = canonicalize(mod, rel_tol=args.rank_tol)
+    cf, T = to_canonical(parse_document(load_document(args.config)), args.rank_tol)
     out = {
         "canonical_form": canonical_to_doc(cf),
         "transform": mat_to_list(T),

@@ -72,18 +72,11 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
     alpha = beta = None
     if cond_b:
         alpha, beta = signed_rank_factors(Pp, r)
-        a_perp = matops.orth_complement(alpha, rel_tol)
-        b_perp = matops.orth_complement(beta, rel_tol)
-        trans_rank = matops.numerical_rank(a_perp.T @ Pp1 @ b_perp, rel_tol).rank
-        cond_c = trans_rank == d - r
-    elif r == d:
-        # no transversality left to check; holds vacuously
-        trans_rank = 0
-        cond_c = True
-    else:
-        # r = 0: both complements are all of R^d
-        trans_rank = matops.numerical_rank(Pp1, rel_tol).rank
-        cond_c = trans_rank == d
+    # alpha_perp and beta_perp are the trailing singular vectors of P_p: empty
+    # at r = d, where (c) holds vacuously, and all of R^d at r = 0
+    U, _, Vt = np.linalg.svd(Pp)
+    trans_rank = matops.numerical_rank(U[:, r:].T @ Pp1 @ Vt[r:].T, rel_tol).rank
+    cond_c = trans_rank == d - r
 
     return CointReport(
         condition_a=cond_a,
@@ -104,13 +97,14 @@ def pstar_polynomial(m: McarmaModel) -> list[np.ndarray]:
     return [np.eye(m.d)] + [np.array(Pi) for Pi in m.p_coeffs[:-1]]
 
 
-def cointegration_space(cf: CointCanonicalForm, rel_tol: float = matops.RANK_REL_TOL) -> np.ndarray:
-    """Orthonormal basis of the cointegration space, spanned by C1_perp."""
+def cointegration_space(cf: CointCanonicalForm) -> np.ndarray:
+    """Orthonormal basis of the cointegration space, spanned by C1_perp: the
+    trailing left singular vectors of C1, whose c columns are orthonormal."""
     if cf.c == 0 or cf.c >= cf.d:
         raise ValidationError(
             f"model with c={cf.c}, d={cf.d} is not cointegrated; no cointegration space"
         )
-    return matops.orth_complement(np.asarray(cf.C1), rel_tol)
+    return np.linalg.svd(np.asarray(cf.C1))[0][:, cf.c:].copy()
 
 
 def integrate_by_integration(m: McarmaModel) -> McarmaModel:

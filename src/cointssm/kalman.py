@@ -67,9 +67,10 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
     with ``F = e^{Ah}``, ``G = F omega C'`` and ``S = C omega C'``.
 
     Solved by ``scipy.linalg.solve_discrete_are`` with zero measurement
-    covariance; the solution is verified against the Riccati residual,
-    closed-loop stability and positive definiteness of the innovation
-    covariance.
+    covariance. The innovation covariance S is certified positive definite
+    by its eigenvalues and then applied through the one LU solve that gives
+    the gain ``G S^{-1}``; the solution is verified against the Riccati
+    residual and closed-loop stability.
     """
     C = cf.full_C()
     eAh = np.asarray(sm.eAh)
@@ -89,18 +90,16 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
     G = eAh @ omega @ C.T
     S = C @ omega @ C.T
     S = 0.5 * (S + S.T)
-    try:
-        cho = sla.cho_factor(S)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"C omega C' is numerically singular: {exc}") from exc
-    new = eAh @ omega @ eAh.T - G @ sla.cho_solve(cho, G.T) + sigma
+    if np.min(np.linalg.eigvalsh(S)) <= 0:
+        raise ConditioningError("innovation covariance V is not positive definite")
+    gain = np.linalg.solve(S, G.T).T
+    new = eAh @ omega @ eAh.T - gain @ G.T + sigma
     residual = float(np.linalg.norm(omega - 0.5 * (new + new.T)))
     scale = 1.0 + np.linalg.norm(omega)
     if residual > matops.RESIDUAL_TOL * scale:
         raise ConvergenceError(
             f"Riccati solution violates the residual bound: {residual:.3e}"
         )
-    gain = np.linalg.solve(S, G.T).T
     ks = KalmanSolution(
         omega=omega,
         gain=gain,
@@ -114,8 +113,6 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
         raise StabilityError(
             f"closed loop is not Schur stable (spectral radius {ks.spectral_radius:.6f})"
         )
-    if np.min(np.linalg.eigvalsh(S)) <= 0:
-        raise ConditioningError("innovation covariance V is not positive definite")
     return ks
 
 

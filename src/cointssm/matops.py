@@ -6,9 +6,8 @@ its arguments: matrix exponentials and their action on many vectors at
 many times, a Bartels-Stewart Lyapunov solver, the ends-first blocked scan
 of the linear recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the
 sampler and the error correction residuals and coefficients, SVD rank
-decisions, orthogonal complements, block-companion polynomial roots and
-the positive-lower-triangular orthonormalization used by the canonical
-form.
+decisions, block-companion polynomial roots and the
+positive-lower-triangular orthonormalization used by the canonical form.
 """
 
 from __future__ import annotations
@@ -279,25 +278,6 @@ def numerical_rank(M, rel_tol: float = RANK_REL_TOL) -> RankResult:
     s = np.linalg.svd(A, compute_uv=False)
     tol = rel_tol * s[0]
     return RankResult(int(np.sum(s > tol)), s, float(tol))
-
-
-def orth_complement(M, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of ``colspace(M)``.
-
-    Requires full column rank ``s < d``; returns a ``d x (d - s)`` matrix
-    with orthonormal columns satisfying ``M' M_perp = 0``.
-    """
-    A = as_matrix(M, "orth_complement input")
-    d, s = A.shape
-    if s >= d:
-        raise RankError(
-            f"need fewer columns than rows for a complement, got shape {A.shape}"
-        )
-    rr = numerical_rank(A, rel_tol)
-    if rr.rank != s:
-        raise RankError(f"matrix is rank deficient: rank {rr.rank} < {s} columns")
-    U = np.linalg.svd(A, full_matrices=True)[0]
-    return U[:, s:].copy()
 
 
 def sort_complex(roots: np.ndarray) -> np.ndarray:

@@ -158,15 +158,16 @@ def load_document(path: str) -> dict:
         raise ValidationError(f"model document {path} is not valid JSON: {exc}") from exc
 
 
-def to_canonical(mod, rel_tol: float = matops.RANK_REL_TOL) -> CointCanonicalForm:
-    """Bring any supported model to canonical form (identity on canonical input);
+def to_canonical(mod,
+                 rel_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, np.ndarray]:
+    """Bring any supported model to canonical form; returns ``(cf, T)`` as
+    `canonicalize` does, with the identity ``T`` for a canonical input.
     ``rel_tol`` is the rank tolerance of the canonicalization."""
     if isinstance(mod, CointCanonicalForm):
-        return mod
+        return mod, np.eye(mod.N)
     if isinstance(mod, McarmaModel):
         mod = mcarma_to_ss(mod)
-    cf, _ = canonicalize(mod, rel_tol=rel_tol)
-    return cf
+    return canonicalize(mod, rel_tol=rel_tol)
 
 
 def mat_to_list(M: np.ndarray) -> list[list[float]]:

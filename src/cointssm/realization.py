@@ -259,6 +259,6 @@ def canonicalize(m: StateSpaceModel,
     else:
         A2, B2, C2 = A2p, B2p, C2p
 
-    T_total = sla.block_diag(T1, T2) @ T_dec if N else T_dec
+    T_total = np.vstack([T1 @ T_dec[:c], T2 @ T_dec[c:]])
     cf = CointCanonicalForm(c=c, A2=A2, B1=B1, B2=B2, C1=C1, C2=C2, levy=m.levy)
     return cf, T_total

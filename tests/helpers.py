@@ -19,6 +19,7 @@ from cointssm import (
     mcarma_to_ss,
     minimality_report,
 )
+from cointssm.cointegration import signed_rank_factors
 from cointssm.realization import decoupled_minimality_check
 
 
@@ -173,6 +174,38 @@ def random_coint_mcarma(rng: np.random.Generator, d: int, c: int, p: int, q: int
 
 def max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.max(sla.subspace_angles(U, V)))
+
+
+# complement oracles: the route `cointegration` took before it read the
+# complements off the SVD of P_p
+
+def orth_complement(M, rel_tol: float = matops.RANK_REL_TOL) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of ``colspace(M)`` for a
+    ``d x s`` matrix of full column rank ``s < d``, from its own SVD."""
+    A = np.asarray(M, dtype=float)
+    d, s = A.shape
+    assert s < d and matops.numerical_rank(A, rel_tol).rank == s
+    return np.linalg.svd(A, full_matrices=True)[0][:, s:].copy()
+
+
+def transversality_oracle(m: McarmaModel,
+                          rel_tol: float = matops.RANK_REL_TOL) -> tuple[int, bool]:
+    """``(rank, full)`` of ``alpha_perp' P_{p-1} beta_perp`` with the
+    complements of the signed factors of P_p, one branch per rank case:
+    vacuously full at r = d and the rank of P_{p-1} itself at r = 0."""
+    d = m.d
+    Pp = np.asarray(m.p_coeffs[-1])
+    Pp1 = np.asarray(m.p_coeffs[-2]) if m.p >= 2 else np.eye(d)
+    r = matops.numerical_rank(Pp, rel_tol).rank
+    if r == d:
+        return 0, True
+    if r == 0:
+        rank = matops.numerical_rank(Pp1, rel_tol).rank
+        return rank, rank == d
+    alpha, beta = signed_rank_factors(Pp, r)
+    a_perp, b_perp = orth_complement(alpha, rel_tol), orth_complement(beta, rel_tol)
+    rank = matops.numerical_rank(a_perp.T @ Pp1 @ b_perp, rel_tol).rank
+    return rank, rank == d - r
 
 
 # quadrature oracles (independent of the augmented-exponential production path)

@@ -88,6 +88,50 @@ class TestCheckCointegration:
                 assert col[nz[0]] > 0
 
 
+class TestTransversalityOracle:
+    """`check_cointegration` reads alpha_perp and beta_perp off the SVD of P_p
+    for every rank; `helpers.transversality_oracle` forms them from the
+    signed factors, with its own branches for r = 0 and r = d."""
+
+    @staticmethod
+    def _check(m):
+        report = check_cointegration(m)
+        rank, full = helpers.transversality_oracle(m)
+        assert (report.transversality_rank, report.condition_c) == (rank, full)
+        return report
+
+    def test_rank_zero(self):
+        # P(z) = z I: both complements are all of R^2 and P_{p-1} = I
+        report = self._check(_mcar1(np.zeros((2, 2))))
+        assert report.r == 0 and report.transversality_rank == 2 and report.condition_c
+
+    def test_full_rank(self):
+        report = self._check(_mcar1(np.eye(2)))
+        assert report.r == 2 and report.transversality_rank == 0 and report.condition_c
+
+    def test_condition_c_failure_model(self):
+        # the model of TestCheckCointegration::test_condition_c_failure (r = 0)
+        P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
+        m = McarmaModel(p_coeffs=(P1, np.zeros((2, 2))), q_coeffs=(np.eye(2),),
+                        levy=helpers.brownian(2))
+        report = self._check(m)
+        assert report.r == 0 and report.transversality_rank == 1 and not report.condition_c
+
+    def test_reduced_rank_failure(self):
+        # P(z) = diag(z^2 + z + 1, z^2): r = 1, and P_1 vanishes on both complements
+        P = np.diag([1.0, 0.0])
+        m = McarmaModel(p_coeffs=(P, P), q_coeffs=(np.eye(2),), levy=helpers.brownian(2))
+        report = self._check(m)
+        assert report.r == 1 and report.transversality_rank == 0 and not report.condition_c
+
+    def test_random_cointegrated(self, rng):
+        for d, c in ((2, 1), (3, 1), (3, 2), (4, 2)):
+            for _ in range(2):
+                m = helpers.random_coint_mcarma(rng, d=d, c=c, p=2, q=1, m=d)
+                report = self._check(m)
+                assert report.condition_c and report.transversality_rank == c
+
+
 class TestPstar:
     def test_coefficient_shift(self, rng):
         m = helpers.random_mcarma(rng, d=2, p=2, q=0, m=2)
@@ -128,6 +172,20 @@ class TestCointegrationSpace:
                                 C1=np.zeros((1, 0)), C2=[[1.0]], levy=helpers.brownian(1))
         with pytest.raises(ValidationError):
             cointegration_space(cf)
+
+    def test_random_canonical_forms(self, rng):
+        for _ in range(6):
+            d = int(rng.integers(2, 7))
+            c = int(rng.integers(1, d))
+            cf = helpers.random_canonical(rng, d=d, c=c, n2=d - c + int(rng.integers(0, 3)), m=d)
+            C1 = np.asarray(cf.C1)
+            space = cointegration_space(cf)
+            assert np.linalg.norm(C1.T @ space) <= 1e-12
+            assert np.allclose(space.T @ space, np.eye(d - c), atol=1e-12)
+            # with C1 it makes a square orthogonal matrix
+            W = np.hstack([C1, space])
+            assert np.allclose(W.T @ W, np.eye(d), atol=1e-10)
+            assert np.array_equal(space, helpers.orth_complement(C1))
 
     def test_beta_matches_canonical_complement(self, rng):
         for _ in range(5):

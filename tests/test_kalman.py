@@ -1,7 +1,9 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import helpers
 from cointssm import (
@@ -10,10 +12,11 @@ from cointssm import (
     check_filtered_controllability,
     discretize,
     filter_innovations,
+    kalman,
     simulate_exact_gaussian,
     solve_steady_state,
 )
-from cointssm.errors import ComputationError, DimensionError
+from cointssm.errors import ComputationError, ConditioningError, DimensionError
 
 
 def stationary_scalar(a: float = np.exp(-1.0)):
@@ -79,6 +82,33 @@ class TestSolveSteadyState:
             sigma[:, :sm.c] = 0.0
             with pytest.raises(ComputationError):
                 solve_steady_state(dataclasses.replace(sm, sigma_tilde=sigma), cf)
+
+    @pytest.mark.parametrize("fixture, h", [
+        (helpers.scalar_fixture, 1.0),
+        (helpers.partial_fixture, 0.5),
+        (helpers.slow_fixture, 0.1),
+        (helpers.mcarma31_fixture, 0.1),
+    ])
+    def test_residual_matches_cholesky_route(self, fixture, h):
+        # the residual applies S^{-1} through the gain's LU solve; the same
+        # residual with S^{-1} from a Cholesky factorization
+        cf = fixture()
+        sm = discretize(cf, h)
+        ks = solve_steady_state(sm, cf)
+        F, C, omega = sm.eAh, ks.c_matrix, ks.omega
+        G = F @ omega @ C.T
+        S = C @ omega @ C.T
+        new = F @ omega @ F.T - G @ sla.cho_solve(sla.cho_factor(0.5 * (S + S.T)), G.T)
+        new += sm.sigma_tilde
+        want = np.linalg.norm(omega - 0.5 * (new + new.T))
+        assert abs(ks.residual - want) <= 1e-14 * (1.0 + np.linalg.norm(omega))
+
+    def test_singular_innovation_covariance_raises(self, scalar_cf, scalar_sm, monkeypatch):
+        # C = I on this fixture, so this Riccati "solution" gives V = diag(1, 0)
+        dare = types.SimpleNamespace(solve_discrete_are=lambda *args: np.diag([1.0, 0.0]))
+        monkeypatch.setattr(kalman, "sla", dare)
+        with pytest.raises(ConditioningError, match="positive definite"):
+            solve_steady_state(scalar_sm, scalar_cf)
 
     def test_closed_loop_quantities_computed_once(self, partial_cf, partial_sm):
         ks = solve_steady_state(partial_sm, partial_cf)

@@ -282,35 +282,6 @@ class TestNumericalRank:
                 matops.numerical_rank(np.eye(2), rel_tol=rel_tol)
 
 
-class TestOrthComplement:
-    def test_unit_vector(self):
-        out = matops.orth_complement([[1.0], [0.0]])
-        assert np.allclose(np.abs(out), [[0.0], [1.0]])
-
-    def test_identity_columns(self):
-        out = matops.orth_complement(np.eye(3)[:, :2])
-        assert np.allclose(np.abs(out), [[0.0], [0.0], [1.0]])
-
-    def test_random_property(self, rng):
-        for _ in range(6):
-            d = rng.integers(2, 7)
-            s = rng.integers(1, d)
-            M = rng.normal(size=(d, s))
-            P = matops.orth_complement(M)
-            assert np.linalg.norm(M.T @ P) <= 1e-12
-            assert np.allclose(P.T @ P, np.eye(d - s), atol=1e-12)
-            # together with an orthonormal basis of M this is a square orthogonal matrix
-            U = np.linalg.svd(M, full_matrices=False)[0]
-            W = np.hstack([U, P])
-            assert np.allclose(W.T @ W, np.eye(d), atol=1e-10)
-
-    def test_rejects_rank_deficient(self):
-        with pytest.raises(RankError):
-            matops.orth_complement(np.zeros((3, 1)))
-        with pytest.raises(RankError):
-            matops.orth_complement(np.eye(2))
-
-
 def _det_poly_roots_oracle(coeffs):
     """Roots of det P(z) for d<=2 via explicit polynomial arithmetic."""
     d = coeffs[0].shape[0]
@@ -466,6 +437,33 @@ class TestUnreadParameters:
                 unread |= {(f"{path.stem}.{node.name}", p.arg) for p in params
                            if p is not None and p.arg not in read}
         assert unread == self.ALLOWED
+
+
+class TestScipySurface:
+    """The scipy functions the package calls: the list a numpy-only
+    replacement has to cover (ROADMAP item 10)."""
+    SOURCES = TestToleranceTable.SOURCES
+    ALLOWED = {"expm", "solve_continuous_lyapunov", "solve_discrete_are", "schur",
+               "solve_sylvester", "lu_factor", "lu_solve"}
+    IMPORTERS = {"matops", "kalman", "realization"}
+
+    def test_only_the_listed_scipy_linalg_functions(self):
+        used = {node.attr for path in self.SOURCES for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "sla"}
+        assert used <= self.ALLOWED, sorted(used - self.ALLOWED)
+
+    def test_scipy_imported_only_as_sla_in_three_modules(self):
+        imports = set()
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imports |= {(path.stem, a.name, a.asname) for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imports |= {(path.stem, f"{node.module}.{a.name}", a.asname)
+                                for a in node.names}
+        scipy = {i for i in imports if i[1].split(".")[0] == "scipy"}
+        assert scipy == {(stem, "scipy.linalg", "sla") for stem in self.IMPORTERS}
 
 
 class TestDeadPrivateCode:
