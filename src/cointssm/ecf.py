@@ -239,8 +239,9 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
     ``z_n = closed_loop z_{n-1} + K y2_{n-1} - closed_loop S C1 r1_{n-1}``
     (one ``matops.linear_recursion`` scan, zero pre-sample,
     ``S = (I - closed_loop)^{-1} K``). Rows n = J .. n_steps-1 (0-based) are
-    returned, J defaulting to the stored truncation. Requires a PathSet that
-    retained the stationary part and the unit-root noise.
+    returned, J defaulting to the stored truncation. Reads the path's
+    ``y2``, ``r1`` and ``c1``; a `PathSet` regenerates the first two when
+    they are first read.
     """
     J = _first_row(dec, J)
     y2 = getattr(ps, "y2", None)

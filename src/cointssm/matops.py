@@ -134,14 +134,15 @@ def expm_action(A, horizon: float, times, V) -> np.ndarray:
     delta = math.ldexp(horizon, -s)
     i = np.minimum((t / delta).astype(np.int64), (1 << s) - 1)
     r = (t - i * delta)[:, None]
-    out = Vm
+    At = np.ascontiguousarray(A.T)  # numpy multiplies by the strided A.T about 3x slower
+    out, step = Vm.copy(), np.empty_like(Vm)
     for j in range(TAYLOR_DEGREE, 0, -1):  # V + (r A / j) out
-        out = out @ A.T
-        out *= r / j
-        out += Vm
+        np.matmul(out, At, out=step)
+        step *= r / j
+        np.add(step, Vm, out=out)
     del r
     Dt = np.ascontiguousarray(_expm1_taylor(A * delta).T)  # (e^{A delta 2^bit} - I)'
-    step, bit_set = np.empty_like(out), np.empty((t.size, 1))
+    bit_set = np.empty((t.size, 1))
     for bit in range(s):
         if bit:
             Dt = Dt @ Dt + 2.0 * Dt  # e^{2x} - 1 = (e^x - 1)^2 + 2 (e^x - 1)

@@ -8,15 +8,17 @@ exact time within the step and carried to the step's end by
 reproducible from (seed, path_index) via independent derived streams, and
 the stationary block is stepped with `matops.linear_recursion`.
 
-A path is ``y = C1 (x1_0 + cumsum(r1)) + C2 x2``, so `PathSet` stores the
-observations ``y``, the stationary state ``x2`` and the unit-root noise
-``r1`` and derives ``times``, ``x1`` and ``y2 = C2 x2`` when first read.
-The Gaussian noise is drawn ``DRAW_ROWS`` rows at a time into one block
-and multiplied from there into ``r1`` and ``x2``, and ``C2 x2`` is added to
-``y`` in blocks of rows, so no path-sized draws or ``C2 x2`` array is
-formed. The stream and the values are bitwise those of one draw of the
-whole array, except in one-step ensembles (an ulp at most: numpy multiplied
-each one-row path by gemv, and the blocks use gemm).
+A path is ``y = C1 (x1_0 + cumsum(r1)) + C2 x2``. `PathSet` stores only
+the observations ``y`` and the recipe that made them: the sampled model,
+the canonical form, the stream ``(seed, path_index)`` and ``x1_0``. The
+first read of ``x2``, ``r1``, ``x1`` or ``y2`` reruns the sampler on the
+path's stream once and checks that the states give back ``y`` bit for
+bit. The Gaussian noise is drawn ``DRAW_ROWS`` rows at a time into one
+block and multiplied from there into ``r1`` and ``x2``, and ``C2 x2`` is
+added to ``y`` in blocks of rows, so no path-sized draws or ``C2 x2``
+array is formed. The stream and the values are bitwise those of one draw
+of the whole array, except in one-step ensembles (an ulp at most: numpy
+multiplied each one-row path by gemv, and the blocks use gemm).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matops, moments
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .model import CointCanonicalForm
 from .moments import SampledModel
 
@@ -41,23 +43,40 @@ class PathSet:
     """One simulated path of the sampled model.
 
     Row ``n`` (0-based) holds time ``(n+1) h``. Stored: the observations
-    ``y``, the stationary state ``x2``, the unit-root noise
-    ``r1 = B1 (L(nh) - L((n-1)h))``, the unit-root start ``x1_0`` and the
-    observation blocks ``c1`` and ``c2`` of the generating model, so the
-    decompositions can be reproduced from the path alone. Derived on first
-    read and then kept: ``times = h (1..n)``, ``x1 = x1_0 + cumsum(r1)`` and
-    the stationary part ``y2 = C2 x2``, with ``y = C1 x1 + y2``.
+    ``y`` and their recipe, the sampled model ``sm``, the canonical form
+    ``cf``, the stream ``(seed, path_index)`` and the unit-root start
+    ``x1_0``; ``h``, ``driver_kind`` and the observation blocks ``c1`` and
+    ``c2`` are read off ``sm`` and ``cf``. The first read of ``x2``, ``r1``,
+    ``x1`` or ``y2`` regenerates the states with one rerun of the sampler
+    on the path's stream, which raises `NumericError` unless they give back
+    ``y`` bit for bit; they are then kept. ``x2`` is the stationary state,
+    ``r1 = B1 (L(nh) - L((n-1)h))`` the unit-root noise,
+    ``x1 = x1_0 + cumsum(r1)``, ``y2 = C2 x2`` the stationary part and
+    ``times = h (1..n)``, with ``y = C1 x1 + y2``.
     """
 
-    h: float
     y: np.ndarray
-    x2: np.ndarray
-    r1: np.ndarray
     x1_0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
     seed: int
-    driver_kind: str
+    path_index: int
+    sm: SampledModel
+    cf: CointCanonicalForm
+
+    @property
+    def h(self) -> float:
+        return self.sm.h
+
+    @property
+    def driver_kind(self) -> str:
+        return self.cf.levy.kind
+
+    @property
+    def c1(self) -> np.ndarray:
+        return self.cf.C1
+
+    @property
+    def c2(self) -> np.ndarray:
+        return self.cf.C2
 
     @property
     def n_steps(self) -> int:
@@ -68,12 +87,36 @@ class PathSet:
         return self.h * np.arange(1, self.n_steps + 1)
 
     @cached_property
+    def _states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(r1, x1, x2)`` from one rerun of the sampler on the path's stream."""
+        _, r1, x1, x2, y = _one_path(self.sm, self.cf, self.n_steps, self.x1_0,
+                                     self.seed, self.path_index)
+        if not np.array_equal(y.view(np.uint64), self.y.view(np.uint64)):
+            raise NumericError("the regenerated states do not give back the stored path y")
+        return r1, x1, x2
+
+    @property
+    def r1(self) -> np.ndarray:
+        return self._states[0]
+
+    @property
     def x1(self) -> np.ndarray:
-        return _levels(self.x1_0, self.r1)
+        return self._states[1]
+
+    @property
+    def x2(self) -> np.ndarray:
+        return self._states[2]
 
     @cached_property
     def y2(self) -> np.ndarray:
         return self.x2 @ self.c2.T
+
+
+def _check_index(value, name: str) -> int:
+    """A seed or stream index: a non-negative integer that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _stream(seed: int, path_index: int) -> np.random.Generator:
@@ -198,6 +241,15 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     return x0, r1, x2
 
 
+def _one_path(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, x1_0, seed: int,
+              path_index: int) -> tuple[np.ndarray, ...]:
+    """``(x1_0, r1, x1, x2, y)`` of the exact path on the stream ``(seed, path_index)``."""
+    x0, r1, x2 = _exact_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
+    r1, x2 = r1[0], x2[0]
+    x1 = _levels(x0, r1)
+    return x0, r1, x1, x2, _observe(cf, x1, x2)
+
+
 def simulate_exact_gaussian(
     sm: SampledModel,
     cf: CointCanonicalForm,
@@ -212,12 +264,13 @@ def simulate_exact_gaussian(
     Brownian driver, Gaussian plus exactly placed compound-Poisson jumps
     otherwise. The stationary block starts from N(0, gamma0), which has the
     stationary mean and covariance (for a jump driver not its higher
-    cumulants); the unit-root block starts from x1_0.
+    cumulants); the unit-root block starts from x1_0. The result keeps
+    ``y`` and regenerates the states from ``(seed, path_index)`` when they
+    are first read (`PathSet`).
     """
-    x0, r1, x2 = _exact_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
-    r1, x2 = r1[0], x2[0]
-    return PathSet(h=sm.h, y=_observe(cf, _levels(x0, r1), x2), x2=x2, r1=r1, x1_0=x0,
-                   c1=np.array(cf.C1), c2=np.array(cf.C2), seed=seed, driver_kind=cf.levy.kind)
+    seed, path_index = _check_index(seed, "seed"), _check_index(path_index, "path_index")
+    x0, _, _, _, y = _one_path(sm, cf, n_steps, x1_0, seed, path_index)
+    return PathSet(y=y, x1_0=x0, seed=seed, path_index=path_index, sm=sm, cf=cf)
 
 
 def simulate_gaussian_ensemble(
@@ -235,7 +288,8 @@ def simulate_gaussian_ensemble(
     not, since every path's Gaussian noise is drawn before the stationary
     starts. The unit-root levels are summed over ``r1`` in place.
     """
-    x0, r1, x2 = _exact_paths(sm, cf, n_steps, n_paths, x1_0, _stream(seed, 0))
+    rng = _stream(_check_index(seed, "seed"), 0)
+    x0, r1, x2 = _exact_paths(sm, cf, n_steps, n_paths, x1_0, rng)
     return _observe(cf, _levels(x0, r1, out=r1), x2)
 
 

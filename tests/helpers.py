@@ -301,6 +301,17 @@ def scratch_peak(fn, *args, **kwargs) -> tuple[int, object]:
         tracemalloc.stop()
 
 
+def retained(fn, *args, **kwargs) -> tuple[int, object]:
+    """Traced allocation still held once one call has returned, with its
+    result alive, and the result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[0], out
+    finally:
+        tracemalloc.stop()
+
+
 def cov_se(samples: np.ndarray, lagged: np.ndarray) -> np.ndarray:
     """Empirical standard error of each entry of (1/n) sum x_i y_j' for
     mean-zero samples (rows are observations)."""

@@ -1,4 +1,3 @@
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,7 +275,6 @@ class TestAlternativeRepresentation:
         # path whose stationary part is a pure deterministic decay (a B2 = 0
         # test double); the representation equivalence is pathwise algebra,
         # so it must hold for this input too
-        from cointssm.simulate import PathSet
         n = 800
         C1, C2 = np.asarray(partial_cf.C1), np.asarray(partial_cf.C2)
         r1 = np.asarray(partial_cf.B1) @ rng.normal(size=(n, 2)).T
@@ -288,8 +286,7 @@ class TestAlternativeRepresentation:
             state = partial_sm.eA2h @ state
             x2[i] = state
         y = x1 @ C1.T + x2 @ C2.T
-        ps = PathSet(h=partial_sm.h, y=y, x2=x2, r1=r1, x1_0=np.zeros(1), c1=C1, c2=C2,
-                     seed=0, driver_kind="brownian")
+        ps = SimpleNamespace(y=y, y2=x2 @ C2.T, r1=r1, c1=C1)
         eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=60)
         alt = innovations_alt_rep(dec, ps, J=60)
@@ -297,8 +294,7 @@ class TestAlternativeRepresentation:
 
     def test_zero_components_give_zero(self, partial_ks, partial_sm, partial_cf):
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=94)
-        # y2 = C2 x2 is derived, so a zero x2 gives a zero y2
-        zeroed = dataclasses.replace(ps, x2=np.zeros_like(ps.x2), r1=np.zeros_like(ps.r1))
+        zeroed = SimpleNamespace(y2=np.zeros_like(ps.y2), r1=np.zeros_like(ps.r1), c1=ps.c1)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         alt = innovations_alt_rep(dec, zeroed, J=10)
         assert np.array_equal(alt, np.zeros_like(alt))
@@ -313,7 +309,7 @@ class TestAlternativeRepresentation:
     def test_mismatched_components_rejected(self, partial_ks, partial_sm, partial_cf):
         # a short r1 used to end in numpy's broadcasting ValueError
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
-        short = dataclasses.replace(ps, r1=ps.r1[:-1])
+        short = SimpleNamespace(y2=ps.y2, r1=ps.r1[:-1], c1=ps.c1)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         with pytest.raises(DimensionError):
             innovations_alt_rep(dec, short, J=10)

@@ -12,7 +12,7 @@ from cointssm import (
     simulate_gaussian_ensemble,
 )
 from cointssm import matops, simulate
-from cointssm.errors import ValidationError
+from cointssm.errors import NumericError, ValidationError
 
 
 def jump_fixture(kind: str = "compound_poisson_gaussian_jumps") -> CointCanonicalForm:
@@ -114,10 +114,31 @@ class TestExactGaussian:
         with pytest.raises(ValidationError):
             simulate_gaussian_ensemble(scalar_sm, scalar_cf, n_steps, n_paths, seed=0)
 
+    @pytest.mark.parametrize("name,value", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                            ("seed", np.bool_(False)), ("seed", "7"),
+                                            ("path_index", -1), ("path_index", 2.0),
+                                            ("path_index", True)])
+    def test_rejects_bad_seed_and_path_index(self, scalar_sm, scalar_cf, name, value):
+        # numpy raised a bare ValueError or TypeError, or took a bool as 0 or 1
+        with pytest.raises(ValidationError, match=name):
+            simulate_exact_gaussian(scalar_sm, scalar_cf, 10, **{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_ensemble_rejects_bad_seed(self, scalar_sm, scalar_cf, seed):
+        with pytest.raises(ValidationError):
+            simulate_gaussian_ensemble(scalar_sm, scalar_cf, 10, 2, seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self, scalar_sm, scalar_cf):
+        ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 10, seed=np.int64(7),
+                                     path_index=np.uint8(1))
+        assert type(ps.seed) is int and type(ps.path_index) is int
+        ref = simulate_exact_gaussian(scalar_sm, scalar_cf, 10, seed=7, path_index=1)
+        assert np.array_equal(ps.y, ref.y) and np.array_equal(ps.x2, ref.x2)
+
 
 class TestStorage:
-    """A path stores y, x2 and r1 and derives times, x1 and y2; the noise is
-    drawn, and C2 x2 summed, in blocks of DRAW_ROWS rows."""
+    """A path stores y and regenerates x2, r1, x1 and y2 when first read; the
+    noise is drawn, and C2 x2 summed, in blocks of DRAW_ROWS rows."""
 
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("n_steps", [simulate.DRAW_ROWS - 1, simulate.DRAW_ROWS,
@@ -148,14 +169,23 @@ class TestStorage:
         assert ps.n_steps == T
 
     def test_single_path_scratch_is_bounded(self):
-        # beyond the stored y, x2 and r1 only the levels x1 (T c = 0.25 T N
-        # doubles here) and row blocks; eager draws, x1, y2 and times took 1.0 T N
+        # beyond y, x2 and r1 only the levels x1 (T c = 0.25 T N doubles here)
+        # and row blocks; eager draws, x1, y2 and times took 1.0 T N
         cf = helpers.slow_fixture()
         sm = discretize(cf, 1.0)
         T = 100_000
         peak, ps = helpers.scratch_peak(simulate_exact_gaussian, sm, cf, T, seed=3)
         kept = ps.y.nbytes + ps.x2.nbytes + ps.r1.nbytes
         assert peak - kept <= 0.3 * T * cf.N * 8
+
+    @pytest.mark.parametrize("make,T", [(helpers.slow_fixture, 100_000),
+                                        (jump_random_fixture, 20_000)])
+    def test_single_path_retains_only_y(self, make, T):
+        # x2 and r1 (0.75 T N doubles here) were kept until the path was freed
+        cf = make()
+        sm = discretize(cf, 1.0)
+        held, ps = helpers.retained(simulate_exact_gaussian, sm, cf, T, seed=3)
+        assert held - ps.y.nbytes <= 8 * cf.N**2 * 8
 
     def test_ensemble_scratch_is_bounded(self):
         # r1 and x2 (P T N doubles, the levels summed over r1 in place) and
@@ -165,6 +195,65 @@ class TestStorage:
         P, T = 8, 20_000
         peak, y = helpers.scratch_peak(simulate_gaussian_ensemble, sm, cf, T, P, seed=3)
         assert peak - y.nbytes <= 1.1 * P * T * cf.N * 8
+
+
+class TestRegeneration:
+    """The first read of x2, r1, x1 or y2 reruns the sampler once on the
+    path's stream and checks the states against the stored y."""
+
+    @staticmethod
+    def _eager(sm, cf, T, x1_0, seed, path_index):
+        # what simulate_exact_gaussian stored and derived when it kept x2 and r1
+        x0, r1, x2 = simulate._exact_paths(sm, cf, T, 1, x1_0,
+                                           simulate._stream(seed, path_index))
+        r1, x2 = r1[0], x2[0]
+        x1 = np.cumsum(r1, axis=0)
+        x1 += x0
+        return {"r1": r1, "x2": x2, "x1": x1, "y2": x2 @ np.asarray(cf.C2).T}
+
+    @pytest.mark.parametrize("make,h,x1_0,path_index", [
+        (helpers.partial_fixture, 0.5, None, 0),
+        (jump_random_fixture, 1.0, None, 0),
+        (jump_partial_fixture, 0.5, [2.0], 3),
+    ])
+    def test_states_equal_the_eagerly_stored_ones(self, make, h, x1_0, path_index):
+        cf = make()
+        sm = discretize(cf, h)
+        T = 2 * simulate.DRAW_ROWS + 1
+        ps = simulate_exact_gaussian(sm, cf, T, x1_0=x1_0, seed=19, path_index=path_index)
+        want = self._eager(sm, cf, T, x1_0, 19, path_index)
+        for field, value in want.items():
+            assert np.array_equal(getattr(ps, field), value), field
+        assert np.array_equal(ps.x1_0, np.zeros(cf.c) if x1_0 is None else x1_0)
+        assert (ps.seed, ps.path_index, ps.h) == (19, path_index, h)
+        assert ps.c1 is cf.C1 and ps.c2 is cf.C2 and ps.driver_kind == cf.levy.kind
+
+    def test_one_sampler_run_serves_every_state(self, partial_sm, partial_cf, monkeypatch):
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 500, seed=3)
+        calls = []
+        exact_paths = simulate._exact_paths
+        monkeypatch.setattr(simulate, "_exact_paths",
+                            lambda *a: calls.append(1) or exact_paths(*a))
+        for field in ("y", "times", "n_steps", "h", "c1", "c2", "driver_kind"):
+            getattr(ps, field)
+        assert not calls
+        for field in ("x2", "r1", "x1", "y2", "x2", "r1", "x1", "y2"):
+            getattr(ps, field)
+        assert len(calls) == 1
+        assert ps.x2 is ps.x2 and ps.r1 is ps.r1 and ps.x1 is ps.x1 and ps.y2 is ps.y2
+
+    def test_states_that_miss_y_raise(self, partial_sm, partial_cf, monkeypatch):
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 500, seed=3)
+        exact_paths = simulate._exact_paths
+
+        def perturbed(*args):
+            x0, r1, x2 = exact_paths(*args)
+            x2[0, 7] += 1e-9
+            return x0, r1, x2
+
+        monkeypatch.setattr(simulate, "_exact_paths", perturbed)
+        with pytest.raises(NumericError, match="stored path y"):
+            ps.x2
 
 
 class TestLevyEuler:
@@ -218,12 +307,13 @@ class TestLevyEuler:
         cf = make()
         sm = discretize(cf, h)
         n_steps = min(20_000, round(800 / (cf.levy.jump_rate * h)))
-        ps = simulate_exact_gaussian(sm, cf, n_steps, seed=5)
+        # the states are read before the patch: their regeneration reruns _add_jumps
+        x2 = simulate_exact_gaussian(sm, cf, n_steps, seed=5).x2
         ens = simulate_gaussian_ensemble(sm, cf, n_steps // 4, 4, seed=6)
         monkeypatch.setattr(simulate, "_add_jumps", helpers.add_jumps_expm)
         ref = simulate_exact_gaussian(sm, cf, n_steps, seed=5)
         ens_ref = simulate_gaussian_ensemble(sm, cf, n_steps // 4, 4, seed=6)
-        assert np.max(np.abs(ps.x2 - ref.x2)) <= 1e-13 * np.max(np.abs(ref.x2))
+        assert np.max(np.abs(x2 - ref.x2)) <= 1e-13 * np.max(np.abs(ref.x2))
         assert np.max(np.abs(ens - ens_ref)) <= 1e-13 * np.max(np.abs(ens_ref))
 
     def test_r1_changes_only_in_steps_with_two_jumps(self, monkeypatch):
@@ -239,14 +329,14 @@ class TestLevyEuler:
             rng.bit_generator.state = state
             helpers.add_jumps_expm(r1, r2, cf, h, rng)
 
-        ps = simulate_exact_gaussian(sm, cf, 5_000, seed=2)
+        r1 = simulate_exact_gaussian(sm, cf, 5_000, seed=2).r1  # regenerated before the patch
         monkeypatch.setattr(simulate, "_add_jumps", oracle)
         ref = simulate_exact_gaussian(sm, cf, 5_000, seed=2)
         single = counts[0] <= 1
         assert not single.all()
-        assert np.array_equal(ps.r1[single], ref.r1[single])
+        assert np.array_equal(r1[single], ref.r1[single])
         eps = np.finfo(float).eps
-        assert np.max(np.abs(ps.r1 - ref.r1)) <= 4 * eps * np.max(np.abs(ref.r1))
+        assert np.max(np.abs(r1 - ref.r1)) <= 4 * eps * np.max(np.abs(ref.r1))
 
     def test_one_exponential_per_call(self, monkeypatch):
         # the Brownian component's Van Loan exponential; none per jump
@@ -265,7 +355,7 @@ class TestLevyEuler:
         sm = discretize(cf, 1.0)
         T = 20_000
         peak, ps = helpers.scratch_peak(simulate_exact_gaussian, sm, cf, T, seed=3)
-        # stored fields only: reading the derived ones would loosen the bound
+        # y and the states the sampler forms: x1 and y2 would loosen the bound
         kept = sum(getattr(ps, f).nbytes for f in ("y", "x2", "r1", "x1_0", "c1", "c2"))
         assert peak - kept < 3.0 * T * cf.N * 8
 
