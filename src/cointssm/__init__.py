@@ -66,6 +66,7 @@ from .simulate import (
     FirstDifference,
     PathSet,
     first_difference,
+    simulate_exact_full,
     simulate_exact_gaussian,
     simulate_gaussian_ensemble,
 )

@@ -113,7 +113,9 @@ def cmd_simulate(args) -> int:
     cf, doc = _load_canonical(args.config)
     opts = parse_sampling(doc)
     sm = moments.discretize(cf, opts.h)
-    ps = simulate.simulate_exact_gaussian(sm, cf, opts.n_steps, x1_0=opts.x1_0, seed=opts.seed)
+    sampler = (simulate.simulate_exact_full if args.columns == "full"
+               else simulate.simulate_exact_gaussian)
+    ps = sampler(sm, cf, opts.n_steps, x1_0=opts.x1_0, seed=opts.seed)
     d, c, n2 = cf.d, cf.c, cf.n2
     header = ["t"] + [f"y_{i+1}" for i in range(d)]
     cols = [ps.times[:, None], ps.y]

@@ -3,7 +3,10 @@
 Three conditions on the autoregressive polynomial decide whether the process
 is cointegrated: (a) all determinant roots are stable or zero, (b) P_p has
 reduced rank 0 < r < d with factorization alpha beta', (c) the transversality
-matrix alpha_perp' P_{p-1} beta_perp has full rank d - r. Also houses the
+matrix alpha_perp' P_{p-1} beta_perp has full rank d - r. The number c of
+zero roots, and so r = d - c, is `matops.unit_root_count` of the block
+companion matrix, the decision `canonicalize` makes on the same matrix of
+the companion realization. Also houses the
 continuous-time error-correction polynomial and the two integrated-MCARMA
 constructions.
 """
@@ -31,6 +34,7 @@ class CointReport:
     transversality_rank: int
     is_cointegrated: bool
     roots: np.ndarray
+    unit_roots: matops.UnitRootCount
 
 
 def signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,22 +56,27 @@ def signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) -> CointReport:
     """Evaluate the three cointegration conditions on an MCARMA model.
 
-    All conditions are computed independently and reported even when an
+    The c smallest-modulus roots of det P are its zero roots, with c =
+    `matops.unit_root_count` of the companion matrix at ``rel_tol``; (a)
+    needs every other root stable and (b) takes ``r = d - c``. All
+    conditions are computed independently and reported even when an
     earlier one fails. Rank 0 (integrated only) and rank d (stationary)
     are flagged as not cointegrated.
     """
     d, p = m.d, m.p
     Pp = np.asarray(m.p_coeffs[-1])
     Pp1 = np.asarray(m.p_coeffs[-2]) if p >= 2 else np.eye(d)
-    roots = matops.poly_det_roots(m.ar_poly())
+    companion = matops.companion_matrix(m.ar_poly())
+    roots = matops.sort_complex(np.linalg.eigvals(companion))
+    unit_roots = matops.unit_root_count(companion, rel_tol)
 
-    zero_tol = matops.ROOT_ZERO_REL_TOL * (1.0 + np.linalg.norm(Pp) ** (1.0 / p))
-    is_zero = np.abs(roots) < zero_tol
+    is_zero = np.zeros(roots.size, dtype=bool)
+    is_zero[np.argsort(np.abs(roots), kind="stable")[:unit_roots.c]] = True
     is_stable = roots.real < -matops.ROOT_UNSTABLE_TOL
     offending = roots[~(is_zero | is_stable)]
     cond_a = offending.size == 0
 
-    r = matops.numerical_rank(Pp, rel_tol).rank
+    r = max(d - unit_roots.c, 0)  # c > d: a huge P_p sinks the companion's identity blocks
     cond_b = 0 < r < d
     alpha = beta = None
     if cond_b:
@@ -89,6 +98,7 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
         transversality_rank=trans_rank,
         is_cointegrated=bool(cond_a and cond_b and cond_c),
         roots=roots,
+        unit_roots=unit_roots,
     )
 
 

@@ -6,7 +6,8 @@ its arguments: matrix exponentials and their action on many vectors at
 many times, a Bartels-Stewart Lyapunov solver, the ends-first blocked scan
 of the linear recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the
 sampler and the error correction residuals and coefficients, SVD rank
-decisions, block-companion polynomial roots and the
+decisions (among them the unit-root count of a state matrix),
+block-companion polynomial roots and the
 positive-lower-triangular orthonormalization used by the canonical form.
 """
 
@@ -29,11 +30,11 @@ from .errors import (
 # Tolerance table: every numerical threshold of the package and what it is relative to
 # (Frobenius norms). Only RANK_REL_TOL can be replaced, per call, as ``rel_tol`` (the
 # CLI's ``--rank-tol``); model construction always validates against the table.
-RANK_REL_TOL = 1e-9       #: rank: a singular value counts when > tol sigma_max
+RANK_REL_TOL = 1e-9       #: rank: a singular value counts when > tol sigma_max; unit-root
+                          #: count c = N - rank(A) (`unit_root_count`)
 HURWITZ_TOL = 1e-9        #: Hurwitz A2: every eigenvalue has Re < -tol (absolute)
-ZERO_EIG_REL_TOL = 1e-8   #: unit roots of A: |eig| < t = tol (1 + ||A||), and their Schur
-                          #: block is semisimple when its norm is <= t max(1, ||A||)
-ROOT_ZERO_REL_TOL = 1e-7  #: zero roots of det P: |z| < tol (1 + ||P_p||^(1/p))
+ZERO_EIG_REL_TOL = 1e-8   #: the Schur block of A's c unit roots is semisimple when its norm
+                          #: is <= tol (1 + ||A||) max(1, ||A||)
 ROOT_UNSTABLE_TOL = 1e-7  #: stable roots of det P: Re z < -tol (absolute)
 C1_ORTHO_TOL = 1e-10      #: canonical C1: ||C1' C1 - I|| <= tol (1 + c)
 PLT_TOL = 1e-8            #: canonical C1: a column's pivot is its first |x| > tol (absolute)
@@ -279,6 +280,30 @@ def numerical_rank(M, rel_tol: float = RANK_REL_TOL) -> RankResult:
     s = np.linalg.svd(A, compute_uv=False)
     tol = rel_tol * s[0]
     return RankResult(int(np.sum(s > tol)), s, float(tol))
+
+
+@dataclass(frozen=True)
+class UnitRootCount:
+    """The unit-root count ``c = N - rank(A)`` of a state matrix, with how
+    far its deciding singular values sit from the tolerance: ``margin_kept =
+    sigma_{N-c} / tol`` (> 1; inf when c = N) and ``margin_dropped = tol /
+    sigma_{N-c+1}`` (>= 1; inf when c = 0 or that value is exactly 0)."""
+
+    c: int
+    margin_kept: float
+    margin_dropped: float
+
+
+def unit_root_count(A, rel_tol: float = RANK_REL_TOL) -> UnitRootCount:
+    """Number of zero eigenvalues of ``A`` (if they are semisimple): ``N``
+    minus its `numerical_rank` at ``rel_tol * sigma_max(A)``. For the block
+    companion matrix of an MCARMA model this is ``d - rank P_p`` in exact
+    arithmetic, at the companion's scale."""
+    res = numerical_rank(as_square(A, "A"), rel_tol)
+    s, tol, r = res.singular_values, res.tolerance_used, res.rank
+    kept = s[r - 1] / tol if r else math.inf
+    dropped = tol / s[r] if r < s.size and s[r] else math.inf
+    return UnitRootCount(c=s.size - r, margin_kept=float(kept), margin_dropped=float(dropped))
 
 
 def sort_complex(roots: np.ndarray) -> np.ndarray:

@@ -13,10 +13,11 @@ the observations ``y`` and the recipe that made them: the sampled model,
 the canonical form, the stream ``(seed, path_index)`` and ``x1_0``. The
 first read of ``x2``, ``r1``, ``x1`` or ``y2`` reruns the sampler on the
 path's stream once and checks that the states give back ``y`` bit for
-bit. The Gaussian noise is drawn ``DRAW_ROWS`` rows at a time into one
-block and multiplied from there into ``r1`` and ``x2``, and ``C2 x2`` is
-added to ``y`` in blocks of rows, so no path-sized draws or ``C2 x2``
-array is formed. The stream and the values are bitwise those of one draw
+bit; `simulate_exact_full` keeps the states of its own run instead. The
+Gaussian noise is drawn ``DRAW_ROWS`` rows at a time into one block and
+multiplied from there into ``r1`` and ``x2``, and ``C2 x2`` is added to
+``y`` in blocks of rows, so no path-sized draws or ``C2 x2`` array is
+formed. The stream and the values are bitwise those of one draw
 of the whole array, except in one-step ensembles (an ulp at most: numpy
 multiplied each one-row path by gemv, and the blocks use gemm).
 """
@@ -49,7 +50,8 @@ class PathSet:
     ``c2`` are read off ``sm`` and ``cf``. The first read of ``x2``, ``r1``,
     ``x1`` or ``y2`` regenerates the states with one rerun of the sampler
     on the path's stream, which raises `NumericError` unless they give back
-    ``y`` bit for bit; they are then kept. ``x2`` is the stationary state,
+    ``y`` bit for bit; they are then kept (from the start, for a path made
+    by `simulate_exact_full`). ``x2`` is the stationary state,
     ``r1 = B1 (L(nh) - L((n-1)h))`` the unit-root noise,
     ``x1 = x1_0 + cumsum(r1)``, ``y2 = C2 x2`` the stationary part and
     ``times = h (1..n)``, with ``y = C1 x1 + y2``.
@@ -271,6 +273,19 @@ def simulate_exact_gaussian(
     seed, path_index = _check_index(seed, "seed"), _check_index(path_index, "path_index")
     x0, _, _, _, y = _one_path(sm, cf, n_steps, x1_0, seed, path_index)
     return PathSet(y=y, x1_0=x0, seed=seed, path_index=path_index, sm=sm, cf=cf)
+
+
+def simulate_exact_full(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, x1_0=None,
+                        seed: int = 0, path_index: int = 0) -> PathSet:
+    """The path of `simulate_exact_gaussian`, bit for bit, with the states
+    of the same sampler run already kept: reading ``x2``, ``r1`` or ``x1``
+    reruns nothing. For a caller that reads the states anyway; the path
+    holds about ``(2 c + n2) / d`` times the memory of ``y`` more."""
+    seed, path_index = _check_index(seed, "seed"), _check_index(path_index, "path_index")
+    x0, r1, x1, x2, y = _one_path(sm, cf, n_steps, x1_0, seed, path_index)
+    ps = PathSet(y=y, x1_0=x0, seed=seed, path_index=path_index, sm=sm, cf=cf)
+    ps.__dict__["_states"] = (r1, x1, x2)  # the value `PathSet._states` would cache
+    return ps
 
 
 def simulate_gaussian_ensemble(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from cointssm import canonicalize, matops
+from cointssm import canonicalize, discretize, matops, simulate, simulate_exact_gaussian
 from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
 from cointssm.errors import MinimalityError
 from cointssm.modeldoc import canonical_to_doc, parse_document
@@ -94,6 +94,33 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "-o", str(out), "--columns", "full"]) == 0
         header = out.read_text().splitlines()[0]
         assert header == "t,y_1,y_2,x1_1,x2_1,r1_1"
+
+    def test_one_sampler_run_per_command(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path / "model.json", partial_doc())
+        calls = []
+        exact_paths = simulate._exact_paths
+        monkeypatch.setattr(simulate, "_exact_paths",
+                            lambda *a: calls.append(1) or exact_paths(*a))
+        for columns in ("y", "full"):
+            calls.clear()
+            assert main(["simulate", cfg, "-o", str(tmp_path / "p.csv"),
+                         "--columns", columns]) == 0
+            assert len(calls) == 1, columns
+
+    @pytest.mark.parametrize("levy", [None, mixed_levy()])
+    def test_full_columns_are_the_regenerated_states(self, tmp_path, levy):
+        # the bytes of the states that a path regenerates on first read
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 500
+        doc["levy"] = levy or doc["levy"]
+        cfg = write_json(tmp_path / "model.json", doc)
+        out, ref = tmp_path / "path.csv", tmp_path / "ref.csv"
+        assert main(["simulate", cfg, "-o", str(out), "--columns", "full"]) == 0
+        cf = parse_document(doc)
+        ps = simulate_exact_gaussian(discretize(cf, 0.5), cf, 500, seed=40)
+        _write_csv(str(ref), out.read_text().splitlines()[0].split(","),
+                   np.hstack([ps.times[:, None], ps.y, ps.x1, ps.x2, ps.r1]))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = write_json(tmp_path / "model.json", scalar_doc())
@@ -627,10 +654,11 @@ class TestParser:
             return rank(M, rel_tol)
 
         monkeypatch.setattr(matops, "numerical_rank", recording)
-        for command in ("analyze", "ecf"):
+        for command in ("analyze", "canonicalize", "ecf"):
             seen.clear()
             assert main([command, cfg, "--rank-tol", "1e-6"]) == 0
             assert seen and all(tol == 1e-6 for _, tol in seen), (command, seen)
+            assert "unit_root_count" in {caller for caller, _ in seen}, command
 
     @pytest.mark.parametrize("argv", [["filter", "model.json", "path.csv", "-o", "flt"],
                                       ["ecf", "model.json", "--path", "path.csv"],

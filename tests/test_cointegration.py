@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from cointssm import (
     mcarma_to_ss,
     pstar_polynomial,
 )
+from cointssm.cli import main
 from cointssm.errors import ValidationError
 
 
@@ -44,6 +49,15 @@ class TestCheckCointegration:
         assert not report.condition_b
         assert report.condition_c  # vacuous at full rank
         assert not report.is_cointegrated
+
+    def test_unit_roots_beyond_d_give_rank_zero(self):
+        # the companion's identity blocks fall under the tolerance of P_3 = 1e12 I
+        Z = np.zeros((2, 2))
+        m = McarmaModel(p_coeffs=(Z, Z, 1e12 * np.eye(2)), q_coeffs=(np.eye(2),),
+                        levy=helpers.brownian(2))
+        report = check_cointegration(m)
+        assert (report.unit_roots.c, report.r) == (4, 0)
+        assert not report.condition_b and not report.is_cointegrated
 
     def test_unstable_root_flagged(self):
         report = check_cointegration(_mcar1([[-1.0, 0.0], [0.0, 0.0]]))
@@ -253,3 +267,95 @@ class TestCrossModuleRankConsistency:
             cf, _ = canonicalize(mcarma_to_ss(m))
             assert cf.c == c
             assert report.r == d - cf.c
+
+
+#: The last entry of P_p in the two families below. The companion matrix's
+#: smallest singular value crosses the default rank tolerance inside this
+#: range, where the unit-root count c used to be decided three ways.
+BAND = (1e-10, 2e-9, 5e-9, 1.5e-8, 5e-8, 1.5e-7, 1e-6)
+
+
+def _band_model(family: str, eps: float) -> McarmaModel:
+    """MCARMA(2, 1) with P_1 = 3I, P_2 = diag(1, eps), or MCAR(1) with
+    P_1 = diag(1, eps); d = 2, Q = (I, I) or Q_0 = I, Brownian driver."""
+    I, Pp = np.eye(2), np.diag([1.0, eps])
+    if family == "mcarma21":
+        return McarmaModel(p_coeffs=(3.0 * I, Pp), q_coeffs=(I, I), levy=helpers.brownian(2))
+    return McarmaModel(p_coeffs=(Pp,), q_coeffs=(I,), levy=helpers.brownian(2))
+
+
+def _band_docs(family: str, eps: float) -> dict:
+    """The model as an MCARMA document and as a conjugated state-space one."""
+    mc = _band_model(family, eps)
+    levy = {"kind": "brownian", "sigma_L": np.eye(2).tolist()}
+    ss = mcarma_to_ss(mc)
+    T = np.eye(ss.N) + 0.3 * np.random.default_rng(5).standard_normal((ss.N, ss.N))
+    ss = helpers.conjugate(ss, T)
+    return {
+        "mcarma": {"schema_version": "1", "model_kind": "mcarma", "levy": levy,
+                   "p_coeffs": [P.tolist() for P in mc.p_coeffs],
+                   "q_coeffs": [Q.tolist() for Q in mc.q_coeffs]},
+        "state_space": {"schema_version": "1", "model_kind": "state_space", "levy": levy,
+                        "A": ss.A.tolist(), "B": ss.B.tolist(), "C": ss.C.tolist()},
+    }
+
+
+def _run(argv) -> tuple[int, dict | None]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+class TestOneUnitRootCount:
+    """c = N - rank(A) is one decision (`matops.unit_root_count`) that
+    condition (b)'s r, condition (a)'s zero roots and `canonicalize` read."""
+
+    @pytest.mark.parametrize("rank_tol", [[], ["--rank-tol", "1e-6"]])
+    @pytest.mark.parametrize("family", ["mcarma21", "mcar1"])
+    def test_commands_agree_on_c(self, tmp_path, family, rank_tol):
+        path = str(tmp_path / "model.json")
+        for eps in BAND:
+            for kind, doc in _band_docs(family, eps).items():
+                with open(path, "w") as fh:
+                    json.dump(doc, fh)
+                implied = set()
+                an_code, an = _run(["analyze", path, *rank_tol])
+                if an_code == 0:
+                    if "cointegration" in an:
+                        implied.add(2 - an["cointegration"]["r"])
+                    if "c" in an:
+                        implied.add(an["c"])
+                can_code, can = _run(["canonicalize", path, *rank_tol])
+                if can_code == 0:
+                    implied.add(can["c"])
+                ecf_code, ecf = _run(["ecf", path, *rank_tol])
+                if ecf_code == 0:
+                    implied.add(2 - ecf["r"])
+                assert len(implied) <= 1, (eps, kind, implied)
+                if kind == "mcarma":
+                    reported = an_code == 0 and an["cointegration"]["is_cointegrated"]
+                    assert reported == (ecf_code == 0), (eps, an_code, ecf_code)
+
+    @pytest.mark.parametrize("family", ["mcarma21", "mcar1"])
+    def test_margin_crosses_one_where_c_flips(self, family):
+        cs, last = [], []
+        for eps in np.geomspace(1e-11, 1e-5, 61):
+            report = check_cointegration(_band_model(family, eps))
+            uc = report.unit_roots
+            assert report.r == 2 - uc.c
+            assert uc.margin_kept > 1.0 and uc.margin_dropped >= 1.0
+            cs.append(uc.c)
+            # the companion's smallest singular value over the tolerance
+            last.append(1.0 / uc.margin_dropped if uc.c else uc.margin_kept)
+        flip = cs.index(0)
+        assert flip > 0 and cs == [1] * flip + [0] * (len(cs) - flip)
+        assert last[flip - 1] <= 1.0 < last[flip]
+        assert np.all(np.diff(last) > 0)
+
+    def test_rank_tol_moves_the_zero_roots(self):
+        m = _band_model("mcar1", 1e-7)
+        default, loose = check_cointegration(m), check_cointegration(m, 1e-6)
+        assert (default.r, default.condition_a, default.is_cointegrated) == (2, False, False)
+        assert (loose.r, loose.condition_a, loose.is_cointegrated) == (1, True, True)
+        assert default.offending_roots == pytest.approx([-1e-7])

@@ -282,6 +282,27 @@ class TestNumericalRank:
                 matops.numerical_rank(np.eye(2), rel_tol=rel_tol)
 
 
+class TestUnitRootCount:
+    def test_nullity_with_its_margins(self):
+        # singular values 2, 1e-12 and 0 against the tolerance 2e-9
+        uc = matops.unit_root_count(np.diag([0.0, -1e-12, -2.0]))
+        assert uc.c == 2
+        assert uc.margin_kept == pytest.approx(1e9)
+        assert uc.margin_dropped == pytest.approx(2e3)
+
+    def test_full_rank_and_zero_matrix(self):
+        full = matops.unit_root_count(-np.eye(2))
+        assert (full.c, full.margin_dropped) == (0, np.inf)
+        assert full.margin_kept == pytest.approx(1e9)
+        zero = matops.unit_root_count(np.zeros((2, 2)))
+        assert (zero.c, zero.margin_kept, zero.margin_dropped) == (2, np.inf, np.inf)
+
+    def test_reads_rel_tol(self):
+        A = np.diag([-1.0, -1e-7])
+        assert matops.unit_root_count(A).c == 0
+        assert matops.unit_root_count(A, 1e-6).c == 1
+
+
 def _det_poly_roots_oracle(coeffs):
     """Roots of det P(z) for d<=2 via explicit polynomial arithmetic."""
     d = coeffs[0].shape[0]

@@ -228,6 +228,23 @@ class TestCanonicalize:
         with pytest.raises(StabilityError):
             canonicalize(m)
 
+    def test_rejects_eigenvalues_neither_unit_root_nor_stable(self):
+        # one unit root and the pair +-i, which is neither a unit root nor stable
+        A = np.zeros((3, 3))
+        A[1:, 1:] = [[0.0, 1.0], [-1.0, 0.0]]
+        m = StateSpaceModel(A=A, B=np.eye(3), C=np.eye(2, 3), levy=helpers.brownian(3))
+        with pytest.raises(StabilityError, match="c=1"):
+            canonicalize(m)
+
+    def test_unit_root_count_reads_rel_tol(self):
+        # the second state decays at rate 1e-8: stationary at the default rank
+        # tolerance, a unit root at 1e-6
+        m = StateSpaceModel(A=np.diag([-1.0, -1e-8]), B=np.eye(2), C=np.eye(2),
+                            levy=helpers.brownian(2))
+        assert canonicalize(m)[0].c == 0
+        cf, _ = canonicalize(m, rel_tol=1e-6)
+        assert cf.c == 1 and np.allclose(cf.A2, [[-1.0]])
+
     def test_rejects_jordan_block_at_zero(self):
         A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         m = StateSpaceModel(A=A, B=np.eye(3), C=np.eye(3), levy=helpers.brownian(3))

@@ -242,6 +242,22 @@ class TestRegeneration:
         assert len(calls) == 1
         assert ps.x2 is ps.x2 and ps.r1 is ps.r1 and ps.x1 is ps.x1 and ps.y2 is ps.y2
 
+    def test_full_path_keeps_the_states_of_its_run(self, partial_sm, partial_cf, monkeypatch):
+        calls = []
+        exact_paths = simulate._exact_paths
+        monkeypatch.setattr(simulate, "_exact_paths",
+                            lambda *a: calls.append(1) or exact_paths(*a))
+        full = simulate.simulate_exact_full(partial_sm, partial_cf, 500, x1_0=[2.0], seed=3,
+                                            path_index=1)
+        for field in ("x2", "r1", "x1", "y2"):
+            getattr(full, field)
+        assert len(calls) == 1
+        lazy = simulate_exact_gaussian(partial_sm, partial_cf, 500, x1_0=[2.0], seed=3,
+                                       path_index=1)
+        for field in ("y", "x2", "r1", "x1", "y2", "x1_0"):
+            assert np.array_equal(getattr(full, field), getattr(lazy, field)), field
+        assert (full.seed, full.path_index) == (3, 1)
+
     def test_states_that_miss_y_raise(self, partial_sm, partial_cf, monkeypatch):
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 500, seed=3)
         exact_paths = simulate._exact_paths
