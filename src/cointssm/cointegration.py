@@ -3,12 +3,12 @@
 Three conditions on the autoregressive polynomial decide whether the process
 is cointegrated: (a) all determinant roots are stable or zero, (b) P_p has
 reduced rank 0 < r < d with factorization alpha beta', (c) the transversality
-matrix alpha_perp' P_{p-1} beta_perp has full rank d - r. The number c of
-zero roots, and so r = d - c, is `matops.unit_root_count` of the block
-companion matrix, the decision `canonicalize` makes on the same matrix of
-the companion realization. Also houses the
-continuous-time error-correction polynomial and the two integrated-MCARMA
-constructions.
+matrix alpha_perp' P_{p-1} beta_perp has full rank d - r. The zero roots,
+and their number c with r = d - c, are `matops.unit_roots` of the block
+companion matrix: the decision `canonicalize` makes on the same matrix of
+the companion realization, with the same stability threshold for the other
+roots. Also houses the continuous-time error-correction polynomial and the
+two integrated-MCARMA constructions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matops
-from .errors import ValidationError
+from .errors import CointegrationRankError, ValidationError
 from .model import CointCanonicalForm, McarmaModel
 
 
@@ -34,7 +34,7 @@ class CointReport:
     transversality_rank: int
     is_cointegrated: bool
     roots: np.ndarray
-    unit_roots: matops.UnitRootCount
+    unit_roots: matops.UnitRoots
 
 
 def signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,27 +56,30 @@ def signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) -> CointReport:
     """Evaluate the three cointegration conditions on an MCARMA model.
 
-    The c smallest-modulus roots of det P are its zero roots, with c =
-    `matops.unit_root_count` of the companion matrix at ``rel_tol``; (a)
-    needs every other root stable and (b) takes ``r = d - c``. All
-    conditions are computed independently and reported even when an
-    earlier one fails. Rank 0 (integrated only) and rank d (stationary)
-    are flagged as not cointegrated.
+    The zero roots of det P and their number c are `matops.unit_roots` of
+    the companion matrix at ``rel_tol``; (a) needs every other root stable
+    and (b) takes ``r = d - c``. The conditions are computed independently
+    and reported even when an earlier one fails. Rank 0 (integrated only)
+    and rank d (stationary) are flagged as not cointegrated. Three counts
+    cannot be reported: fewer than c roots below the zero tolerance, and
+    c > d, where the tolerance swamps the companion's identity blocks as
+    under a huge P_p (`CointegrationRankError`); and more than c roots below
+    it while (c) holds, which in exact arithmetic means exactly c zero roots
+    (`MultiplicityError`).
     """
     d, p = m.d, m.p
     Pp = np.asarray(m.p_coeffs[-1])
     Pp1 = np.asarray(m.p_coeffs[-2]) if p >= 2 else np.eye(d)
-    companion = matops.companion_matrix(m.ar_poly())
-    roots = matops.sort_complex(np.linalg.eigvals(companion))
-    unit_roots = matops.unit_root_count(companion, rel_tol)
-
-    is_zero = np.zeros(roots.size, dtype=bool)
-    is_zero[np.argsort(np.abs(roots), kind="stable")[:unit_roots.c]] = True
-    is_stable = roots.real < -matops.ROOT_UNSTABLE_TOL
-    offending = roots[~(is_zero | is_stable)]
+    ur = matops.unit_roots(matops.companion_matrix(m.ar_poly()), rel_tol)
+    if ur.c > d:
+        raise CointegrationRankError(
+            f"det P has c={ur.c} zero roots at rel_tol={rel_tol:g}, more than d={d}: "
+            "the companion matrix is too badly scaled to decide c at this tolerance"
+        )
+    offending = ur.unstable
     cond_a = offending.size == 0
 
-    r = max(d - unit_roots.c, 0)  # c > d: a huge P_p sinks the companion's identity blocks
+    r = d - ur.c
     cond_b = 0 < r < d
     alpha = beta = None
     if cond_b:
@@ -86,6 +89,8 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
     U, _, Vt = np.linalg.svd(Pp)
     trans_rank = matops.numerical_rank(U[:, r:].T @ Pp1 @ Vt[r:].T, rel_tol).rank
     cond_c = trans_rank == d - r
+    if cond_c:  # (c) holds iff det P has exactly d - r zero roots, none more
+        ur.check_semisimple()
 
     return CointReport(
         condition_a=cond_a,
@@ -97,8 +102,8 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
         condition_c=cond_c,
         transversality_rank=trans_rank,
         is_cointegrated=bool(cond_a and cond_b and cond_c),
-        roots=roots,
-        unit_roots=unit_roots,
+        roots=ur.eigenvalues,
+        unit_roots=ur,
     )
 
 
@@ -123,7 +128,7 @@ def integrate_by_integration(m: McarmaModel) -> McarmaModel:
     The result is integrated but not cointegrated since its P_{p+1} = 0.
     """
     roots = matops.poly_det_roots(m.ar_poly())
-    if roots.size and np.max(roots.real) >= -matops.ROOT_UNSTABLE_TOL:
+    if roots.size and np.max(roots.real) >= -matops.HURWITZ_TOL:
         raise ValidationError(
             "input model is not stationary; all det P roots must have Re < 0"
         )

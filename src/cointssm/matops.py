@@ -6,7 +6,8 @@ its arguments: matrix exponentials and their action on many vectors at
 many times, a Bartels-Stewart Lyapunov solver, the ends-first blocked scan
 of the linear recursion ``x_n = F x_{n-1} + u_n`` behind the filter, the
 sampler and the error correction residuals and coefficients, SVD rank
-decisions (among them the unit-root count of a state matrix),
+decisions (among them the unit-root count of a state matrix and its
+unit roots),
 block-companion polynomial roots and the
 positive-lower-triangular orthonormalization used by the canonical form.
 """
@@ -20,7 +21,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    CointegrationRankError,
     DimensionError,
+    MultiplicityError,
     NumericError,
     RankError,
     StabilityError,
@@ -31,11 +34,12 @@ from .errors import (
 # (Frobenius norms). Only RANK_REL_TOL can be replaced, per call, as ``rel_tol`` (the
 # CLI's ``--rank-tol``); model construction always validates against the table.
 RANK_REL_TOL = 1e-9       #: rank: a singular value counts when > tol sigma_max; unit-root
-                          #: count c = N - rank(A) (`unit_root_count`)
-HURWITZ_TOL = 1e-9        #: Hurwitz A2: every eigenvalue has Re < -tol (absolute)
-ZERO_EIG_REL_TOL = 1e-8   #: the Schur block of A's c unit roots is semisimple when its norm
-                          #: is <= tol (1 + ||A||) max(1, ||A||)
-ROOT_UNSTABLE_TOL = 1e-7  #: stable roots of det P: Re z < -tol (absolute)
+                          #: count c = N - rank(A) (`unit_roots`)
+HURWITZ_TOL = 1e-9        #: stable: Re < -tol (absolute), for every eigenvalue of A2 and, in
+                          #: `unit_roots`, of A (or root of det P) but its c unit roots
+ZERO_EIG_REL_TOL = 1e-8   #: unit roots of A: at least c eigenvalues have |eig| < t = tol (1 +
+                          #: ||A||), exactly c when semisimple, and then their Schur block
+                          #: has norm <= t max(1, ||A||)
 C1_ORTHO_TOL = 1e-10      #: canonical C1: ||C1' C1 - I|| <= tol (1 + c)
 PLT_TOL = 1e-8            #: canonical C1: a column's pivot is its first |x| > tol (absolute)
 RESIDUAL_TOL = 1e-10      #: Riccati: ||Omega - Ric(Omega)|| <= tol (1 + ||Omega||)
@@ -283,27 +287,66 @@ def numerical_rank(M, rel_tol: float = RANK_REL_TOL) -> RankResult:
 
 
 @dataclass(frozen=True)
-class UnitRootCount:
+class UnitRoots:
     """The unit-root count ``c = N - rank(A)`` of a state matrix, with how
-    far its deciding singular values sit from the tolerance: ``margin_kept =
-    sigma_{N-c} / tol`` (> 1; inf when c = N) and ``margin_dropped = tol /
-    sigma_{N-c+1}`` (>= 1; inf when c = 0 or that value is exactly 0)."""
+    far its deciding singular values sit from the tolerance (``margin_kept =
+    sigma_{N-c} / tol``, > 1 and inf when c = N; ``margin_dropped = tol /
+    sigma_{N-c+1}``, >= 1 and inf when c = 0 or that value is exactly 0),
+    and its eigenvalues in `sort_complex` order with the mask ``is_unit`` of
+    those below ``tolerance`` in modulus: at least c of them, and exactly c
+    when they are its unit roots."""
 
     c: int
     margin_kept: float
     margin_dropped: float
+    eigenvalues: np.ndarray
+    is_unit: np.ndarray
+    tolerance: float
+
+    @property
+    def unstable(self) -> np.ndarray:
+        """The eigenvalues that are neither below the tolerance nor stable."""
+        z = self.eigenvalues
+        return z[~self.is_unit & (z.real >= -HURWITZ_TOL)]
+
+    def check_semisimple(self) -> None:
+        """Raise `MultiplicityError` unless exactly c eigenvalues are below
+        the tolerance: more is a zero eigenvalue that is not semisimple, or
+        a nonzero one too small to tell from zero at the rank tolerance."""
+        k = int(np.sum(self.is_unit))
+        if k != self.c:
+            raise MultiplicityError(
+                f"A has {k} eigenvalues of modulus below {self.tolerance:.3e} but rank "
+                f"deficiency c={self.c}: they are not a semisimple zero eigenvalue, or one is "
+                "too small to tell from zero at this rank tolerance"
+            )
 
 
-def unit_root_count(A, rel_tol: float = RANK_REL_TOL) -> UnitRootCount:
-    """Number of zero eigenvalues of ``A`` (if they are semisimple): ``N``
-    minus its `numerical_rank` at ``rel_tol * sigma_max(A)``. For the block
-    companion matrix of an MCARMA model this is ``d - rank P_p`` in exact
-    arithmetic, at the companion's scale."""
-    res = numerical_rank(as_square(A, "A"), rel_tol)
+def unit_roots(A, rel_tol: float = RANK_REL_TOL) -> UnitRoots:
+    """The unit roots of ``A``: ``c = N`` minus its `numerical_rank` at
+    ``rel_tol * sigma_max(A)``, among its eigenvalues of modulus below ``t =
+    ZERO_EIG_REL_TOL (1 + ||A||)``. For the block companion matrix of an
+    MCARMA model c is ``d - rank P_p`` in exact arithmetic, at the
+    companion's scale. Fewer than c eigenvalues below t is a rank
+    deficiency that is not a unit root, as in a stable but badly
+    conditioned ``A``, and raises `CointegrationRankError`; more is left to
+    `UnitRoots.check_semisimple`."""
+    A = as_square(A, "A")
+    res = numerical_rank(A, rel_tol)
     s, tol, r = res.singular_values, res.tolerance_used, res.rank
+    c = s.size - r
     kept = s[r - 1] / tol if r else math.inf
-    dropped = tol / s[r] if r < s.size and s[r] else math.inf
-    return UnitRootCount(c=s.size - r, margin_kept=float(kept), margin_dropped=float(dropped))
+    dropped = tol / s[r] if c and s[r] else math.inf
+    eigs = sort_complex(np.linalg.eigvals(A))
+    t = ZERO_EIG_REL_TOL * (1.0 + np.linalg.norm(A))
+    is_unit = np.abs(eigs) < t
+    if np.sum(is_unit) < c:
+        raise CointegrationRankError(
+            f"A has rank deficiency c={c} at rel_tol={rel_tol:g} but only {np.sum(is_unit)} "
+            f"eigenvalues of modulus below {t:.3e}: the deficiency is not a unit root (A is "
+            "too badly conditioned to decide c at this tolerance)"
+        )
+    return UnitRoots(c, float(kept), float(dropped), eigs, is_unit, float(t))
 
 
 def sort_complex(roots: np.ndarray) -> np.ndarray:

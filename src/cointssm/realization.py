@@ -190,10 +190,10 @@ def canonicalize(m: StateSpaceModel,
                  rel_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, np.ndarray]:
     """Unique observationally equivalent decoupled canonical form.
 
-    Steps: the unit-root count ``c = N - rank(A)`` (`matops.unit_root_count`
-    at ``rel_tol``); ordered real Schur form placing the c smallest-modulus
-    eigenvalues first; semisimplicity check of their block; the other
-    eigenvalues must be stable; Sylvester decoupling of the off-diagonal
+    Steps: the unit-root count ``c = N - rank(A)`` and the c unit roots
+    (`matops.unit_roots` at ``rel_tol``), every other eigenvalue stable;
+    ordered real Schur form placing the unit roots first; semisimplicity
+    check of their block; Sylvester decoupling of the off-diagonal
     coupling; positive-lower-triangular normalization of C1; observer
     echelon form of the stationary block. Returns the form and the composite
     transform ``T`` with ``(T A T^{-1}, T B, C T^{-1})`` canonical.
@@ -206,35 +206,34 @@ def canonicalize(m: StateSpaceModel,
             f"model is not minimal (observability rank {rep.observability_rank}, "
             f"controllability rank {rep.controllability_rank}, N={N})"
         )
-    c = matops.unit_root_count(A, rel_tol).c
+    ur = matops.unit_roots(A, rel_tol)
+    ur.check_semisimple()
+    if ur.unstable.size:
+        raise StabilityError(
+            f"A has eigenvalues that are neither among its c={ur.c} unit roots nor "
+            f"stable: {ur.unstable}"
+        )
+    c = ur.c
     if c >= m.d and c > 0:
         raise ValidationError(
             f"unit-root multiplicity c={c} must be smaller than the observation dimension d={m.d}"
         )
-    eigs = np.linalg.eigvals(A)
-    by_modulus = np.argsort(np.abs(eigs), kind="stable")
 
     if c == 0:
         S, Z = A.copy(), np.eye(N)
     else:
-        cut = np.abs(eigs[by_modulus[c - 1:c + 1]]).mean()  # between the c-th and the next
-        S, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: np.hypot(re, im) < cut)
+        S, Z, sdim = sla.schur(A, output="real",
+                               sort=lambda re, im: np.hypot(re, im) < ur.tolerance)
         if sdim != c:
             raise MultiplicityError(
-                f"Schur reordering selected {sdim} smallest eigenvalues, expected {c}"
+                f"Schur reordering selected {sdim} near-zero eigenvalues, expected {c}"
             )
     S11, S12, S22 = S[:c, :c], S[:c, c:], S[c:, c:]
-    bound = matops.ZERO_EIG_REL_TOL * (1.0 + np.linalg.norm(A)) * max(1.0, np.linalg.norm(A))
+    bound = ur.tolerance * max(1.0, np.linalg.norm(A))
     if c > 0 and np.linalg.norm(S11) > bound:
         raise MultiplicityError(
-            f"the c={c} smallest eigenvalues of A are not a semisimple zero eigenvalue: "
+            f"the c={c} unit roots of A are not a semisimple zero eigenvalue: "
             f"their Schur block has norm {np.linalg.norm(S11):.3e}, above {bound:.3e}"
-        )
-    rest = eigs[by_modulus[c:]]
-    unstable = rest[rest.real >= -matops.HURWITZ_TOL]
-    if unstable.size:
-        raise StabilityError(
-            f"A has eigenvalues that are neither among its c={c} unit roots nor stable: {unstable}"
         )
     # kill the coupling block with a similarity [[I, X], [0, I]]
     if c > 0 and c < N:

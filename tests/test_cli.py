@@ -658,7 +658,7 @@ class TestParser:
             seen.clear()
             assert main([command, cfg, "--rank-tol", "1e-6"]) == 0
             assert seen and all(tol == 1e-6 for _, tol in seen), (command, seen)
-            assert "unit_root_count" in {caller for caller, _ in seen}, command
+            assert "unit_roots" in {caller for caller, _ in seen}, command
 
     @pytest.mark.parametrize("argv", [["filter", "model.json", "path.csv", "-o", "flt"],
                                       ["ecf", "model.json", "--path", "path.csv"],

@@ -18,7 +18,7 @@ from cointssm import (
     pstar_polynomial,
 )
 from cointssm.cli import main
-from cointssm.errors import ValidationError
+from cointssm.errors import CointegrationRankError, MultiplicityError, ValidationError
 
 
 def _mcar1(P1, m=2):
@@ -50,14 +50,16 @@ class TestCheckCointegration:
         assert report.condition_c  # vacuous at full rank
         assert not report.is_cointegrated
 
-    def test_unit_roots_beyond_d_give_rank_zero(self):
-        # the companion's identity blocks fall under the tolerance of P_3 = 1e12 I
-        Z = np.zeros((2, 2))
-        m = McarmaModel(p_coeffs=(Z, Z, 1e12 * np.eye(2)), q_coeffs=(np.eye(2),),
-                        levy=helpers.brownian(2))
-        report = check_cointegration(m)
-        assert (report.unit_roots.c, report.r) == (4, 0)
-        assert not report.condition_b and not report.is_cointegrated
+    @pytest.mark.parametrize("p_coeffs", [
+        (np.diag([1e12, 0.0]), np.zeros((2, 2))),
+        (np.zeros((2, 2)), np.zeros((2, 2)), 1e12 * np.eye(2)),
+    ])
+    def test_unit_roots_beyond_d_raise(self, p_coeffs):
+        # the companion's identity blocks fall under the tolerance of a huge P_p
+        # or P_1: c = 3 or 4 zero roots of det P, more than d = 2 can have
+        m = McarmaModel(p_coeffs=p_coeffs, q_coeffs=(np.eye(2),), levy=helpers.brownian(2))
+        with pytest.raises(CointegrationRankError, match="more than d=2"):
+            check_cointegration(m)
 
     def test_unstable_root_flagged(self):
         report = check_cointegration(_mcar1([[-1.0, 0.0], [0.0, 0.0]]))
@@ -308,8 +310,9 @@ def _run(argv) -> tuple[int, dict | None]:
 
 
 class TestOneUnitRootCount:
-    """c = N - rank(A) is one decision (`matops.unit_root_count`) that
-    condition (b)'s r, condition (a)'s zero roots and `canonicalize` read."""
+    """The zero roots and their number c = N - rank(A) are one decision
+    (`matops.unit_roots`) that condition (b)'s r, condition (a)'s zero roots
+    and `canonicalize` read, with one stability threshold for the rest."""
 
     @pytest.mark.parametrize("rank_tol", [[], ["--rank-tol", "1e-6"]])
     @pytest.mark.parametrize("family", ["mcarma21", "mcar1"])
@@ -336,26 +339,47 @@ class TestOneUnitRootCount:
                 if kind == "mcarma":
                     reported = an_code == 0 and an["cointegration"]["is_cointegrated"]
                     assert reported == (ecf_code == 0), (eps, an_code, ecf_code)
+                    # the companion realization has no Jordan block at zero, so
+                    # canonicalize accepts exactly the models whose roots pass (a)
+                    stable = an_code == 0 and an["cointegration"]["condition_a"]
+                    assert stable == (can_code == 0), (eps, an_code, can_code)
 
     @pytest.mark.parametrize("family", ["mcarma21", "mcar1"])
     def test_margin_crosses_one_where_c_flips(self, family):
-        cs, last = [], []
+        cs, last, refused = [], [], []
         for eps in np.geomspace(1e-11, 1e-5, 61):
-            report = check_cointegration(_band_model(family, eps))
-            uc = report.unit_roots
-            assert report.r == 2 - uc.c
+            m = _band_model(family, eps)
+            uc = matops.unit_roots(matops.companion_matrix(m.ar_poly()))
             assert uc.margin_kept > 1.0 and uc.margin_dropped >= 1.0
             cs.append(uc.c)
             # the companion's smallest singular value over the tolerance
             last.append(1.0 / uc.margin_dropped if uc.c else uc.margin_kept)
+            try:
+                report = check_cointegration(m)
+            except MultiplicityError:
+                # a root below the zero tolerance that the rank test keeps
+                refused.append(eps)
+                continue
+            assert report.unit_roots.margin_kept == uc.margin_kept and report.r == 2 - uc.c
         flip = cs.index(0)
         assert flip > 0 and cs == [1] * flip + [0] * (len(cs) - flip)
         assert last[flip - 1] <= 1.0 < last[flip]
         assert np.all(np.diff(last) > 0)
+        # only right above the flip, up to where the root leaves the zero tolerance
+        assert refused and refused[0] > 1e-9 and refused[-1] < 2e-7
 
     def test_rank_tol_moves_the_zero_roots(self):
-        m = _band_model("mcar1", 1e-7)
-        default, loose = check_cointegration(m), check_cointegration(m, 1e-6)
-        assert (default.r, default.condition_a, default.is_cointegrated) == (2, False, False)
+        # the root -1e-8 of det P: below the zero tolerance 2e-8 but kept by
+        # the default rank test, so no count; a zero root at rank_tol 1e-6
+        m = _band_model("mcar1", 1e-8)
+        with pytest.raises(MultiplicityError, match="rank deficiency c=0"):
+            check_cointegration(m)
+        loose = check_cointegration(m, 1e-6)
         assert (loose.r, loose.condition_a, loose.is_cointegrated) == (1, True, True)
-        assert default.offending_roots == pytest.approx([-1e-7])
+        # the root -1e-7: stable at the default, and a rank deficiency that is
+        # not a zero root at 1e-6
+        m = _band_model("mcar1", 1e-7)
+        default = check_cointegration(m)
+        assert (default.r, default.condition_a, default.is_cointegrated) == (2, True, False)
+        with pytest.raises(CointegrationRankError, match="not a unit root"):
+            check_cointegration(m, 1e-6)

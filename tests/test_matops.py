@@ -8,7 +8,9 @@ import scipy.linalg as sla
 import helpers
 from cointssm import CointCanonicalForm, LevySpec, discretize, matops
 from cointssm.errors import (
+    CointegrationRankError,
     DimensionError,
+    MultiplicityError,
     NumericError,
     RankError,
     StabilityError,
@@ -282,25 +284,46 @@ class TestNumericalRank:
                 matops.numerical_rank(np.eye(2), rel_tol=rel_tol)
 
 
-class TestUnitRootCount:
+class TestUnitRoots:
     def test_nullity_with_its_margins(self):
         # singular values 2, 1e-12 and 0 against the tolerance 2e-9
-        uc = matops.unit_root_count(np.diag([0.0, -1e-12, -2.0]))
-        assert uc.c == 2
-        assert uc.margin_kept == pytest.approx(1e9)
-        assert uc.margin_dropped == pytest.approx(2e3)
+        ur = matops.unit_roots(np.diag([0.0, -1e-12, -2.0]))
+        assert ur.c == 2
+        assert ur.margin_kept == pytest.approx(1e9)
+        assert ur.margin_dropped == pytest.approx(2e3)
 
     def test_full_rank_and_zero_matrix(self):
-        full = matops.unit_root_count(-np.eye(2))
+        full = matops.unit_roots(-np.eye(2))
         assert (full.c, full.margin_dropped) == (0, np.inf)
         assert full.margin_kept == pytest.approx(1e9)
-        zero = matops.unit_root_count(np.zeros((2, 2)))
+        zero = matops.unit_roots(np.zeros((2, 2)))
         assert (zero.c, zero.margin_kept, zero.margin_dropped) == (2, np.inf, np.inf)
 
     def test_reads_rel_tol(self):
-        A = np.diag([-1.0, -1e-7])
-        assert matops.unit_root_count(A).c == 0
-        assert matops.unit_root_count(A, 1e-6).c == 1
+        A = np.diag([-1.0, -1e-8])
+        assert matops.unit_roots(A).c == 0
+        assert matops.unit_roots(A, 1e-6).c == 1
+
+    def test_splits_the_eigenvalues(self):
+        ur = matops.unit_roots(np.diag([-3.0, 0.0, 2.0, -1e-12]))
+        assert ur.c == 2 and ur.tolerance == pytest.approx(1e-8 * (1 + np.sqrt(13)))
+        assert np.array_equal(ur.eigenvalues, [-3.0, -1e-12, 0.0, 2.0])
+        assert ur.is_unit.tolist() == [False, True, True, False]
+        assert np.array_equal(ur.unstable, [2.0])
+        ur.check_semisimple()
+
+    def test_jordan_block_is_not_semisimple(self):
+        ur = matops.unit_roots(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]))
+        assert ur.c == 1 and int(np.sum(ur.is_unit)) == 2
+        with pytest.raises(MultiplicityError, match="not a semisimple zero eigenvalue"):
+            ur.check_semisimple()
+
+    def test_rank_deficiency_that_is_not_a_unit_root(self):
+        # eigenvalues -0.05 and -1, smallest singular value 5e-6 < 1e-9 * 1e4
+        A = np.array([[-0.05, 1e4], [0.0, -1.0]])
+        with pytest.raises(CointegrationRankError, match="rank deficiency c=1"):
+            matops.unit_roots(A)
+        assert matops.unit_roots(A, 1e-10).c == 0
 
 
 def _det_poly_roots_oracle(coeffs):

@@ -16,6 +16,7 @@ from cointssm import (
     transfer_function,
 )
 from cointssm.errors import (
+    CointegrationRankError,
     DimensionError,
     MinimalityError,
     MultiplicityError,
@@ -237,18 +238,30 @@ class TestCanonicalize:
             canonicalize(m)
 
     def test_unit_root_count_reads_rel_tol(self):
-        # the second state decays at rate 1e-8: stationary at the default rank
-        # tolerance, a unit root at 1e-6
+        # the second state decays at rate 1e-8: below the zero tolerance 2.4e-8
+        # of its modulus, but full rank at the default rank tolerance, which
+        # cannot tell it from zero; a unit root at 1e-6
         m = StateSpaceModel(A=np.diag([-1.0, -1e-8]), B=np.eye(2), C=np.eye(2),
                             levy=helpers.brownian(2))
-        assert canonicalize(m)[0].c == 0
+        with pytest.raises(MultiplicityError, match="rank deficiency c=0"):
+            canonicalize(m)
         cf, _ = canonicalize(m, rel_tol=1e-6)
         assert cf.c == 1 and np.allclose(cf.A2, [[-1.0]])
+
+    def test_rejects_rank_deficiency_that_is_not_a_unit_root(self):
+        # minimal and stable with eigenvalues -0.05 and -1, but its smallest
+        # singular value 5e-6 is under 1e-9 sigma_max = 1e-5: a rank count
+        # alone would take the decaying mode for a random walk
+        A = np.array([[-0.05, 1e4], [0.0, -1.0]])
+        m = StateSpaceModel(A=A, B=np.eye(2), C=np.eye(2), levy=helpers.brownian(2))
+        with pytest.raises(CointegrationRankError, match="not a unit root"):
+            canonicalize(m)
+        assert canonicalize(m, rel_tol=1e-10)[0].c == 0
 
     def test_rejects_jordan_block_at_zero(self):
         A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         m = StateSpaceModel(A=A, B=np.eye(3), C=np.eye(3), levy=helpers.brownian(3))
-        with pytest.raises(MultiplicityError):
+        with pytest.raises(MultiplicityError, match="not a semisimple zero eigenvalue"):
             canonicalize(m)
 
     def test_rejects_non_minimal(self):
