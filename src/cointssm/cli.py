@@ -1,8 +1,9 @@
 """Command-line surface: simulate, analyze, canonicalize, filter, ecf.
 
-Every command is deterministic given its inputs; seeds come from the config
-(or the COINTSSM_SEED environment variable), never the wall clock. Exit
-codes: 0 success, 2 validation failure, 3 numeric/convergence failure.
+Every command is deterministic given its inputs; `simulate`, the one command
+that reads a seed, takes it from the config (or the COINTSSM_SEED environment
+variable), never the wall clock. Exit codes: 0 success, 2 validation failure,
+3 numeric/convergence failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import io
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import ecf as ecf_mod
 from . import kalman, matops, moments, simulate
 from .cointegration import check_cointegration, cointegration_space
 from .errors import ComputationError, ModelInputError, ValidationError
-from .model import CointCanonicalForm, McarmaModel
+from .model import McarmaModel
 from .modeldoc import (
     canonical_to_doc,
     complex_pairs,
@@ -28,6 +30,7 @@ from .modeldoc import (
     mat_to_list,
     parse_document,
     parse_sampling,
+    sampling_step,
     to_canonical,
 )
 
@@ -48,45 +51,40 @@ def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
         _csv(fh, header, rows)
 
 
-def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read a path CSV with d observation columns; returns (times, observations).
-
-    Every column is parsed, so a ragged row or a non-numeric entry anywhere
-    is rejected; both results are copies, so the parsed table is freed.
-    `np.loadtxt` only reads a file whose header is right and which has a
-    data row, since it warns on a table with no rows."""
-    data = None
+def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read a path CSV with d observation columns; returns (times,
+    observations, h), h the step of its uniform time grid. One `np.loadtxt`
+    call parses every column (skipping comment and blank lines), so a ragged
+    row or a non-numeric entry anywhere is rejected; both arrays are copies,
+    so the parsed table is freed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            start = fh.tell()
-            if header[0] == "t" and any(line.split("#", 1)[0].strip()
-                                        for line in iter(fh.readline, "")):
-                fh.seek(start)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if header[0] == "t":
+                with warnings.catch_warnings():  # a body without rows is refused below
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ValidationError(f"cannot read path CSV {path}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"malformed path CSV {path}: {exc}") from exc
     if header[0] != "t":
         raise ValidationError(f"path CSV {path} must start with a 't' column")
-    y_cols = [i for i, name in enumerate(header) if name.startswith("y_")]
-    if not y_cols:
-        raise ValidationError(f"path CSV {path} has no y_* columns")
-    if data is None or data.shape[0] < 2:
+    if data.shape[0] < 2:
         raise ValidationError(f"path CSV {path} needs at least two rows")
     if data.shape[1] != len(header):
         raise ValidationError(f"path CSV {path} has {data.shape[1]} columns per row, "
                               f"its header names {len(header)}")
+    y_cols = [i for i, name in enumerate(header) if name.startswith("y_")]
     if len(y_cols) != d:
         raise ValidationError(f"path has {len(y_cols)} observation columns, model has d={d}")
-    return data[:, 0].copy(), data[:, y_cols]
-
-
-def _sidecar_path(csv_path: str) -> str:
-    if csv_path.endswith(".csv"):
-        return csv_path[:-4] + ".json"
-    return csv_path + ".json"
+    times = data[:, 0].copy()
+    steps, h = np.diff(times), float(times[1] - times[0])
+    if not np.all(steps > 0):
+        raise ValidationError("path CSV times must be strictly increasing")
+    if np.max(np.abs(steps - h)) > matops.GRID_TOL * max(1.0, h):
+        raise ValidationError("path CSV must be sampled on a uniform grid")
+    return times, data[:, y_cols], h
 
 
 def _refuse_overwrite(inputs, outputs) -> None:
@@ -100,31 +98,32 @@ def _refuse_overwrite(inputs, outputs) -> None:
             raise ValidationError(f"writing {out} would overwrite the input file {src}")
 
 
-def _load_canonical(config_path: str,
-                    rel_tol: float = matops.RANK_REL_TOL) -> tuple[CointCanonicalForm, dict]:
-    doc = load_document(config_path)
-    mod = parse_document(doc)
-    return to_canonical(mod, rel_tol)[0], doc
+def _sampled(args, rel_tol: float = matops.RANK_REL_TOL):
+    """``(cf, sm, times, y)`` of ``args.model`` and ``args.path``: the model
+    sampled at the path's grid step, or without a path at the document's
+    ``sampling.h`` (``times`` and ``y`` are then None)."""
+    doc = load_document(args.model)
+    cf = to_canonical(parse_document(doc), rel_tol)[0]
+    if args.path is None:
+        return cf, moments.discretize(cf, sampling_step(doc)), None, None
+    times, y, h = _read_path_csv(args.path, cf.d)
+    return cf, moments.discretize(cf, h), times, y
 
 
 def cmd_simulate(args) -> int:
-    sidecar_path = _sidecar_path(args.output)
+    sidecar_path = args.output.removesuffix(".csv") + ".json"
     _refuse_overwrite([args.config], [args.output, sidecar_path])
-    cf, doc = _load_canonical(args.config)
-    opts = parse_sampling(doc)
+    doc = load_document(args.config)
+    cf, opts = to_canonical(parse_document(doc))[0], parse_sampling(doc)
     sm = moments.discretize(cf, opts.h)
     sampler = (simulate.simulate_exact_full if args.columns == "full"
                else simulate.simulate_exact_gaussian)
     ps = sampler(sm, cf, opts.n_steps, x1_0=opts.x1_0, seed=opts.seed)
-    d, c, n2 = cf.d, cf.c, cf.n2
-    header = ["t"] + [f"y_{i+1}" for i in range(d)]
-    cols = [ps.times[:, None], ps.y]
+    cols = {"y": ps.y}
     if args.columns == "full":
-        header += [f"x1_{i+1}" for i in range(c)]
-        header += [f"x2_{i+1}" for i in range(n2)]
-        header += [f"r1_{i+1}" for i in range(c)]
-        cols += [ps.x1, ps.x2, ps.r1]
-    _write_csv(args.output, header, np.hstack(cols))
+        cols.update(x1=ps.x1, x2=ps.x2, r1=ps.r1)
+    header = ["t"] + [f"{name}_{i+1}" for name, col in cols.items() for i in range(col.shape[1])]
+    _write_csv(args.output, header, np.hstack([ps.times[:, None], *cols.values()]))
     sidecar = {
         "seed": ps.seed,
         "driver_kind": ps.driver_kind,
@@ -198,23 +197,11 @@ def cmd_canonicalize(args) -> int:
     return EXIT_OK
 
 
-def _infer_h(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    if steps.size == 0 or np.any(steps <= 0):
-        raise ValidationError("path CSV times must be strictly increasing")
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > matops.GRID_TOL * max(1.0, h):
-        raise ValidationError("path CSV must be sampled on a uniform grid")
-    return h
-
-
 def cmd_filter(args) -> int:
     innovations_path = args.output_prefix + "_innovations.csv"
     solution_path = args.output_prefix + "_solution.json"
     _refuse_overwrite([args.model, args.path], [innovations_path, solution_path])
-    cf, _ = _load_canonical(args.model)
-    times, y = _read_path_csv(args.path, cf.d)
-    sm = moments.discretize(cf, _infer_h(times))
+    cf, sm, times, y = _sampled(args)
     ks = kalman.solve_steady_state(sm, cf)
     eps, _ = kalman.filter_innovations(ks, sm, y)
     header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
@@ -234,12 +221,7 @@ def cmd_filter(args) -> int:
 
 def cmd_ecf(args) -> int:
     _refuse_overwrite([args.model, args.path], [args.residuals_out])
-    cf, doc = _load_canonical(args.model, args.rank_tol)
-    opts = parse_sampling(doc)
-    times = y = None
-    if args.path:
-        times, y = _read_path_csv(args.path, cf.d)
-    sm = moments.discretize(cf, _infer_h(times) if times is not None else opts.h)
+    cf, sm, times, y = _sampled(args, args.rank_tol)
     ks = kalman.solve_steady_state(sm, cf, args.rank_tol)
     dec = ecf_mod.ma_and_ktilde_coeffs(ks, sm, args.J, rel_tol=args.rank_tol)
     check = ecf_mod.structural_check(ks, sm, cf, args.rank_tol)

@@ -84,14 +84,27 @@ def parse_levy(obj: Any) -> LevySpec:
     return LevySpec(kind=kind, sigma_L=sigma, jump_rate=float(rate), jump_cov=jump_cov)
 
 
-def parse_sampling(doc: dict) -> SamplingOptions:
+def sampling_step(doc: dict) -> float:
+    """``sampling.h`` (default 1.0), the one sampling field `ecf` reads."""
     raw = doc.get("sampling") or {}
     if not isinstance(raw, dict):
         raise ValidationError("sampling block must be an object")
+    try:
+        h = float(raw.get("h", 1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"sampling block has a malformed value: {exc}") from exc
+    if not np.isfinite(h):
+        raise ValidationError(f"sampling block has a non-finite sampling.h: {h}")
+    return h
+
+
+def parse_sampling(doc: dict) -> SamplingOptions:
+    """The whole sampling block, which only `simulate` reads."""
+    h, raw = sampling_step(doc), doc.get("sampling") or {}
     seed = raw["seed"] if "seed" in raw else default_seed()
     try:
         opts = SamplingOptions(
-            h=float(raw.get("h", 1.0)),
+            h=h,
             n_steps=_integer(raw.get("n_steps", 1000), "n_steps"),
             seed=_integer(seed, "seed"),
             x1_0=None if raw.get("x1_0") is None else tuple(float(v) for v in raw["x1_0"]),
@@ -100,8 +113,6 @@ def parse_sampling(doc: dict) -> SamplingOptions:
         raise ValidationError(f"sampling block has a malformed value: {exc}") from exc
     if opts.seed < 0:
         raise ValidationError(f"sampling block has a negative seed: {opts.seed}")
-    if not np.isfinite(opts.h):
-        raise ValidationError(f"sampling block has a non-finite sampling.h: {opts.h}")
     return opts
 
 

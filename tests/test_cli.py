@@ -557,6 +557,10 @@ class TestPathCsvValidation:
         lines[3], lines[4] = lines[4], lines[3]
 
     @staticmethod
+    def _break_time_nan(lines):
+        lines[3] = "nan" + lines[3][lines[3].index(","):]
+
+    @staticmethod
     def _break_y_count(lines):
         lines[0] = lines[0].replace("y_2", "z_2")
 
@@ -574,6 +578,7 @@ class TestPathCsvValidation:
         ("_break_x2", "'abc'"),
         ("_break_time_header", "must start with a 't' column"),
         ("_break_time_order", "times must be strictly increasing"),
+        ("_break_time_nan", "times must be strictly increasing"),  # used to pass, exit 0
         ("_break_y_count", "path has 1 observation columns, model has d=2"),
         ("_break_wide_header", "has 7 columns per row, its header names 8"),
         ("_break_wide_rows", "has 8 columns per row, its header names 7"),
@@ -596,8 +601,9 @@ class TestPathCsvValidation:
     @pytest.mark.parametrize("command", ["filter", "ecf"])
     @pytest.mark.parametrize("text,message", [
         ("t,y_1,y_2\n", "needs at least two rows"),
+        ("t,y_1,y_2\n# no rows\n\n#\n", "needs at least two rows"),
         ("", "must start with a 't' column"),
-    ], ids=["header_only", "zero_bytes"])
+    ], ids=["header_only", "comments_only", "zero_bytes"])
     def test_empty_path_csv_exits_2(self, tmp_path, capsys, command, text, message):
         cfg = write_json(tmp_path / "model.json", partial_doc())
         csv = tmp_path / "path.csv"
@@ -612,8 +618,52 @@ class TestPathCsvValidation:
         cfg = write_json(tmp_path / "model.json", partial_doc())
         csv = tmp_path / "path.csv"
         assert main(["simulate", cfg, "-o", str(csv), "--columns", "full"]) == 0
-        times, y = _read_path_csv(str(csv), 2)
-        assert times.base is None and y.shape == (3000, 2)
+        times, y, h = _read_path_csv(str(csv), 2)
+        assert times.base is None and y.shape == (3000, 2) and h == 0.5
+
+    @pytest.mark.parametrize("comments", ["", "# written by hand\n\n#\n"],
+                             ids=["plain", "commented"])
+    @pytest.mark.parametrize("sampling,ecf_code", [
+        ({"h": 0.5, "n_steps": 300, "seed": -1}, 0),
+        ({"h": 0.5, "n_steps": "many", "seed": 40}, 0),
+        ({"h": 0.5, "n_steps": 300}, 0),  # the seed would come from COINTSSM_SEED=abc
+        ("h=0.5", 2),
+        ({"h": float("nan"), "n_steps": 300, "seed": 40}, 2),
+        ({"h": "half", "n_steps": 300, "seed": 40}, 2),
+    ], ids=["negative_seed", "text_n_steps", "env_seed", "not_an_object", "nan_h", "text_h"])
+    def test_each_input_is_read_by_the_commands_that_use_it(
+            self, tmp_path, capsys, monkeypatch, comments, sampling, ecf_code):
+        # filter and ecf --path take h from the path CSV and read no sampling
+        # field, ecf reads sampling.h alone, and only simulate reads the rest
+        # and COINTSSM_SEED; comment and blank lines in the body change nothing
+        monkeypatch.setenv("COINTSSM_SEED", "abc")
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 300
+        good = write_json(tmp_path / "good.json", doc)
+        bad = write_json(tmp_path / "bad.json", dict(doc, sampling=sampling))
+        plain, csv = tmp_path / "plain.csv", tmp_path / "path.csv"
+        assert main(["simulate", good, "-o", str(plain)]) == 0
+        header, body = plain.read_text().split("\n", 1)
+        csv.write_text(header + "\n" + comments + body)
+
+        def run(model, path, tag):
+            capsys.readouterr()
+            codes = [main(["filter", model, str(path), "-o", str(tmp_path / tag)]),
+                     main(["ecf", model, "--path", str(path),
+                           "--residuals-out", str(tmp_path / f"{tag}_resid.csv")])]
+            assert codes == [0, 0], tag
+            return [capsys.readouterr().out] + [
+                (tmp_path / f"{tag}{suffix}").read_bytes()
+                for suffix in ("_innovations.csv", "_solution.json", "_resid.csv")]
+
+        assert run(bad, csv, "bad") == run(good, plain, "good")
+        assert main(["ecf", bad]) == ecf_code
+        report = capsys.readouterr().out
+        if ecf_code == 0:
+            assert main(["ecf", good]) == 0
+            assert report == capsys.readouterr().out
+        assert main(["simulate", bad, "-o", str(tmp_path / "again.csv")]) == 2
+        assert not (tmp_path / "again.csv").exists()
 
 
 class TestParser:
