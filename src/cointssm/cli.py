@@ -2,8 +2,9 @@
 
 Every command is deterministic given its inputs; `simulate`, the one command
 that reads a seed, takes it from the config (or the COINTSSM_SEED environment
-variable), never the wall clock. Exit codes: 0 success, 2 validation failure,
-3 numeric/convergence failure.
+variable), never the wall clock. Each command formats its JSON before it
+writes anything, so a number that JSON cannot hold leaves no partial output.
+Exit codes: 0 success, 2 validation failure, 3 numeric/convergence failure.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def _csv(fh, header: list[str], rows) -> None:
 def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _csv(fh, header, rows)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _read_path_csv(path: str, d: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -123,8 +129,7 @@ def cmd_simulate(args) -> int:
     if args.columns == "full":
         cols.update(x1=ps.x1, x2=ps.x2, r1=ps.r1)
     header = ["t"] + [f"{name}_{i+1}" for name, col in cols.items() for i in range(col.shape[1])]
-    _write_csv(args.output, header, np.hstack([ps.times[:, None], *cols.values()]))
-    sidecar = {
+    sidecar = dump_json({
         "seed": ps.seed,
         "driver_kind": ps.driver_kind,
         "h": sm.h,
@@ -132,9 +137,9 @@ def cmd_simulate(args) -> int:
         "eAh": mat_to_list(sm.eAh),
         "sigma_tilde": mat_to_list(sm.sigma_tilde),
         "gamma0": mat_to_list(sm.gamma0),
-    }
-    with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_json(sidecar))
+    })
+    _write_csv(args.output, header, np.hstack([ps.times[:, None], *cols.values()]))
+    _write_text(sidecar_path, sidecar)
     return EXIT_OK
 
 
@@ -179,10 +184,10 @@ def cmd_analyze(args) -> int:
         buf = io.StringIO()
         _csv(buf, header, rows)
         out["moments_csv"] = buf.getvalue()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(out["moments_csv"])
-    sys.stdout.write(dump_json(out))
+    text = dump_json(out)
+    if args.output:
+        _write_text(args.output, out["moments_csv"])
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -204,18 +209,17 @@ def cmd_filter(args) -> int:
     cf, sm, times, y = _sampled(args)
     ks = kalman.solve_steady_state(sm, cf)
     eps, _ = kalman.filter_innovations(ks, sm, y)
-    header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
-    _write_csv(innovations_path, header, np.hstack([times[:, None], eps]))
-    solution = {
+    solution = dump_json({
         "h": sm.h,
         "omega": mat_to_list(ks.omega),
         "gain": mat_to_list(ks.gain),
         "v": mat_to_list(ks.v),
         "residual": ks.residual,
         "rho_closed_loop": ks.spectral_radius,
-    }
-    with open(solution_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_json(solution))
+    })
+    header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
+    _write_csv(innovations_path, header, np.hstack([times[:, None], eps]))
+    _write_text(solution_path, solution)
     return EXIT_OK
 
 
@@ -254,13 +258,13 @@ def cmd_ecf(args) -> int:
                 "passed": white.passed,
                 "degenerate": white.degenerate,
                 "band": white.band,
-                "max_abs": white.max_abs,
+                "max_abs": None if white.degenerate else white.max_abs,
             }
-        if args.residuals_out:
-            header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
-            _write_csv(args.residuals_out, header,
-                       np.hstack([times[args.J + 1:, None], eps_ecf]))
-    sys.stdout.write(dump_json(out))
+    text = dump_json(out)
+    if args.residuals_out:
+        header = ["t"] + [f"eps_{i+1}" for i in range(cf.d)]
+        _write_csv(args.residuals_out, header, np.hstack([times[args.J + 1:, None], eps_ecf]))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

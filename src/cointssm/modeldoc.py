@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from . import matops
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .model import CointCanonicalForm, LevySpec, McarmaModel, StateSpaceModel
 from .realization import canonicalize, mcarma_to_ss
 
@@ -190,8 +190,13 @@ def complex_pairs(z: np.ndarray) -> list[list[float]]:
 
 
 def dump_json(obj: Any) -> str:
-    """Canonical JSON rendering: sorted keys, stable float repr, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering: sorted keys, stable float repr, newline end.
+    Strict JSON has no NaN or infinity, so a non-finite number raises
+    `NumericError`."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"cannot write a non-finite number as JSON: {exc}") from exc
 
 
 def levy_to_doc(levy: LevySpec) -> dict:

@@ -5,15 +5,22 @@ import numpy as np
 import pytest
 
 import helpers
-from cointssm import canonicalize, discretize, matops, simulate, simulate_exact_gaussian
+from cointssm import canonicalize, cli, discretize, matops, simulate, simulate_exact_gaussian
 from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
-from cointssm.errors import MinimalityError
-from cointssm.modeldoc import canonical_to_doc, parse_document
+from cointssm.errors import MinimalityError, NumericError
+from cointssm.modeldoc import canonical_to_doc, dump_json, parse_document
 
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2))
     return str(path)
+
+
+def strict_json(text):
+    """Parse JSON that must hold no NaN or infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def scalar_doc(**sampling):
@@ -241,6 +248,31 @@ class TestCsvWriter:
             ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
         )
         assert path.read_bytes() == want.encode()
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("command", ["simulate", "filter", "ecf", "analyze"])
+    def test_non_finite_json_exits_3_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        doc = partial_doc()
+        doc["sampling"]["n_steps"] = 300
+        cfg = write_json(tmp_path / "model.json", doc)
+        csv, out = tmp_path / "path.csv", str(tmp_path / "out.csv")
+        assert main(["simulate", cfg, "-o", str(csv)]) == 0
+        before = sorted(tmp_path.iterdir())
+        # every command's JSON holds a matrix; a NaN in it used to be written
+        monkeypatch.setattr(cli, "mat_to_list", lambda M: [[float("nan")]])
+        argv = {"simulate": ["simulate", cfg, "-o", out],
+                "filter": ["filter", cfg, str(csv), "-o", str(tmp_path / "out")],
+                "ecf": ["ecf", cfg, "--path", str(csv), "--residuals-out", out],
+                "analyze": ["analyze", cfg, "--moments", "--output", out]}[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+        with pytest.raises(NumericError):
+            dump_json({"x": float("inf")})
 
 
 class TestAnalyzeCommand:
@@ -486,6 +518,17 @@ class TestEcfCommand:
         assert out["whiteness"] is None
         assert out["max_residual_gap"] <= 1e-10
         assert len(res_out.read_text().splitlines()) == 600 - 201 + 1
+
+    def test_degenerate_whiteness_is_strict_json(self, tmp_path, capsys):
+        # a constant path's residuals settle on a constant, whose
+        # autocorrelations are undefined; the report printed "max_abs": NaN
+        cfg = write_json(tmp_path / "model.json", partial_doc())
+        csv = tmp_path / "path.csv"
+        _write_csv(str(csv), ["t", "y_1", "y_2"],
+                   np.column_stack([0.5 * np.arange(1, 3001), np.ones((3000, 2))]))
+        assert main(["ecf", cfg, "--path", str(csv)]) == 0
+        white = strict_json(capsys.readouterr().out)["whiteness"]
+        assert white["degenerate"] is True and white["max_abs"] is None
 
     def test_residuals_out_needs_path(self, tmp_path, capsys):
         # the option used to be ignored without --path (exit 0, no file)
