@@ -4,7 +4,8 @@ Every command is deterministic given its inputs; `simulate`, the one command
 that reads a seed, takes it from the config (or the COINTSSM_SEED environment
 variable), never the wall clock. Each command formats its JSON before it
 writes anything, so a number that JSON cannot hold leaves no partial output.
-Exit codes: 0 success, 2 validation failure, 3 numeric/convergence failure.
+Exit codes: 0 success, 2 validation failure, 3 numeric/convergence failure
+or running out of memory.
 """
 
 from __future__ import annotations
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -38,6 +38,10 @@ from .moments import SampledModel
 #: Rows per block of the Gaussian noise draws and of the ``C2 x2`` sums.
 DRAW_ROWS = 4096
 
+#: Most jumps one sampler run may expect: numpy's largest Poisson mean, ten
+#: standard deviations below the int64 limit of the counts and their total.
+MAX_JUMPS = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 @dataclass(frozen=True)
 class PathSet:
@@ -227,6 +231,10 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+    if cf.levy.jump_rate * sm.h * n_steps * n_paths > MAX_JUMPS:
+        raise ValidationError(
+            f"jump_rate * h = {cf.levy.jump_rate * sm.h:.6g} jumps per step over "
+            f"{n_paths * n_steps} steps exceeds the {MAX_JUMPS:.4g} jumps a run can count")
     x0 = _check_x1_0(cf, x1_0)
     if cf.levy.jump_rate > 0:
         _, sigma_w = moments.van_loan(cf, sm.h, cf.levy.diffusion_cov)

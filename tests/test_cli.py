@@ -209,6 +209,22 @@ class TestSimulateCommand:
         assert "sampling block" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("sampling,code,message", [
+        ({"h": 1e300}, 2, "jump_rate * h = 2e+300"),
+        ({"n_steps": 10**15}, 3, "out of memory"),
+    ], ids=["poisson_mean", "memory"])
+    def test_huge_sampling_value_exits_without_traceback(self, tmp_path, capsys, sampling,
+                                                         code, message):
+        # both ended in a traceback (exit 1): rng.poisson's "lam value too
+        # large" and numpy's _ArrayMemoryError
+        doc = scalar_doc(**sampling)
+        doc["levy"] = mixed_levy()
+        cfg = write_json(tmp_path / "model.json", doc)
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     @pytest.mark.parametrize("h", [float("nan"), float("inf")])
     def test_non_finite_step_exits_2(self, tmp_path, capsys, h):
         # json.dumps writes NaN / Infinity, which Python's JSON reader accepts
