@@ -231,6 +231,9 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+    if n_paths * n_steps * cf.N * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"{n_paths * n_steps} steps of {cf.N} doubles are more than "
+                              f"the largest array holds")
     if cf.levy.jump_rate * sm.h * n_steps * n_paths > MAX_JUMPS:
         raise ValidationError(
             f"jump_rate * h = {cf.levy.jump_rate * sm.h:.6g} jumps per step over "

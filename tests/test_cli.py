@@ -212,11 +212,14 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("sampling,code,message", [
         ({"h": 1e300}, 2, "jump_rate * h = 2e+300"),
         ({"n_steps": 10**15}, 3, "out of memory"),
-    ], ids=["poisson_mean", "memory"])
+        ({"n_steps": 10**19}, 2, "more than the largest array holds"),
+        ({"n_steps": 10**400}, 2, "more than the largest array holds"),
+    ], ids=["poisson_mean", "memory", "array_size", "float_overflow"])
     def test_huge_sampling_value_exits_without_traceback(self, tmp_path, capsys, sampling,
                                                          code, message):
-        # both ended in a traceback (exit 1): rng.poisson's "lam value too
-        # large" and numpy's _ArrayMemoryError
+        # each ended in a traceback (exit 1): rng.poisson's "lam value too
+        # large", numpy's _ArrayMemoryError and "Maximum allowed dimension
+        # exceeded"
         doc = scalar_doc(**sampling)
         doc["levy"] = mixed_levy()
         cfg = write_json(tmp_path / "model.json", doc)
