@@ -725,7 +725,7 @@ class TestPathCsvValidation:
             assert main(["ecf", good]) == 0
             assert report == capsys.readouterr().out
         assert main(["simulate", bad, "-o", str(tmp_path / "again.csv")]) == 2
-        assert not (tmp_path / "again.csv").exists()
+        assert not (tmp_path / "again.csv").exists() and not (tmp_path / "again.json").exists()
 
 
 class TestParser:
