@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
         "c": sm.c,
         "eAh": mat_to_list(sm.eAh),
         "sigma_tilde": mat_to_list(sm.sigma_tilde),
-        "gamma0": mat_to_list(sm.gamma0),
+        "gamma0": mat_to_list(cf.gamma0),
     })
     _write_csv(args.output, header, np.hstack([ps.times[:, None], *cols.values()]))
     _write_text(sidecar_path, sidecar)

@@ -41,7 +41,12 @@ def signed_rank_factors(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank-r SVD factorization ``M = alpha beta'`` with the singular values
     absorbed into alpha and each beta column's first nonzero entry positive.
     """
-    U, s, Vt = np.linalg.svd(M)
+    return _signed_factors(*np.linalg.svd(M), r)
+
+
+def _signed_factors(U: np.ndarray, s: np.ndarray, Vt: np.ndarray,
+                    r: int) -> tuple[np.ndarray, np.ndarray]:
+    """`signed_rank_factors` from the SVD ``U diag(s) Vt`` of the matrix."""
     alpha = U[:, :r] * s[:r]
     beta = Vt[:r].T.copy()
     tol = matops.SIGN_PIVOT_TOL * (1.0 + (s[0] if s.size else 0.0))
@@ -81,12 +86,12 @@ def check_cointegration(m: McarmaModel, rel_tol: float = matops.RANK_REL_TOL) ->
 
     r = d - ur.c
     cond_b = 0 < r < d
+    U, s, Vt = np.linalg.svd(Pp)
     alpha = beta = None
     if cond_b:
-        alpha, beta = signed_rank_factors(Pp, r)
+        alpha, beta = _signed_factors(U, s, Vt, r)
     # alpha_perp and beta_perp are the trailing singular vectors of P_p: empty
     # at r = d, where (c) holds vacuously, and all of R^d at r = 0
-    U, _, Vt = np.linalg.svd(Pp)
     trans_rank = matops.numerical_rank(U[:, r:].T @ Pp1 @ Vt[r:].T, rel_tol).rank
     cond_c = trans_rank == d - r
     if cond_c:  # (c) holds iff det P has exactly d - r zero roots, none more

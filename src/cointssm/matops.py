@@ -78,8 +78,13 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 
 def is_symmetric(A: np.ndarray) -> bool:
-    """``||A - A'|| <= COV_TOL (1 + ||A||)`` for a square matrix."""
-    return bool(np.linalg.norm(A - A.T) <= COV_TOL * (1.0 + np.linalg.norm(A)))
+    """``||A - A'|| <= COV_TOL (1 + ||A||)`` for a square matrix, evaluated on
+    ``A / 2^e`` with ``2^e`` the power of two just above ``max|A|``: neither
+    norm overflows, and since the scaling is exact, the decision is the
+    unscaled one wherever that one's norms are finite."""
+    e = int(np.frexp(np.max(np.abs(A), initial=0.0))[1])
+    As = np.ldexp(A, -e)
+    return bool(np.linalg.norm(As - As.T) <= COV_TOL * (math.ldexp(1.0, -e) + np.linalg.norm(As)))
 
 
 def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -274,16 +279,18 @@ class RankResult:
     tolerance_used: float
 
 
+def _rank_of(s: np.ndarray, rel_tol: float) -> RankResult:
+    """The rank rule on descending singular values ``s``: the count above ``rel_tol * s[0]``."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValidationError(f"rel_tol must be positive and finite, got {rel_tol}")
+    tol = rel_tol * s[0] if s.size else 0.0
+    return RankResult(int(np.sum(s > tol)), s, float(tol))
+
+
 def numerical_rank(M, rel_tol: float = RANK_REL_TOL) -> RankResult:
     """Numerical rank: count of singular values above ``rel_tol * sigma_max``."""
     A = as_matrix(M, "rank input")
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValidationError(f"rel_tol must be positive and finite, got {rel_tol}")
-    if A.size == 0:
-        return RankResult(0, np.zeros(0), 0.0)
-    s = np.linalg.svd(A, compute_uv=False)
-    tol = rel_tol * s[0]
-    return RankResult(int(np.sum(s > tol)), s, float(tol))
+    return _rank_of(np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0), rel_tol)
 
 
 @dataclass(frozen=True)
@@ -436,9 +443,9 @@ def positive_lower_triangularize(C, rel_tol: float = RANK_REL_TOL) -> tuple[np.n
         return np.zeros((d, 0)), np.zeros((0, 0))
     if c > d:
         raise RankError(f"need at most as many columns as rows, got shape {A.shape}")
-    if numerical_rank(A, rel_tol).rank != c:
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    if _rank_of(s, rel_tol).rank != c:
         raise RankError(f"C is rank deficient: fewer than {c} independent columns")
-    U = np.linalg.svd(A, full_matrices=False)[0]
     rows = first_independent_rows(U, c, rel_tol)
     Upiv = U[rows]
     # LQ with positive diagonal: Upiv = L Qf, L lower triangular

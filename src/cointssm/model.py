@@ -8,6 +8,7 @@ marked read-only), so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,12 +72,11 @@ class LevySpec:
 
         failures: list[str] = []
         sig = self.sigma_L
-        scale = 1.0 + np.linalg.norm(sig)
         if not matops.is_symmetric(sig):
             failures.append("sigma_L is not symmetric")
         else:
             min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (sig + sig.T))))
-            if min_eig <= matops.COV_TOL * scale:
+            if min_eig <= matops.COV_TOL * (1.0 + np.linalg.norm(sig)):
                 failures.append(
                     f"sigma_L is singular or not positive definite (min eigenvalue {min_eig:.3e})"
                 )
@@ -87,6 +87,7 @@ class LevySpec:
             elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -matops.COV_TOL * (1 + np.linalg.norm(jc)):
                 failures.append("jump_cov is not positive semidefinite")
             diff = self.diffusion_cov
+            scale = 1.0 + np.linalg.norm(sig)
             if self.kind == "compound_poisson_gaussian_jumps":
                 if np.linalg.norm(diff) > matops.LEVY_SPLIT_TOL * scale:
                     failures.append("sigma_L != jump_rate * jump_cov for the pure-jump driver")
@@ -241,7 +242,9 @@ class CointCanonicalForm:
     ``dX1 = B1 dL`` and ``dX2 = A2 X2 dt + B2 dL`` with observation
     ``Y = C1 X1 + C2 X2``; ``C1`` has orthonormal columns in positive lower
     triangular form and ``A2`` is Hurwitz. ``c = 0`` is permitted as the
-    stationary degenerate case.
+    stationary degenerate case. ``gamma0``, the stationary covariance of X2
+    (it does not depend on any sampling step), is solved on first read and
+    kept.
     """
 
     c: int
@@ -311,6 +314,14 @@ class CointCanonicalForm:
     @property
     def n2(self) -> int:
         return self.A2.shape[0]
+
+    @cached_property
+    def gamma0(self) -> np.ndarray:
+        """Read-only solution of ``A2 G + G A2' + B2 sigma_L B2' = 0``."""
+        S = self.levy.sigma_L
+        g = matops.lyapunov_solve(self.A2, self.B2 @ S @ self.B2.T)
+        g.flags.writeable = False
+        return g
 
     def full_B(self) -> np.ndarray:
         return np.vstack([self.B1, self.B2])

@@ -3,7 +3,9 @@
 The sampled process Y(nh) satisfies a discrete state recursion with i.i.d.
 noise whose covariance splits into four blocks; the transition and all four
 blocks come from one augmented matrix exponential, never quadrature
-(quadrature exists only as a test oracle).
+(quadrature exists only as a test oracle). The stationary covariance
+gamma0 does not depend on h and belongs to the canonical form
+(`CointCanonicalForm.gamma0`), not to the sampled model.
 """
 
 from __future__ import annotations
@@ -19,19 +21,17 @@ from .model import CointCanonicalForm
 
 @dataclass(frozen=True)
 class SampledModel:
-    """Exact discretization artifacts for step ``h``.
+    """The sampled recursion for step ``h``, and nothing else.
 
-    ``eAh = diag(I_c, e^{A2 h})`` is the one-step transition,
+    ``eAh = diag(I_c, e^{A2 h})`` is the one-step transition and
     ``sigma_tilde`` the i.i.d. noise covariance with blocks indexed by the
-    unit-root/stationary split, and ``gamma0`` the stationary covariance of
-    the stable state block.
+    unit-root/stationary split.
     """
 
     h: float
     c: int
     eAh: np.ndarray
     sigma_tilde: np.ndarray
-    gamma0: np.ndarray
 
     @property
     def N(self) -> int:
@@ -94,16 +94,13 @@ def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:
     ``eAh`` and ``sigma_tilde`` come from one Van Loan exponential and its
     doublings with ``S = sigma_L`` (see `van_loan`). Blockwise,
     sigma11 = h B1 S B1', sigma21 = int_0^h e^{A2 u} B2 S B1' du and
-    sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du; gamma0 solves
-    A2 G + G A2' + B2 S B2' = 0.
+    sigma22 = int_0^h e^{A2 u} B2 S B2' e^{A2' u} du. No Lyapunov equation
+    is solved: gamma0 is `CointCanonicalForm.gamma0`.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValidationError(f"sampling step h must be positive and finite, got {h}")
-    S = np.asarray(cf.levy.sigma_L)
-    eAh, sigma = van_loan(cf, h, S)
-    B2 = np.asarray(cf.B2)
-    gamma0 = matops.lyapunov_solve(np.asarray(cf.A2), B2 @ S @ B2.T)
-    return SampledModel(h=float(h), c=cf.c, eAh=eAh, sigma_tilde=sigma, gamma0=gamma0)
+    eAh, sigma = van_loan(cf, h, cf.levy.sigma_L)
+    return SampledModel(h=float(h), c=cf.c, eAh=eAh, sigma_tilde=sigma)
 
 
 def mean(cf: CointCanonicalForm, x1_0) -> np.ndarray:
@@ -119,19 +116,19 @@ def cov_continuous(cf: CointCanonicalForm, t: float, s: float) -> np.ndarray:
     ``X1(0) = 0`` and X2 started in its stationary law.
 
     ``P(t) = Cov(X(t))`` is the Van Loan covariance at t (`van_loan`) with its
-    stationary block set to gamma0, and ``e^{As} = diag(I_c, e^{A2 s})``
+    stationary block set to ``cf.gamma0`` (solved once per canonical form,
+    whatever the number of (t, s) pairs), and ``e^{As} = diag(I_c, e^{A2 s})``
     carries X(t) to the later time, which sits on the transposed side
     (Monte-Carlo arbitration picks this orientation). No term is a difference
     of integrals, so every entry keeps its relative accuracy at any lag.
     """
     if t < 0 or s < 0:
         raise ValidationError(f"need t, s >= 0, got t={t}, s={s}")
-    c, A2, B2 = cf.c, np.asarray(cf.A2), np.asarray(cf.B2)
-    S = np.asarray(cf.levy.sigma_L)
-    _, P = van_loan(cf, t, S)
-    P[c:, c:] = matops.lyapunov_solve(A2, B2 @ S @ B2.T)
+    c = cf.c
+    _, P = van_loan(cf, t, cf.levy.sigma_L)
+    P[c:, c:] = cf.gamma0
     eAs = np.eye(cf.N)
-    eAs[c:, c:] = matops.expm(A2 * s)
+    eAs[c:, c:] = matops.expm(cf.A2 * s)
     C = cf.full_C()
     return C @ P @ eAs.T @ C.T
 

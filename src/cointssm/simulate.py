@@ -223,8 +223,10 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     the Gaussian part of shape (n_paths, n_steps, N) first (in blocks,
     ``_gaussian_noise``), then the stationary starts N(0, gamma0), then the
     jumps, so a one-path ensemble reproduces the single-path sampler on the
-    same stream and the Gaussian draws do not depend on the jumps. The
-    stationary noise is kept path-major and scanned in place. Returns
+    same stream and the Gaussian draws do not depend on the jumps. gamma0 is
+    the canonical form's (`CointCanonicalForm.gamma0`), solved once per
+    model, so a `PathSet` that regenerates its states solves nothing again.
+    The stationary noise is kept path-major and scanned in place. Returns
     ``(x1_0, r1, x2)`` with the path axis first.
     """
     if n_steps < 1:
@@ -245,7 +247,7 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
         sigma_w = sm.sigma_tilde
     noise_factor = matops.psd_factor(sigma_w, name="Brownian noise covariance")
     r1, x2 = _gaussian_noise(rng, noise_factor, cf.c, n_paths, n_steps)
-    g_factor = matops.psd_factor(np.asarray(sm.gamma0), name="gamma0")
+    g_factor = matops.psd_factor(cf.gamma0, name="gamma0")
     start = rng.standard_normal((n_paths, cf.n2)) @ g_factor.T
     if cf.levy.jump_rate > 0:
         _add_jumps(r1, x2, cf, sm.h, rng)

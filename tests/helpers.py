@@ -357,3 +357,23 @@ def add_jumps_expm(r1: np.ndarray, r2: np.ndarray, cf, h: float,
         part = slice(lo, lo + batch)
         kicks[part] = np.einsum("kij,kj->ki", sla.expm(ages[part, None, None] * A2), kicks[part])
     np.add.at(r2, where, kicks)
+
+
+def matrix_key(M) -> tuple:
+    """A matrix's shape and bytes, to tell which matrices a routine decomposed."""
+    a = np.ascontiguousarray(M, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def count_svds(monkeypatch) -> dict:
+    """Count the calls of ``np.linalg.svd`` from now on, per `matrix_key`."""
+    seen: dict = {}
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        key = matrix_key(a)
+        seen[key] = seen.get(key, 0) + 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cointssm
 import helpers
 from cointssm import canonicalize, cli, discretize, matops, simulate, simulate_exact_gaussian
 from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
@@ -227,6 +231,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_huge_step_runs_with_runtime_warnings_as_errors(self, tmp_path):
+        # the symmetry check of sigma_tilde (entries near 1e300) overflowed
+        # its norms: a RuntimeWarning, and a traceback under -W error
+        cfg = write_json(tmp_path / "model.json", partial_doc() | {
+            "sampling": {"h": 1e300, "n_steps": 3000, "seed": 40}})
+        src = str(Path(cointssm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cointssm",
+                               "simulate", cfg, "-o", str(tmp_path / "x.csv")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_sidecar_gamma0_is_the_canonical_forms(self, tmp_path):
+        doc = partial_doc()
+        cfg = write_json(tmp_path / "model.json", doc)
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 0
+        sidecar = json.loads((tmp_path / "x.json").read_text())
+        assert np.array_equal(sidecar["gamma0"], parse_document(doc).gamma0)
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf")])
     def test_non_finite_step_exits_2(self, tmp_path, capsys, h):

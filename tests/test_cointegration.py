@@ -86,6 +86,16 @@ class TestCheckCointegration:
                 1e-8 * (1.0 + np.linalg.norm(Pp))
             assert report.r == matops.numerical_rank(Pp).rank
 
+    def test_one_svd_per_matrix(self, rng, monkeypatch):
+        # P_p gives alpha, beta and both complements from one decomposition
+        m = helpers.random_coint_mcarma(rng, d=3, c=1, p=2, q=1, m=3)
+        want = check_cointegration(m)
+        seen = helpers.count_svds(monkeypatch)
+        got = check_cointegration(m)
+        assert want.condition_b and seen[helpers.matrix_key(m.p_coeffs[-1])] == 1
+        assert set(seen.values()) == {1}
+        assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.beta, want.beta)
+
     def test_deterministic_reports(self, rng):
         m = helpers.random_coint_mcarma(rng, d=2, c=1, p=2, q=0, m=2)
         r1 = check_cointegration(m)

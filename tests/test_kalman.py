@@ -244,8 +244,7 @@ class TestFilteredControllability:
             bump = rng.normal(size=partial_sm.sigma_tilde.shape)
             bump = 1e-12 * (bump + bump.T)
             sm2 = SampledModel(h=partial_sm.h, c=partial_sm.c, eAh=partial_sm.eAh,
-                               sigma_tilde=partial_sm.sigma_tilde + bump,
-                               gamma0=partial_sm.gamma0)
+                               sigma_tilde=partial_sm.sigma_tilde + bump)
             ks2 = solve_steady_state(sm2, partial_cf)
             rep2 = check_filtered_controllability(ks2, sm2)
             assert rep2.is_controllable == rep0.is_controllable

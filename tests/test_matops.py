@@ -404,6 +404,35 @@ class TestPositiveLowerTriangularize:
         with pytest.raises(RankError):
             matops.positive_lower_triangularize(np.ones((3, 2)))
 
+    def test_one_svd_of_c(self, rng, monkeypatch):
+        # the rank check and U come from one decomposition
+        C = rng.normal(size=(5, 3))
+        want = matops.positive_lower_triangularize(C)
+        seen = helpers.count_svds(monkeypatch)
+        got = matops.positive_lower_triangularize(C)
+        assert seen == {helpers.matrix_key(C): 1}
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestIsSymmetric:
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_entries_decided_without_overflow(self, scale):
+        # both norms overflowed to inf, and inf <= tol * inf accepted any matrix
+        assert not matops.is_symmetric(scale * np.array([[1.0, 0.0], [3.0, 1.0]]))
+        assert matops.is_symmetric(scale * np.array([[1.0, 3.0], [3.0, 1.0]]))
+
+    def test_same_decision_as_the_unscaled_rule(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-12, 12)
+            A = A + A.T + 10.0 ** rng.uniform(-14, -6) * rng.normal(size=(n, n)) * np.abs(A).max()
+            unscaled = np.linalg.norm(A - A.T) <= matops.COV_TOL * (1.0 + np.linalg.norm(A))
+            assert matops.is_symmetric(A) == unscaled
+
+    def test_empty_and_zero(self):
+        assert matops.is_symmetric(np.zeros((0, 0)))
+        assert matops.is_symmetric(np.zeros((3, 3)))
+
 
 class TestPsdFactor:
     def test_factorization(self, rng):

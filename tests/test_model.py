@@ -9,6 +9,7 @@ from cointssm import (
     StateSpaceModel,
     assemble_from_canonical,
     canonicalize,
+    matops,
 )
 from cointssm.errors import DimensionError, ValidationError
 
@@ -21,6 +22,13 @@ class TestLevySpec:
     def test_singular_covariance_flagged(self):
         with pytest.raises(ValidationError, match="positive definite"):
             LevySpec(kind="brownian", sigma_L=[[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_asymmetric_covariance_named(self, scale):
+        # its norms overflowed, so it passed as symmetric and was refused
+        # only as "not positive definite"
+        with pytest.raises(ValidationError, match="sigma_L is not symmetric"):
+            LevySpec(kind="brownian", sigma_L=scale * np.array([[1.0, 0.0], [3.0, 1.0]]))
 
     def test_pure_jump_decomposition(self):
         spec = LevySpec(
@@ -169,6 +177,16 @@ class TestCointCanonicalForm:
             CointCanonicalForm(c=1, A2=np.zeros((0, 0)), B1=[[1.0]],
                                B2=np.zeros((0, 1)), C1=[[1.0]],
                                C2=np.zeros((1, 0)), levy=helpers.brownian(1))
+
+    @pytest.mark.parametrize("fixture", [helpers.scalar_fixture, helpers.partial_fixture,
+                                         helpers.slow_fixture])
+    def test_gamma0_solved_once_and_read_only(self, fixture):
+        cf = fixture()
+        want = matops.lyapunov_solve(cf.A2, cf.B2 @ cf.levy.sigma_L @ cf.B2.T)
+        assert cf.gamma0 is cf.gamma0
+        assert np.array_equal(cf.gamma0.view(np.uint64), want.view(np.uint64))
+        with pytest.raises(ValueError):
+            cf.gamma0[0, 0] = 1.0
 
     def test_stationary_degenerate_allowed(self):
         cf = CointCanonicalForm(c=0, A2=[[-1.0]], B1=np.zeros((0, 1)), B2=[[1.0]],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,11 @@ from cointssm.moments import van_loan
 
 
 class TestDiscretize:
-    def test_scalar_fixture_blocks(self, scalar_sm):
+    def test_scalar_fixture_blocks(self, scalar_cf, scalar_sm):
         assert np.allclose(scalar_sm.sigma11, [[1.0]])
         assert np.allclose(scalar_sm.sigma22, [[(1.0 - np.exp(-2.0)) / 2.0]])
         assert np.allclose(scalar_sm.sigma12, [[0.0]], atol=1e-14)
-        assert np.allclose(scalar_sm.gamma0, [[0.5]])
+        assert np.allclose(scalar_cf.gamma0, [[0.5]])
         assert np.allclose(scalar_sm.eAh, np.diag([1.0, np.exp(-1.0)]))
 
     def test_blocks_against_quadrature(self, partial_cf):
@@ -64,11 +66,21 @@ class TestDiscretize:
         sm = discretize(scalar_cf, 1e-6)
         assert np.linalg.norm(sm.sigma_tilde) <= 1e-5 * 10.0
 
-    def test_gamma0_lyapunov_residual(self, partial_cf, partial_sm):
+    def test_gamma0_lyapunov_residual(self, partial_cf):
         A2 = np.asarray(partial_cf.A2)
         Q = np.asarray(partial_cf.B2) @ np.asarray(partial_cf.levy.sigma_L) @ np.asarray(partial_cf.B2).T
-        res = A2 @ partial_sm.gamma0 + partial_sm.gamma0 @ A2.T + Q
+        res = A2 @ partial_cf.gamma0 + partial_cf.gamma0 @ A2.T + Q
         assert np.linalg.norm(res) <= 1e-10
+
+    def test_sampled_model_is_the_recursion_only(self, partial_sm, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("discretize solved a Lyapunov equation")
+        monkeypatch.setattr(matops, "lyapunov_solve", refuse)
+        sm = discretize(helpers.partial_fixture(), partial_sm.h)
+        assert [f.name for f in dataclasses.fields(sm)] == ["h", "c", "eAh", "sigma_tilde"]
+        assert not hasattr(sm, "gamma0")
+        assert np.array_equal(sm.eAh, partial_sm.eAh)
+        assert np.array_equal(sm.sigma_tilde, partial_sm.sigma_tilde)
 
     def test_rejects_nonpositive_step(self, scalar_cf):
         with pytest.raises(ValidationError):
@@ -124,6 +136,17 @@ class TestCovContinuous:
             assert np.isclose(cov[0, 0], t, atol=1e-12)
             assert np.isclose(cov[1, 1], 0.5, atol=1e-12)
             assert np.isclose(cov[0, 1], 0.0, atol=1e-12)
+
+    def test_gamma0_solved_once_over_a_grid(self, monkeypatch):
+        # the default grid of `analyze --moments`: t in {0, 1, 2}, s in {0, 1}
+        calls = []
+        solve = matops.lyapunov_solve
+        monkeypatch.setattr(matops, "lyapunov_solve", lambda *a: calls.append(1) or solve(*a))
+        cf = helpers.partial_fixture()
+        for t in (0.0, 1.0, 2.0):
+            for s in (0.0, 1.0):
+                cov_continuous(cf, t, s)
+        assert len(calls) == 1
 
     def test_rejects_negative_times(self, scalar_cf):
         with pytest.raises(ValidationError):

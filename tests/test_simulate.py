@@ -184,6 +184,7 @@ class TestStorage:
         # x2 and r1 (0.75 T N doubles here) were kept until the path was freed
         cf = make()
         sm = discretize(cf, 1.0)
+        cf.gamma0  # the model's own one-time solve, and scipy's first-call caches
         held, ps = helpers.retained(simulate_exact_gaussian, sm, cf, T, seed=3)
         assert held - ps.y.nbytes <= 8 * cf.N**2 * 8
 
