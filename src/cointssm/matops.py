@@ -79,10 +79,11 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 def is_symmetric(A: np.ndarray) -> bool:
     """``||A - A'|| <= COV_TOL (1 + ||A||)`` for a square matrix, evaluated on
-    ``A / 2^e`` with ``2^e`` the power of two just above ``max|A|``: neither
-    norm overflows, and since the scaling is exact, the decision is the
-    unscaled one wherever that one's norms are finite."""
-    e = int(np.frexp(np.max(np.abs(A), initial=0.0))[1])
+    ``A / 2^e`` with ``2^e`` the power of two just above ``max|A|`` when that
+    exceeds 1 (``e = 0`` otherwise): neither norm overflows, ``2^-e`` stays
+    at most 1, and since the scaling is exact, the decision is the unscaled
+    one wherever that one's norms are finite."""
+    e = max(0, int(np.frexp(np.max(np.abs(A), initial=0.0))[1]))
     As = np.ldexp(A, -e)
     return bool(np.linalg.norm(As - As.T) <= COV_TOL * (math.ldexp(1.0, -e) + np.linalg.norm(As)))
 

@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cointssm
 import helpers
 from cointssm import canonicalize, cli, discretize, matops, simulate, simulate_exact_gaussian
 from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
@@ -232,19 +228,21 @@ class TestSimulateCommand:
         assert message in err and len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
-    def test_huge_step_runs_with_runtime_warnings_as_errors(self, tmp_path):
+    def test_huge_step_runs_with_runtime_warnings_as_errors(self, tmp_path, capsys):
         # the symmetry check of sigma_tilde (entries near 1e300) overflowed
-        # its norms: a RuntimeWarning, and a traceback under -W error
+        # its norms: a RuntimeWarning, which the test settings make an error
         cfg = write_json(tmp_path / "model.json", partial_doc() | {
             "sampling": {"h": 1e300, "n_steps": 3000, "seed": 40}})
-        src = str(Path(cointssm.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cointssm",
-                               "simulate", cfg, "-o", str(tmp_path / "x.csv")],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_subnormal_step_runs(self, tmp_path, capsys):
+        # sigma_tilde's entries near 1e-310 made the symmetry check's scale
+        # 2^-e overflow (a traceback, exit 1)
+        cfg = write_json(tmp_path / "model.json", partial_doc() | {
+            "sampling": {"h": 1e-310, "n_steps": 300, "seed": 40}})
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_sidecar_gamma0_is_the_canonical_forms(self, tmp_path):
         doc = partial_doc()

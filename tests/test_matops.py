@@ -421,6 +421,14 @@ class TestIsSymmetric:
         assert not matops.is_symmetric(scale * np.array([[1.0, 0.0], [3.0, 1.0]]))
         assert matops.is_symmetric(scale * np.array([[1.0, 3.0], [3.0, 1.0]]))
 
+    def test_subnormal_entries_decided_without_overflow(self):
+        # the scale 2^-e overflowed (OverflowError) below max|A| of about
+        # 2.8e-309; the rule's absolute floor COV_TOL accepts both matrices
+        for A in ([[1.0, 0.0], [3.0, 1.0]], [[1.0, 3.0], [3.0, 1.0]]):
+            A = 1e-310 * np.array(A)
+            assert matops.is_symmetric(A)
+            assert np.linalg.norm(A - A.T) <= matops.COV_TOL * (1.0 + np.linalg.norm(A))
+
     def test_same_decision_as_the_unscaled_rule(self, rng):
         for _ in range(200):
             n = int(rng.integers(1, 5))

@@ -30,6 +30,12 @@ class TestLevySpec:
         with pytest.raises(ValidationError, match="sigma_L is not symmetric"):
             LevySpec(kind="brownian", sigma_L=scale * np.array([[1.0, 0.0], [3.0, 1.0]]))
 
+    def test_subnormal_jump_covariance_accepted(self):
+        # the symmetry check's scale overflowed on entries below about 2.8e-309
+        spec = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=[[1.0]],
+                        jump_rate=1.0, jump_cov=[[1e-310]])
+        assert spec.jump_cov[0, 0] == 1e-310
+
     def test_pure_jump_decomposition(self):
         spec = LevySpec(
             kind="compound_poisson_gaussian_jumps",
