@@ -240,16 +240,13 @@ def innovations_alt_rep(dec: EcfDecomposition, ps, J: int | None = None) -> np.n
     (one ``matops.linear_recursion`` scan, zero pre-sample,
     ``S = (I - closed_loop)^{-1} K``). Rows n = J .. n_steps-1 (0-based) are
     returned, J defaulting to the stored truncation. Reads the path's
-    ``y2``, ``r1`` and ``c1``; a `PathSet` regenerates the first two when
-    they are first read.
+    ``y2``, ``r1`` and ``c1``, so a `PathSet` needs its states: one of
+    `simulate_exact_gaussian`, which keeps only ``y``, raises
+    `ValidationError`.
     """
     J = _first_row(dec, J)
-    y2 = getattr(ps, "y2", None)
-    r1 = getattr(ps, "r1", None)
-    if y2 is None or r1 is None:
-        raise ValidationError("PathSet lacks the y2/r1 components the representation needs")
-    y2 = matops.as_matrix(y2, "y2")
-    r1 = matops.as_matrix(r1, "r1")
+    y2 = matops.as_matrix(ps.y2, "y2")
+    r1 = matops.as_matrix(ps.r1, "r1")
     T = y2.shape[0]
     if r1.shape[0] != T:
         raise DimensionError(f"r1 has {r1.shape[0]} rows, y2 has {T}")

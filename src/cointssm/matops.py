@@ -77,15 +77,22 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return x
 
 
+def pow2_scaled(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(A / 2^e, 2^-e)``, with ``2^e`` the power of two just above
+    ``max|A|`` when that exceeds 1 (``e = 0`` otherwise). A test
+    ``f(A) <= tol (1 + ||A||)`` with ``f`` homogeneous, evaluated as
+    ``f(A / 2^e) <= tol (2^-e + ||A / 2^e||)``, has no norm that overflows
+    and ``2^-e`` stays at most 1; since the scaling is exact, the decision
+    is the unscaled one wherever that one's norms are finite."""
+    e = max(0, int(np.frexp(np.max(np.abs(A), initial=0.0))[1]))
+    return np.ldexp(A, -e), math.ldexp(1.0, -e)
+
+
 def is_symmetric(A: np.ndarray) -> bool:
     """``||A - A'|| <= COV_TOL (1 + ||A||)`` for a square matrix, evaluated on
-    ``A / 2^e`` with ``2^e`` the power of two just above ``max|A|`` when that
-    exceeds 1 (``e = 0`` otherwise): neither norm overflows, ``2^-e`` stays
-    at most 1, and since the scaling is exact, the decision is the unscaled
-    one wherever that one's norms are finite."""
-    e = max(0, int(np.frexp(np.max(np.abs(A), initial=0.0))[1]))
-    As = np.ldexp(A, -e)
-    return bool(np.linalg.norm(As - As.T) <= COV_TOL * (math.ldexp(1.0, -e) + np.linalg.norm(As)))
+    the scaled matrix of `pow2_scaled`."""
+    As, s = pow2_scaled(A)
+    return bool(np.linalg.norm(As - As.T) <= COV_TOL * (s + np.linalg.norm(As)))
 
 
 def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:

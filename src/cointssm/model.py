@@ -70,24 +70,25 @@ class LevySpec:
         if self.kind != "brownian" and self.jump_cov is None:
             raise ValidationError(f"{self.kind} driver requires jump_cov")
 
+        # every clause is evaluated on sigma_L / 2^e (`matops.pow2_scaled`),
+        # jump_cov on its own scale, so no norm overflows
         failures: list[str] = []
-        sig = self.sigma_L
-        if not matops.is_symmetric(sig):
+        sig, s = matops.pow2_scaled(self.sigma_L)
+        scale = s + np.linalg.norm(sig)  # (1 + ||sigma_L||) / 2^e
+        if not matops.is_symmetric(self.sigma_L):
             failures.append("sigma_L is not symmetric")
         else:
             min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (sig + sig.T))))
-            if min_eig <= matops.COV_TOL * (1.0 + np.linalg.norm(sig)):
-                failures.append(
-                    f"sigma_L is singular or not positive definite (min eigenvalue {min_eig:.3e})"
-                )
+            if min_eig <= matops.COV_TOL * scale:
+                failures.append(f"sigma_L is singular or not positive definite "
+                                f"(min eigenvalue {min_eig / s:.3e})")
         if self.kind != "brownian":
-            jc = self.jump_cov
-            if not matops.is_symmetric(jc):
+            jc, t = matops.pow2_scaled(self.jump_cov)
+            if not matops.is_symmetric(self.jump_cov):
                 failures.append("jump_cov is not symmetric")
-            elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -matops.COV_TOL * (1 + np.linalg.norm(jc)):
+            elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -matops.COV_TOL * (t + np.linalg.norm(jc)):
                 failures.append("jump_cov is not positive semidefinite")
-            diff = self.diffusion_cov
-            scale = 1.0 + np.linalg.norm(sig)
+            diff = sig - self.jump_rate * (self.jump_cov * s)
             if self.kind == "compound_poisson_gaussian_jumps":
                 if np.linalg.norm(diff) > matops.LEVY_SPLIT_TOL * scale:
                     failures.append("sigma_L != jump_rate * jump_cov for the pure-jump driver")

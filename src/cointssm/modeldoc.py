@@ -57,15 +57,27 @@ def _integer(value: Any, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def _matrix(doc: dict, key: str, where: str) -> np.ndarray:
-    raw = _need(doc, key, where)
+def _is_number(value: Any) -> bool:
+    """A JSON number: an int or float that is not a bool (numpy would read
+    ``true`` as 1 and ``"7"`` as 7)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric(raw: Any, what: str, ndim: int) -> np.ndarray:
+    """``raw`` as a float array: a number (``ndim`` 0), a list of numbers
+    (1) or a list of equally long lists of numbers (2)."""
+    arr = np.array(raw, dtype=object)
+    if arr.ndim != ndim or not all(map(_is_number, arr.flat)):
+        shape = ("a number", "a list of numbers", "a list of equally long lists of numbers")
+        raise ValidationError(f"{what} must be {shape[ndim]}")
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field {key!r} in {where} is not a numeric matrix") from exc
-    if arr.ndim != 2:
-        raise ValidationError(f"field {key!r} in {where} must be a nested (2-D) list")
-    return arr
+        return arr.astype(float)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} holds a number too large for a float") from exc
+
+
+def _matrix(doc: dict, key: str, where: str) -> np.ndarray:
+    return _numeric(_need(doc, key, where), f"field {key!r} in {where}", 2)
 
 
 def parse_levy(obj: Any) -> LevySpec:
@@ -74,7 +86,7 @@ def parse_levy(obj: Any) -> LevySpec:
     kind = _need(obj, "kind", "levy block")
     sigma = _matrix(obj, "sigma_L", "levy block")
     rate = obj.get("jump_rate", 0.0)
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not np.isfinite(rate):
+    if not _is_number(rate) or not np.isfinite(rate):
         raise ValidationError(
             f"field 'jump_rate' in levy block must be a finite number, got {rate!r}"
         )
@@ -89,10 +101,7 @@ def sampling_step(doc: dict) -> float:
     raw = doc.get("sampling") or {}
     if not isinstance(raw, dict):
         raise ValidationError("sampling block must be an object")
-    try:
-        h = float(raw.get("h", 1.0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"sampling block has a malformed value: {exc}") from exc
+    h = float(_numeric(raw.get("h", 1.0), "field 'h' in sampling block", 0))
     if not np.isfinite(h):
         raise ValidationError(f"sampling block has a non-finite sampling.h: {h}")
     return h
@@ -102,15 +111,14 @@ def parse_sampling(doc: dict) -> SamplingOptions:
     """The whole sampling block, which only `simulate` reads."""
     h, raw = sampling_step(doc), doc.get("sampling") or {}
     seed = raw["seed"] if "seed" in raw else default_seed()
-    try:
-        opts = SamplingOptions(
-            h=h,
-            n_steps=_integer(raw.get("n_steps", 1000), "n_steps"),
-            seed=_integer(seed, "seed"),
-            x1_0=None if raw.get("x1_0") is None else tuple(float(v) for v in raw["x1_0"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"sampling block has a malformed value: {exc}") from exc
+    x1_0 = raw.get("x1_0")
+    opts = SamplingOptions(
+        h=h,
+        n_steps=_integer(raw.get("n_steps", 1000), "field 'n_steps' in sampling block"),
+        seed=_integer(seed, "field 'seed' in sampling block"),
+        x1_0=None if x1_0 is None else tuple(
+            _numeric(x1_0, "field 'x1_0' in sampling block", 1).tolist()),
+    )
     if opts.seed < 0:
         raise ValidationError(f"sampling block has a negative seed: {opts.seed}")
     return opts
@@ -137,14 +145,13 @@ def parse_document(doc: dict):
             levy=levy,
         )
     if kind == "mcarma":
-        p_raw = _need(doc, "p_coeffs", "mcarma document")
-        q_raw = _need(doc, "q_coeffs", "mcarma document")
-        try:
-            P = tuple(np.asarray(Pi, dtype=float) for Pi in p_raw)
-            Q = tuple(np.asarray(Qi, dtype=float) for Qi in q_raw)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("mcarma coefficients must be numeric matrices") from exc
-        return McarmaModel(p_coeffs=P, q_coeffs=Q, levy=levy)
+        coeffs = {}
+        for key in ("p_coeffs", "q_coeffs"):
+            raw, what = _need(doc, key, "mcarma document"), f"field {key!r} in mcarma document"
+            if not isinstance(raw, list):
+                raise ValidationError(f"{what} must be a list of matrices")
+            coeffs[key] = tuple(_numeric(M, what, 2) for M in raw)
+        return McarmaModel(**coeffs, levy=levy)
     c = _integer(_need(doc, "c", "canonical document"), "field 'c' in canonical document")
     C2 = _matrix(doc, "C2", "canonical document")
     d = C2.shape[0]

@@ -8,30 +8,32 @@ exact time within the step and carried to the step's end by
 reproducible from (seed, path_index) via independent derived streams, and
 the stationary block is stepped with `matops.linear_recursion`.
 
-A path is ``y = C1 (x1_0 + cumsum(r1)) + C2 x2``. `PathSet` stores only
-the observations ``y`` and the recipe that made them: the sampled model,
-the canonical form, the stream ``(seed, path_index)`` and ``x1_0``. The
-first read of ``x2``, ``r1``, ``x1`` or ``y2`` reruns the sampler on the
-path's stream once and checks that the states give back ``y`` bit for
-bit; `simulate_exact_full` keeps the states of its own run instead. The
-Gaussian noise is drawn ``DRAW_ROWS`` rows at a time into one block and
-multiplied from there into ``r1`` and ``x2``, and ``C2 x2`` is added to
-``y`` in blocks of rows, so no path-sized draws or ``C2 x2`` array is
-formed. The stream and the values are bitwise those of one draw
-of the whole array, except in one-step ensembles (an ulp at most: numpy
-multiplied each one-row path by gemv, and the blocks use gemm).
+A path is ``y = C1 (x1_0 + cumsum(r1)) + C2 x2``. `PathSet` stores
+``y``, the sampled model, the canonical form, the stream
+``(seed, path_index)`` and ``x1_0``. Only `simulate_exact_full` keeps the
+states ``(r1, x1, x2)``, from the run that made ``y``: a rerun would give
+them back bit for bit only on the BLAS kernel that made ``y``, so nothing
+reruns a sampler after it has returned. The Gaussian noise is drawn
+``DRAW_ROWS`` rows at a time into one block and multiplied from there
+into ``r1`` and ``x2``, and ``C2 x2`` is added to ``y`` in blocks of rows,
+so no path-sized draws or ``C2 x2`` array is formed. The stream is that
+of one draw of the whole array. So are the values, bitwise, on a GEMM
+kernel that rounds a row alike wherever it sits (OpenBLAS's Haswell or
+Zen), except in one-step ensembles (an ulp at most: numpy multiplied each
+one-row path by gemv, and the blocks use gemm); a kernel that rounds its
+tail rows apart (Nehalem's) moves some rows by an ulp or so.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import matops, moments
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .model import CointCanonicalForm
 from .moments import SampledModel
 
@@ -48,17 +50,16 @@ class PathSet:
     """One simulated path of the sampled model.
 
     Row ``n`` (0-based) holds time ``(n+1) h``. Stored: the observations
-    ``y`` and their recipe, the sampled model ``sm``, the canonical form
-    ``cf``, the stream ``(seed, path_index)`` and the unit-root start
-    ``x1_0``; ``h``, ``driver_kind`` and the observation blocks ``c1`` and
-    ``c2`` are read off ``sm`` and ``cf``. The first read of ``x2``, ``r1``,
-    ``x1`` or ``y2`` regenerates the states with one rerun of the sampler
-    on the path's stream, which raises `NumericError` unless they give back
-    ``y`` bit for bit; they are then kept (from the start, for a path made
-    by `simulate_exact_full`). ``x2`` is the stationary state,
+    ``y``, the sampled model ``sm``, the canonical form ``cf``, the stream
+    ``(seed, path_index)``, the unit-root start ``x1_0`` and ``states``,
+    the ``(r1, x1, x2)`` of the sampler run that made ``y`` (None for a
+    path of `simulate_exact_gaussian`, which keeps only ``y``); ``h``,
+    ``driver_kind`` and the observation blocks ``c1`` and ``c2`` are read
+    off ``sm`` and ``cf``. ``x2`` is the stationary state,
     ``r1 = B1 (L(nh) - L((n-1)h))`` the unit-root noise,
     ``x1 = x1_0 + cumsum(r1)``, ``y2 = C2 x2`` the stationary part and
-    ``times = h (1..n)``, with ``y = C1 x1 + y2``.
+    ``times = h (1..n)``, with ``y = C1 x1 + y2``. Reading ``r1``, ``x1``,
+    ``x2`` or ``y2`` of a path without states raises `ValidationError`.
     """
 
     y: np.ndarray
@@ -67,6 +68,7 @@ class PathSet:
     path_index: int
     sm: SampledModel
     cf: CointCanonicalForm
+    states: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def h(self) -> float:
@@ -92,26 +94,23 @@ class PathSet:
     def times(self) -> np.ndarray:
         return self.h * np.arange(1, self.n_steps + 1)
 
-    @cached_property
-    def _states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(r1, x1, x2)`` from one rerun of the sampler on the path's stream."""
-        _, r1, x1, x2, y = _one_path(self.sm, self.cf, self.n_steps, self.x1_0,
-                                     self.seed, self.path_index)
-        if not np.array_equal(y.view(np.uint64), self.y.view(np.uint64)):
-            raise NumericError("the regenerated states do not give back the stored path y")
-        return r1, x1, x2
+    def _state(self, i: int) -> np.ndarray:
+        if self.states is None:
+            raise ValidationError("this path keeps only y; simulate it with "
+                                  "simulate_exact_full to read its states")
+        return self.states[i]
 
     @property
     def r1(self) -> np.ndarray:
-        return self._states[0]
+        return self._state(0)
 
     @property
     def x1(self) -> np.ndarray:
-        return self._states[1]
+        return self._state(1)
 
     @property
     def x2(self) -> np.ndarray:
-        return self._states[2]
+        return self._state(2)
 
     @cached_property
     def y2(self) -> np.ndarray:
@@ -172,8 +171,8 @@ def _gaussian_noise(rng: np.random.Generator, factor: np.ndarray, c: int, n_path
                     n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """``(r1, x2)``: the rows ``Z @ factor[:c].T`` and ``Z @ factor[c:].T`` of
     ``Z = rng.standard_normal((n_paths, n_steps, N))``, drawn ``DRAW_ROWS``
-    rows at a time into one block; the stream and the products are those of
-    the one-shot draw."""
+    rows at a time into one block; the stream is that of the one-shot draw
+    (the products too, up to the GEMM kernel's rounding of tail rows)."""
     n_rows, N = n_paths * n_steps, factor.shape[0]
     r1, x2 = np.empty((n_rows, c)), np.empty((n_rows, N - c))
     block = np.empty((min(DRAW_ROWS, n_rows), N))
@@ -225,9 +224,8 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     jumps, so a one-path ensemble reproduces the single-path sampler on the
     same stream and the Gaussian draws do not depend on the jumps. gamma0 is
     the canonical form's (`CointCanonicalForm.gamma0`), solved once per
-    model, so a `PathSet` that regenerates its states solves nothing again.
-    The stationary noise is kept path-major and scanned in place. Returns
-    ``(x1_0, r1, x2)`` with the path axis first.
+    model. The stationary noise is kept path-major and scanned in place.
+    Returns ``(x1_0, r1, x2)`` with the path axis first.
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
@@ -256,23 +254,8 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     return x0, r1, x2
 
 
-def _one_path(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, x1_0, seed: int,
-              path_index: int) -> tuple[np.ndarray, ...]:
-    """``(x1_0, r1, x1, x2, y)`` of the exact path on the stream ``(seed, path_index)``."""
-    x0, r1, x2 = _exact_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
-    r1, x2 = r1[0], x2[0]
-    x1 = _levels(x0, r1)
-    return x0, r1, x1, x2, _observe(cf, x1, x2)
-
-
-def simulate_exact_gaussian(
-    sm: SampledModel,
-    cf: CointCanonicalForm,
-    n_steps: int,
-    x1_0=None,
-    seed: int = 0,
-    path_index: int = 0,
-) -> PathSet:
+def simulate_exact_gaussian(sm: SampledModel, cf: CointCanonicalForm, n_steps: int,
+                            x1_0=None, seed: int = 0, path_index: int = 0) -> PathSet:
     """Exact path of the sampled recursion, for every supported driver.
 
     The noise vectors are i.i.d. with covariance sigma_tilde: Gaussian for a
@@ -280,25 +263,25 @@ def simulate_exact_gaussian(
     otherwise. The stationary block starts from N(0, gamma0), which has the
     stationary mean and covariance (for a jump driver not its higher
     cumulants); the unit-root block starts from x1_0. The result keeps
-    ``y`` and regenerates the states from ``(seed, path_index)`` when they
-    are first read (`PathSet`).
+    only ``y``: reading its states raises `ValidationError`, and a caller
+    that needs them calls `simulate_exact_full`.
     """
-    seed, path_index = _check_index(seed, "seed"), _check_index(path_index, "path_index")
-    x0, _, _, _, y = _one_path(sm, cf, n_steps, x1_0, seed, path_index)
-    return PathSet(y=y, x1_0=x0, seed=seed, path_index=path_index, sm=sm, cf=cf)
+    ps = simulate_exact_full(sm, cf, n_steps, x1_0, seed, path_index)
+    return replace(ps, states=None)
 
 
 def simulate_exact_full(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, x1_0=None,
                         seed: int = 0, path_index: int = 0) -> PathSet:
-    """The path of `simulate_exact_gaussian`, bit for bit, with the states
-    of the same sampler run already kept: reading ``x2``, ``r1`` or ``x1``
-    reruns nothing. For a caller that reads the states anyway; the path
-    holds about ``(2 c + n2) / d`` times the memory of ``y`` more."""
+    """The path of `simulate_exact_gaussian` on the stream
+    ``(seed, path_index)``, with the states ``(r1, x1, x2)`` of its sampler
+    run kept in `PathSet.states`. The path holds about ``(2 c + n2) / d``
+    times the memory of ``y`` more."""
     seed, path_index = _check_index(seed, "seed"), _check_index(path_index, "path_index")
-    x0, r1, x1, x2, y = _one_path(sm, cf, n_steps, x1_0, seed, path_index)
-    ps = PathSet(y=y, x1_0=x0, seed=seed, path_index=path_index, sm=sm, cf=cf)
-    ps.__dict__["_states"] = (r1, x1, x2)  # the value `PathSet._states` would cache
-    return ps
+    x0, r1, x2 = _exact_paths(sm, cf, n_steps, 1, x1_0, _stream(seed, path_index))
+    r1, x2 = r1[0], x2[0]
+    x1 = _levels(x0, r1)
+    return PathSet(y=_observe(cf, x1, x2), x1_0=x0, seed=seed, path_index=path_index, sm=sm,
+                   cf=cf, states=(r1, x1, x2))
 
 
 def simulate_gaussian_ensemble(
@@ -336,7 +319,8 @@ def first_difference(ps: PathSet) -> FirstDifference:
     """First difference of the path with its two-summand decomposition.
 
     Rows correspond to steps 2..n_steps of the path; the summands add up to
-    the difference at machine precision.
+    the difference at machine precision. Needs the path's states, so a path
+    of `simulate_exact_gaussian` raises `ValidationError`.
     """
     if ps.n_steps < 2:
         raise ValidationError(f"need at least 2 steps to difference, got {ps.n_steps}")

@@ -291,6 +291,17 @@ def whiteness_acf_loop(eps, max_lag: int) -> np.ndarray:
                      for k in range(1, max_lag + 1)])
 
 
+def gemm_rows_round_alike() -> bool:
+    """Whether this BLAS gives a row of a matrix product the same bits
+    wherever the row sits, as OpenBLAS's Haswell, Sandybridge and Zen
+    kernels do; its Nehalem and Prescott kernels round the rows past their
+    last full unroll apart."""
+    rng = np.random.default_rng(0)
+    D, F = rng.standard_normal((67, 8)), rng.standard_normal((8, 2))
+    full = D @ F
+    return all(np.array_equal(full[k:], D[k:] @ F) for k in range(1, 4))
+
+
 def scratch_peak(fn, *args, **kwargs) -> tuple[int, object]:
     """Peak traced allocation of one call, and its result."""
     tracemalloc.start()

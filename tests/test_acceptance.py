@@ -23,6 +23,7 @@ from cointssm import (
     ma_and_ktilde_coeffs,
     matops,
     mcarma_to_ss,
+    simulate_exact_full,
     simulate_exact_gaussian,
     simulate_gaussian_ensemble,
     solve_steady_state,
@@ -135,7 +136,7 @@ def test_criterion_04_exact_discretization(scalar_cf, scalar_sm, partial_cf):
         assert np.allclose(sm.sigma22, helpers.simpson_gramian(A2, B2 @ S @ B2.T, h),
                            atol=1e-8)
     n = 1_000_000
-    ps = simulate_exact_gaussian(scalar_sm, scalar_cf, n, seed=4004)
+    ps = simulate_exact_full(scalar_sm, scalar_cf, n, seed=4004)
     r2 = ps.x2[1:] - ps.x2[:-1] @ scalar_sm.eA2h.T
     R = np.hstack([ps.r1[1:], r2])
     emp = R.T @ R / R.shape[0]
@@ -209,7 +210,7 @@ def test_criterion_07_k1_rank_law(coint_mcarma_batch):
 
 
 def test_criterion_08_ecf_equivalence(scalar_cf, scalar_sm, scalar_ks):
-    ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 3000, seed=8008)
+    ps = simulate_exact_full(scalar_sm, scalar_cf, 3000, seed=8008)
     eps, _ = filter_innovations(scalar_ks, scalar_sm, ps.y)
     dec = ma_and_ktilde_coeffs(scalar_ks, scalar_sm, J=200)
     out = ecf_residuals(dec, ps.y, J=200)
@@ -222,7 +223,7 @@ def test_criterion_08_ecf_equivalence(scalar_cf, scalar_sm, scalar_ks):
         cf = helpers.random_canonical(rng, d=2, c=1, n2=2, m=2)
         sm = discretize(cf, 0.5)
         ks = solve_steady_state(sm, cf)
-        ps = simulate_exact_gaussian(sm, cf, 3000, seed=trial)
+        ps = simulate_exact_full(sm, cf, 3000, seed=trial)
         eps, _ = filter_innovations(ks, sm, ps.y)
         amp = float(np.max(np.linalg.norm(np.diff(ps.y, axis=0), axis=1)))
         for J in (10, 25, 200):
@@ -261,7 +262,7 @@ def test_criterion_10_compound_poisson_driver():
     cf = CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
                             C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
     sm = discretize(cf, 1.0)
-    ps = simulate_exact_gaussian(sm, cf, 1_000_001, seed=1010)
+    ps = simulate_exact_full(sm, cf, 1_000_001, seed=1010)
     R = helpers.step_noise(ps, sm.eA2h)
     emp = R.T @ R / R.shape[0]
     rel = np.linalg.norm(emp - sm.sigma_tilde) / np.linalg.norm(sm.sigma_tilde)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from cointssm import canonicalize, cli, discretize, matops, simulate, simulate_exact_gaussian
+from cointssm import canonicalize, cli, discretize, matops, simulate, simulate_exact_full
 from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
 from cointssm.errors import MinimalityError, NumericError
 from cointssm.modeldoc import canonical_to_doc, dump_json, parse_document
@@ -115,8 +115,8 @@ class TestSimulateCommand:
             assert len(calls) == 1, columns
 
     @pytest.mark.parametrize("levy", [None, mixed_levy()])
-    def test_full_columns_are_the_regenerated_states(self, tmp_path, levy):
-        # the bytes of the states that a path regenerates on first read
+    def test_full_columns_are_the_states_of_the_run(self, tmp_path, levy):
+        # the bytes of the states that the library's full path keeps
         doc = partial_doc()
         doc["sampling"]["n_steps"] = 500
         doc["levy"] = levy or doc["levy"]
@@ -124,7 +124,7 @@ class TestSimulateCommand:
         out, ref = tmp_path / "path.csv", tmp_path / "ref.csv"
         assert main(["simulate", cfg, "-o", str(out), "--columns", "full"]) == 0
         cf = parse_document(doc)
-        ps = simulate_exact_gaussian(discretize(cf, 0.5), cf, 500, seed=40)
+        ps = simulate_exact_full(discretize(cf, 0.5), cf, 500, seed=40)
         _write_csv(str(ref), out.read_text().splitlines()[0].split(","),
                    np.hstack([ps.times[:, None], ps.y, ps.x1, ps.x2, ps.r1]))
         assert out.read_bytes() == ref.read_bytes()
@@ -179,7 +179,6 @@ class TestSimulateCommand:
     def test_jump_driver_pipeline(self, tmp_path):
         # the CLI path is the library's exact path at the document's seed, and
         # the retired Euler keys are accepted and ignored
-        from cointssm import discretize, simulate_exact_gaussian
         doc = scalar_doc(n_steps=300)
         doc["levy"] = mixed_levy()
         plain = write_json(tmp_path / "plain.json", doc)
@@ -192,7 +191,7 @@ class TestSimulateCommand:
             fh.readline()
             data = np.loadtxt(fh, delimiter=",")
         cf = parse_document(doc)
-        ps = simulate_exact_gaussian(discretize(cf, 1.0), cf, 300, seed=11)
+        ps = simulate_exact_full(discretize(cf, 1.0), cf, 300, seed=11)
         assert np.array_equal(data[:, 1:], np.hstack([ps.y, ps.x1, ps.x2, ps.r1]))
 
     def test_missing_field_exits_2(self, tmp_path):
@@ -259,10 +258,15 @@ class TestSimulateCommand:
         assert "sampling.h" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("block,field,value", [("levy", "jump_rate", "abc"),
-                                                   (None, "c", "x"), (None, "c", 1.7)])
+    @pytest.mark.parametrize("block,field,value", [
+        ("levy", "jump_rate", "abc"), (None, "c", "x"), (None, "c", 1.7),
+        ("sampling", "h", "0.5"), ("sampling", "h", True), ("sampling", "x1_0", "7"),
+        ("sampling", "x1_0", [True]), (None, "A2", [["-1"]]), (None, "B1", [[True, False]]),
+        ("levy", "sigma_L", [["2", "0"], ["0", "2"]]),
+    ])
     def test_malformed_model_value_exits_2(self, tmp_path, capsys, block, field, value):
-        # these ended in a ValueError traceback (exit 1), or truncated c = 1.7 to 1
+        # these ended in a ValueError traceback (exit 1), truncated c = 1.7 to
+        # 1, or read a string or a bool as a number ("7" as 7, true as 1)
         doc = scalar_doc()
         doc["levy"] = mixed_levy()
         (doc[block] if block else doc)[field] = value
@@ -351,6 +355,16 @@ class TestAnalyzeCommand:
         assert out["c"] == 1
         assert "cointegration_space" in out
         assert np.allclose(np.abs(out["cointegration_space"]), [[0.0], [1.0]], atol=1e-10)
+
+    @pytest.mark.parametrize("field,value", [("p_coeffs", [[["1", 0.0], [0.0, 0.0]]]),
+                                             ("q_coeffs", [[[True, 0.0], [0.0, 1.0]]]),
+                                             ("p_coeffs", 1.0)])
+    def test_malformed_mcarma_coefficient_exits_2(self, tmp_path, capsys, field, value):
+        # a string or a bool entry was read as a number
+        cfg = write_json(tmp_path / "model.json", mcar1_doc() | {field: value})
+        assert main(["analyze", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"field {field!r}" in captured.err and captured.out == ""
 
     def test_jordan_block_exits_3(self, tmp_path):
         doc = {

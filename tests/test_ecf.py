@@ -13,6 +13,7 @@ from cointssm import (
     innovations_alt_rep,
     k_at_one,
     ma_and_ktilde_coeffs,
+    simulate_exact_full,
     simulate_exact_gaussian,
     solve_steady_state,
     structural_check,
@@ -32,7 +33,7 @@ def slow_case(request):
     cf = helpers.slow_fixture()
     sm = discretize(cf, request.param)
     ks = solve_steady_state(sm, cf)
-    ps = simulate_exact_gaussian(sm, cf, 3000, seed=61)
+    ps = simulate_exact_full(sm, cf, 3000, seed=61)
     eps, _ = filter_innovations(ks, sm, ps.y)
     return ps, eps, ma_and_ktilde_coeffs(ks, sm, J=200)
 
@@ -258,14 +259,14 @@ class TestStructuralCheck:
 
 class TestAlternativeRepresentation:
     def test_matches_recursion_on_scalar_fixture(self, scalar_ks, scalar_sm, scalar_cf):
-        ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 1500, seed=91)
+        ps = simulate_exact_full(scalar_sm, scalar_cf, 1500, seed=91)
         eps, _ = filter_innovations(scalar_ks, scalar_sm, ps.y)
         dec = ma_and_ktilde_coeffs(scalar_ks, scalar_sm, J=200)
         alt = innovations_alt_rep(dec, ps, J=200)
         assert np.max(np.abs(alt - eps[200:])) <= 1e-6
 
     def test_matches_recursion_on_partial_fixture(self, partial_ks, partial_sm, partial_cf):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 2000, seed=92)
+        ps = simulate_exact_full(partial_sm, partial_cf, 2000, seed=92)
         eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=200)
         alt = innovations_alt_rep(dec, ps, J=200)
@@ -293,11 +294,17 @@ class TestAlternativeRepresentation:
         assert np.max(np.abs(alt - eps[60:])) <= 1e-8
 
     def test_zero_components_give_zero(self, partial_ks, partial_sm, partial_cf):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=94)
+        ps = simulate_exact_full(partial_sm, partial_cf, 100, seed=94)
         zeroed = SimpleNamespace(y2=np.zeros_like(ps.y2), r1=np.zeros_like(ps.r1), c1=ps.c1)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         alt = innovations_alt_rep(dec, zeroed, J=10)
         assert np.array_equal(alt, np.zeros_like(alt))
+
+    def test_y_only_path_rejected(self, partial_ks, partial_sm, partial_cf):
+        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
+        with pytest.raises(ValidationError, match="simulate_exact_full"):
+            innovations_alt_rep(dec, ps, J=10)
 
     def test_negative_truncation_rejected(self, partial_ks, partial_sm, partial_cf):
         # J = -1 used to return 101 rows for a 100-step path
@@ -308,7 +315,7 @@ class TestAlternativeRepresentation:
 
     def test_mismatched_components_rejected(self, partial_ks, partial_sm, partial_cf):
         # a short r1 used to end in numpy's broadcasting ValueError
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        ps = simulate_exact_full(partial_sm, partial_cf, 100, seed=95)
         short = SimpleNamespace(y2=ps.y2, r1=ps.r1[:-1], c1=ps.c1)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         with pytest.raises(DimensionError):
@@ -321,7 +328,7 @@ class TestAlternativeRepresentation:
         assert np.max(np.abs(alt - eps[200:])) <= 1e-10 * np.max(np.abs(eps))
 
     def test_zero_offset_is_exact_from_row_zero(self, partial_ks, partial_sm, partial_cf):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100, seed=95)
+        ps = simulate_exact_full(partial_sm, partial_cf, 100, seed=95)
         eps, _ = filter_innovations(partial_ks, partial_sm, ps.y)
         dec = ma_and_ktilde_coeffs(partial_ks, partial_sm, J=10)
         alt = innovations_alt_rep(dec, ps, J=0)

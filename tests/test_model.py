@@ -30,6 +30,20 @@ class TestLevySpec:
         with pytest.raises(ValidationError, match="sigma_L is not symmetric"):
             LevySpec(kind="brownian", sigma_L=scale * np.array([[1.0, 0.0], [3.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_covariance_decided_without_overflow(self):
+        # ||sigma_L|| overflowed: 1e200 I warned and was refused as singular
+        # with the tolerance COV_TOL (1 + ||sigma_L||) = inf
+        spec = LevySpec(kind="brownian", sigma_L=1e200 * np.eye(2))
+        assert spec.sigma_L[0, 0] == 1e200
+        with pytest.raises(ValidationError, match="positive definite"):
+            LevySpec(kind="brownian", sigma_L=1e200 * np.diag([1.0, 0.0]))
+        LevySpec(kind="brownian_plus_compound_poisson", sigma_L=2e200 * np.eye(2),
+                 jump_rate=1.0, jump_cov=1e200 * np.eye(2))
+        with pytest.raises(ValidationError, match="pure-jump driver"):
+            LevySpec(kind="compound_poisson_gaussian_jumps", sigma_L=3e200 * np.eye(2),
+                     jump_rate=2.0, jump_cov=1e200 * np.eye(2))
+
     def test_subnormal_jump_covariance_accepted(self):
         # the symmetry check's scale overflowed on entries below about 2.8e-309
         spec = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=[[1.0]],

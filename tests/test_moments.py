@@ -12,7 +12,7 @@ from cointssm import (
     discretize,
     matops,
     mean,
-    simulate_exact_gaussian,
+    simulate_exact_full,
     simulate_gaussian_ensemble,
 )
 from cointssm.errors import ValidationError
@@ -93,7 +93,7 @@ class TestDiscretize:
 
     def test_noise_covariance_monte_carlo(self, scalar_cf, scalar_sm):
         n = 200_000
-        ps = simulate_exact_gaussian(scalar_sm, scalar_cf, n, seed=902)
+        ps = simulate_exact_full(scalar_sm, scalar_cf, n, seed=902)
         r2 = ps.x2[1:] - ps.x2[:-1] @ scalar_sm.eA2h.T
         R = np.hstack([ps.r1[1:], r2])
         emp = R.T @ R / R.shape[0]

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,11 +13,12 @@ from cointssm import (
     cointegration_space,
     discretize,
     first_difference,
+    simulate_exact_full,
     simulate_exact_gaussian,
     simulate_gaussian_ensemble,
 )
 from cointssm import matops, simulate
-from cointssm.errors import NumericError, ValidationError
+from cointssm.errors import ValidationError
 
 
 def jump_fixture(kind: str = "compound_poisson_gaussian_jumps") -> CointCanonicalForm:
@@ -56,7 +62,7 @@ def jump_stiff_fixture() -> CointCanonicalForm:
 
 class TestExactGaussian:
     def test_internal_identities(self, scalar_sm, scalar_cf):
-        ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 500, seed=1)
+        ps = simulate_exact_full(scalar_sm, scalar_cf, 500, seed=1)
         C1, C2 = np.asarray(scalar_cf.C1), np.asarray(scalar_cf.C2)
         assert np.array_equal(ps.y, ps.x1 @ C1.T + ps.x2 @ C2.T)
         assert np.array_equal(ps.y2, ps.x2 @ C2.T)
@@ -64,11 +70,11 @@ class TestExactGaussian:
         assert np.allclose(ps.times, np.arange(1, 501) * scalar_sm.h)
 
     def test_seed_determinism(self, scalar_sm, scalar_cf):
-        a = simulate_exact_gaussian(scalar_sm, scalar_cf, 100, seed=7)
-        b = simulate_exact_gaussian(scalar_sm, scalar_cf, 100, seed=7)
+        a = simulate_exact_full(scalar_sm, scalar_cf, 100, seed=7)
+        b = simulate_exact_full(scalar_sm, scalar_cf, 100, seed=7)
         for field in ("y", "x1", "x2", "r1", "y2", "times"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-        c = simulate_exact_gaussian(scalar_sm, scalar_cf, 100, seed=8)
+        c = simulate_exact_full(scalar_sm, scalar_cf, 100, seed=8)
         assert not np.array_equal(a.y, c.y)
 
     def test_path_index_gives_independent_stream(self, scalar_sm, scalar_cf):
@@ -77,7 +83,7 @@ class TestExactGaussian:
         assert not np.array_equal(a.y, b.y)
 
     def test_noise_covariance(self, partial_sm, partial_cf):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100_000, seed=31)
+        ps = simulate_exact_full(partial_sm, partial_cf, 100_000, seed=31)
         r2 = ps.x2[1:] - ps.x2[:-1] @ partial_sm.eA2h.T
         R = np.hstack([ps.r1[1:], r2])
         emp = R.T @ R / R.shape[0]
@@ -92,7 +98,7 @@ class TestExactGaussian:
         simulate_gaussian_ensemble(partial_sm, partial_cf, 100, 4, seed=31)
 
     def test_x1_start(self, scalar_sm, scalar_cf):
-        ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 10, x1_0=[4.0], seed=2)
+        ps = simulate_exact_full(scalar_sm, scalar_cf, 10, x1_0=[4.0], seed=2)
         assert np.allclose(ps.x1[0], 4.0 + ps.r1[0], atol=1e-12)
 
     def test_ensemble_matches_single_path_law(self, scalar_sm, scalar_cf):
@@ -129,34 +135,43 @@ class TestExactGaussian:
             simulate_gaussian_ensemble(scalar_sm, scalar_cf, 10, 2, seed=seed)
 
     def test_numpy_integer_seed_is_stored_as_int(self, scalar_sm, scalar_cf):
-        ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 10, seed=np.int64(7),
-                                     path_index=np.uint8(1))
+        ps = simulate_exact_full(scalar_sm, scalar_cf, 10, seed=np.int64(7),
+                                 path_index=np.uint8(1))
         assert type(ps.seed) is int and type(ps.path_index) is int
-        ref = simulate_exact_gaussian(scalar_sm, scalar_cf, 10, seed=7, path_index=1)
+        ref = simulate_exact_full(scalar_sm, scalar_cf, 10, seed=7, path_index=1)
         assert np.array_equal(ps.y, ref.y) and np.array_equal(ps.x2, ref.x2)
 
 
 class TestStorage:
-    """A path stores y and regenerates x2, r1, x1 and y2 when first read; the
-    noise is drawn, and C2 x2 summed, in blocks of DRAW_ROWS rows."""
+    """A path of simulate_exact_gaussian stores only y, one of
+    simulate_exact_full also the states of its run; the noise is drawn, and
+    C2 x2 summed, in blocks of DRAW_ROWS rows."""
 
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("n_steps", [simulate.DRAW_ROWS - 1, simulate.DRAW_ROWS,
                                          simulate.DRAW_ROWS + 1, 2 * simulate.DRAW_ROWS + 1])
     def test_blocked_draws_equal_one_shot_draws(self, n_paths, n_steps):
-        # a one-row block (gemv) would miss the one-shot product by an ulp
+        # a one-row block (gemv) would miss the one-shot product by an ulp.
+        # A GEMM kernel that rounds the rows past its last full unroll apart
+        # (Nehalem's) misses it too wherever a block or a path ends off the
+        # unroll; there the products are held to the rounding of an N-term
+        # dot product, taken twice
         cf = helpers.slow_fixture()
         factor = matops.psd_factor(discretize(cf, 1.0).sigma_tilde)
         rng, ref = np.random.default_rng(7), np.random.default_rng(7)
         r1, x2 = simulate._gaussian_noise(rng, factor, cf.c, n_paths, n_steps)
         draws = ref.standard_normal((n_paths, n_steps, cf.N))
-        assert np.array_equal(r1, draws @ factor[:cf.c].T)
-        assert np.array_equal(x2, draws @ factor[cf.c:].T)
         assert rng.bit_generator.state == ref.bit_generator.state
+        for got, rows in ((r1, factor[:cf.c]), (x2, factor[cf.c:])):
+            if helpers.gemm_rows_round_alike():
+                assert np.array_equal(got, draws @ rows.T)
+            else:
+                bound = 2 * cf.N * np.finfo(float).eps * (np.abs(draws) @ np.abs(rows).T)
+                assert np.all(np.abs(got - draws @ rows.T) <= bound)
 
     def test_derived_fields_equal_the_eager_formulas(self, partial_sm, partial_cf):
         T = 2 * simulate.DRAW_ROWS + 1
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, T, x1_0=[2.0], seed=19)
+        ps = simulate_exact_full(partial_sm, partial_cf, T, x1_0=[2.0], seed=19)
         x1 = np.cumsum(ps.r1, axis=0)
         x1 += np.array([2.0])
         y2 = ps.x2 @ np.asarray(partial_cf.C2).T
@@ -174,7 +189,7 @@ class TestStorage:
         cf = helpers.slow_fixture()
         sm = discretize(cf, 1.0)
         T = 100_000
-        peak, ps = helpers.scratch_peak(simulate_exact_gaussian, sm, cf, T, seed=3)
+        peak, ps = helpers.scratch_peak(simulate_exact_full, sm, cf, T, seed=3)
         kept = ps.y.nbytes + ps.x2.nbytes + ps.r1.nbytes
         assert peak - kept <= 0.3 * T * cf.N * 8
 
@@ -199,8 +214,9 @@ class TestStorage:
 
 
 class TestRegeneration:
-    """The first read of x2, r1, x1 or y2 reruns the sampler once on the
-    path's stream and checks the states against the stored y."""
+    """A path of simulate_exact_full keeps the states of the run that made
+    it; one of simulate_exact_gaussian keeps only y and refuses to give
+    states (the class keeps its name so its test ids stay stable)."""
 
     @staticmethod
     def _eager(sm, cf, T, x1_0, seed, path_index):
@@ -221,27 +237,13 @@ class TestRegeneration:
         cf = make()
         sm = discretize(cf, h)
         T = 2 * simulate.DRAW_ROWS + 1
-        ps = simulate_exact_gaussian(sm, cf, T, x1_0=x1_0, seed=19, path_index=path_index)
+        ps = simulate_exact_full(sm, cf, T, x1_0=x1_0, seed=19, path_index=path_index)
         want = self._eager(sm, cf, T, x1_0, 19, path_index)
         for field, value in want.items():
             assert np.array_equal(getattr(ps, field), value), field
         assert np.array_equal(ps.x1_0, np.zeros(cf.c) if x1_0 is None else x1_0)
         assert (ps.seed, ps.path_index, ps.h) == (19, path_index, h)
         assert ps.c1 is cf.C1 and ps.c2 is cf.C2 and ps.driver_kind == cf.levy.kind
-
-    def test_one_sampler_run_serves_every_state(self, partial_sm, partial_cf, monkeypatch):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 500, seed=3)
-        calls = []
-        exact_paths = simulate._exact_paths
-        monkeypatch.setattr(simulate, "_exact_paths",
-                            lambda *a: calls.append(1) or exact_paths(*a))
-        for field in ("y", "times", "n_steps", "h", "c1", "c2", "driver_kind"):
-            getattr(ps, field)
-        assert not calls
-        for field in ("x2", "r1", "x1", "y2", "x2", "r1", "x1", "y2"):
-            getattr(ps, field)
-        assert len(calls) == 1
-        assert ps.x2 is ps.x2 and ps.r1 is ps.r1 and ps.x1 is ps.x1 and ps.y2 is ps.y2
 
     def test_full_path_keeps_the_states_of_its_run(self, partial_sm, partial_cf, monkeypatch):
         calls = []
@@ -255,22 +257,42 @@ class TestRegeneration:
         assert len(calls) == 1
         lazy = simulate_exact_gaussian(partial_sm, partial_cf, 500, x1_0=[2.0], seed=3,
                                        path_index=1)
-        for field in ("y", "x2", "r1", "x1", "y2", "x1_0"):
+        for field in ("y", "x1_0"):
             assert np.array_equal(getattr(full, field), getattr(lazy, field)), field
+        want = self._eager(partial_sm, partial_cf, 500, [2.0], 3, 1)
+        for field, value in want.items():
+            assert np.array_equal(getattr(full, field), value), field
         assert (full.seed, full.path_index) == (3, 1)
 
-    def test_states_that_miss_y_raise(self, partial_sm, partial_cf, monkeypatch):
+    @pytest.mark.parametrize("field", ["r1", "x1", "x2", "y2"])
+    def test_y_only_path_refuses_its_states(self, partial_sm, partial_cf, monkeypatch, field):
         ps = simulate_exact_gaussian(partial_sm, partial_cf, 500, seed=3)
+        calls = []
         exact_paths = simulate._exact_paths
+        monkeypatch.setattr(simulate, "_exact_paths",
+                            lambda *a: calls.append(1) or exact_paths(*a))
+        with pytest.raises(ValidationError, match="simulate_exact_full"):
+            getattr(ps, field)
+        assert ps.states is None and not calls
 
-        def perturbed(*args):
-            x0, r1, x2 = exact_paths(*args)
-            x2[0, 7] += 1e-9
-            return x0, r1, x2
-
-        monkeypatch.setattr(simulate, "_exact_paths", perturbed)
-        with pytest.raises(NumericError, match="stored path y"):
-            ps.x2
+    def test_pickled_states_read_back_under_another_gemm_kernel(self, tmp_path):
+        # the states travel with the path, so a reader whose BLAS kernel
+        # rounds differently from the writer's gets them back bit for bit
+        cf = helpers.slow_fixture()
+        ps = simulate_exact_full(discretize(cf, 1.0), cf, 20_000, seed=3)
+        src, out = tmp_path / "path.pkl", tmp_path / "read.pkl"
+        src.write_bytes(pickle.dumps(ps))
+        script = ("import pickle, sys\n"
+                  "from pathlib import Path\n"
+                  "ps = pickle.loads(Path(sys.argv[1]).read_bytes())\n"
+                  "Path(sys.argv[2]).write_bytes(pickle.dumps([ps.y, ps.r1, ps.x1, ps.x2, ps.x1_0]))\n")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", script, str(src), str(out)], env=env,
+                       check=True, timeout=120)
+        read = pickle.loads(out.read_bytes())
+        for got, want in zip(read, [ps.y, ps.r1, ps.x1, ps.x2, ps.x1_0]):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLevyEuler:
@@ -282,15 +304,15 @@ class TestLevyEuler:
                         jump_rate=0.0, jump_cov=np.eye(2))
         cf = CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
                                 C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
-        ps = simulate_exact_gaussian(discretize(cf, 1.0), cf, 3_000, x1_0=[1.5], seed=9)
-        ref = simulate_exact_gaussian(scalar_sm, scalar_cf, 3_000, x1_0=[1.5], seed=9)
+        ps = simulate_exact_full(discretize(cf, 1.0), cf, 3_000, x1_0=[1.5], seed=9)
+        ref = simulate_exact_full(scalar_sm, scalar_cf, 3_000, x1_0=[1.5], seed=9)
         for field in ("y", "x1", "x2", "r1"):
             assert np.array_equal(getattr(ps, field), getattr(ref, field))
 
     @staticmethod
     def _check_noise_covariance(cf: CointCanonicalForm, h: float) -> None:
         sm = discretize(cf, h)
-        R = helpers.step_noise(simulate_exact_gaussian(sm, cf, 60_000, seed=13), sm.eA2h)
+        R = helpers.step_noise(simulate_exact_full(sm, cf, 60_000, seed=13), sm.eA2h)
         emp = R.T @ R / R.shape[0]
         assert np.all(np.abs(emp - sm.sigma_tilde) <= 4.0 * helpers.cov_se(R, R))
 
@@ -312,7 +334,7 @@ class TestLevyEuler:
         j = (np.asarray(cf.B2) @ J @ np.asarray(cf.B2).T)[0, 0]
         want = 3.0 * lam * np.array([h * b**2, j**2 * (1 - np.exp(4 * a * h)) / (-4 * a)])
         sm = discretize(cf, h)
-        R = helpers.step_noise(simulate_exact_gaussian(sm, cf, 200_000, seed=29), sm.eA2h)
+        R = helpers.step_noise(simulate_exact_full(sm, cf, 200_000, seed=29), sm.eA2h)
         k4, se = helpers.kappa4(R)
         assert np.all(np.abs(k4 - want) <= 4.0 * se)
 
@@ -324,11 +346,10 @@ class TestLevyEuler:
         cf = make()
         sm = discretize(cf, h)
         n_steps = min(20_000, round(800 / (cf.levy.jump_rate * h)))
-        # the states are read before the patch: their regeneration reruns _add_jumps
-        x2 = simulate_exact_gaussian(sm, cf, n_steps, seed=5).x2
+        x2 = simulate_exact_full(sm, cf, n_steps, seed=5).x2
         ens = simulate_gaussian_ensemble(sm, cf, n_steps // 4, 4, seed=6)
         monkeypatch.setattr(simulate, "_add_jumps", helpers.add_jumps_expm)
-        ref = simulate_exact_gaussian(sm, cf, n_steps, seed=5)
+        ref = simulate_exact_full(sm, cf, n_steps, seed=5)
         ens_ref = simulate_gaussian_ensemble(sm, cf, n_steps // 4, 4, seed=6)
         assert np.max(np.abs(x2 - ref.x2)) <= 1e-13 * np.max(np.abs(ref.x2))
         assert np.max(np.abs(ens - ens_ref)) <= 1e-13 * np.max(np.abs(ens_ref))
@@ -346,9 +367,9 @@ class TestLevyEuler:
             rng.bit_generator.state = state
             helpers.add_jumps_expm(r1, r2, cf, h, rng)
 
-        r1 = simulate_exact_gaussian(sm, cf, 5_000, seed=2).r1  # regenerated before the patch
+        r1 = simulate_exact_full(sm, cf, 5_000, seed=2).r1
         monkeypatch.setattr(simulate, "_add_jumps", oracle)
-        ref = simulate_exact_gaussian(sm, cf, 5_000, seed=2)
+        ref = simulate_exact_full(sm, cf, 5_000, seed=2)
         single = counts[0] <= 1
         assert not single.all()
         assert np.array_equal(r1[single], ref.r1[single])
@@ -371,7 +392,7 @@ class TestLevyEuler:
         cf = jump_random_fixture()
         sm = discretize(cf, 1.0)
         T = 20_000
-        peak, ps = helpers.scratch_peak(simulate_exact_gaussian, sm, cf, T, seed=3)
+        peak, ps = helpers.scratch_peak(simulate_exact_full, sm, cf, T, seed=3)
         # y and the states the sampler forms: x1 and y2 would loosen the bound
         kept = sum(getattr(ps, f).nbytes for f in ("y", "x2", "r1", "x1_0", "c1", "c2"))
         assert peak - kept < 3.0 * T * cf.N * 8
@@ -383,7 +404,7 @@ class TestLevyEuler:
         cf = CointCanonicalForm(c=c, A2=-np.eye(n2), B1=np.zeros((c, 1)), B2=np.ones((n2, 1)),
                                 C1=np.zeros((n2, c)), C2=np.eye(n2), levy=levy)
         sm = discretize(cf, 1.0)
-        ps = simulate_exact_gaussian(sm, cf, 40_000, seed=8)
+        ps = simulate_exact_full(sm, cf, 40_000, seed=8)
         assert ps.y.shape == (40_000, n2) and ps.x2.shape == (40_000, n2)
         assert ps.r1.shape == (40_000, 0)
         R = helpers.step_noise(ps, sm.eA2h)
@@ -405,10 +426,10 @@ class TestLevyEuler:
     def test_determinism(self):
         cf = jump_fixture()
         sm = discretize(cf, 0.5)
-        a = simulate_exact_gaussian(sm, cf, 200, seed=4)
-        b = simulate_exact_gaussian(sm, cf, 200, seed=4)
+        a = simulate_exact_full(sm, cf, 200, seed=4)
+        b = simulate_exact_full(sm, cf, 200, seed=4)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.r1, b.r1)
-        assert not np.array_equal(a.y, simulate_exact_gaussian(sm, cf, 200, seed=5).y)
+        assert not np.array_equal(a.y, simulate_exact_full(sm, cf, 200, seed=5).y)
 
     def test_driver_validation_flows_through(self):
         with pytest.raises(ValidationError):
@@ -419,7 +440,7 @@ class TestLevyEuler:
 
 class TestFirstDifference:
     def test_decomposition_sums_to_difference(self, partial_sm, partial_cf):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 2000, seed=21)
+        ps = simulate_exact_full(partial_sm, partial_cf, 2000, seed=21)
         fd = first_difference(ps)
         assert fd.dy.shape == (1999, 2)
         assert np.allclose(fd.unit_root_part + fd.stationary_part, fd.dy, atol=1e-10)
@@ -429,7 +450,7 @@ class TestFirstDifference:
                                 C1=[[1.0], [0.0]], C2=[[0.0], [1.0]],
                                 levy=helpers.brownian(2))
         sm = discretize(cf, 1.0)
-        ps = simulate_exact_gaussian(sm, cf, 50, seed=3)
+        ps = simulate_exact_full(sm, cf, 50, seed=3)
         fd = first_difference(ps)
         assert np.allclose(fd.dy, fd.unit_root_part, atol=1e-14)
         assert np.allclose(fd.stationary_part, 0.0, atol=1e-14)
@@ -439,8 +460,13 @@ class TestFirstDifference:
         with pytest.raises(ValidationError):
             first_difference(ps)
 
+    def test_y_only_path_rejected(self, scalar_sm, scalar_cf):
+        ps = simulate_exact_gaussian(scalar_sm, scalar_cf, 50, seed=0)
+        with pytest.raises(ValidationError, match="simulate_exact_full"):
+            first_difference(ps)
+
     def test_cointegrating_increment_variance_stationary(self, partial_sm, partial_cf):
-        ps = simulate_exact_gaussian(partial_sm, partial_cf, 100_000, seed=44)
+        ps = simulate_exact_full(partial_sm, partial_cf, 100_000, seed=44)
         beta = cointegration_space(partial_cf)
         proj = ps.y @ beta
         half = proj.shape[0] // 2
