@@ -67,10 +67,11 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
     with ``F = e^{Ah}``, ``G = F omega C'`` and ``S = C omega C'``.
 
     Solved by ``scipy.linalg.solve_discrete_are`` with zero measurement
-    covariance. The innovation covariance S is certified positive definite
-    by its eigenvalues and then applied through the one LU solve that gives
-    the gain ``G S^{-1}``; the solution is verified against the Riccati
-    residual and closed-loop stability.
+    covariance; an invalid operation in the solver raises `ConvergenceError`.
+    The innovation covariance S is certified positive definite by its
+    eigenvalues and then applied through the one LU solve that gives the
+    gain ``G S^{-1}``; the solution is verified against the Riccati residual
+    and closed-loop stability.
     """
     C = cf.full_C()
     eAh = np.asarray(sm.eAh)
@@ -83,8 +84,9 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
         raise ConditioningError("observation matrix C does not have full row rank")
 
     try:
-        omega = sla.solve_discrete_are(eAh.T, C.T, sigma, np.zeros((cf.d, cf.d)))
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        with np.errstate(invalid="raise"):
+            omega = sla.solve_discrete_are(eAh.T, C.T, sigma, np.zeros((cf.d, cf.d)))
+    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
         raise ConvergenceError(f"discrete Riccati solver failed: {exc}") from exc
     omega = 0.5 * (omega + omega.T)
     G = eAh @ omega @ C.T
@@ -96,7 +98,7 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
     new = eAh @ omega @ eAh.T - gain @ G.T + sigma
     residual = float(np.linalg.norm(omega - 0.5 * (new + new.T)))
     scale = 1.0 + np.linalg.norm(omega)
-    if residual > matops.RESIDUAL_TOL * scale:
+    if not residual <= matops.RESIDUAL_TOL * scale:  # a NaN residual fails
         raise ConvergenceError(
             f"Riccati solution violates the residual bound: {residual:.3e}"
         )

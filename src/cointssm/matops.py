@@ -40,13 +40,14 @@ HURWITZ_TOL = 1e-9        #: stable: Re < -tol (absolute), for every eigenvalue 
 ZERO_EIG_REL_TOL = 1e-8   #: unit roots of A: at least c eigenvalues have |eig| < t = tol (1 +
                           #: ||A||), exactly c when semisimple, and then their Schur block
                           #: has norm <= t max(1, ||A||)
-C1_ORTHO_TOL = 1e-10      #: canonical C1: ||C1' C1 - I|| <= tol (1 + c)
-PLT_TOL = 1e-8            #: canonical C1: a column's pivot is its first |x| > tol (absolute)
+C1_ORTHO_TOL = 1e-10      #: canonical C1: ||C1 - P|| <= tol (1 + c), P its orthonormal positive
+                          #: lower triangular basis (`positive_lower_triangularize`)
 RESIDUAL_TOL = 1e-10      #: Riccati: ||Omega - Ric(Omega)|| <= tol (1 + ||Omega||)
 IDEMPOTENCY_TOL = 1e-10   #: `structural_check`: ||P P - P|| <= tol (absolute)
 K1_REBUILD_TOL = 1e-8     #: `structural_check`: ||k(1) - P (I + P R P)^-1|| <= tol (absolute)
 COV_TOL = 1e-10           #: symmetric covariance: ||S - S'|| <= tol (1 + ||S||); `LevySpec`
-LEVY_SPLIT_TOL = 1e-8     #: Brownian part of a jump driver: tol (1 + ||sigma_L||); `LevySpec`
+LEVY_SPLIT_TOL = 1e-8     #: Brownian part of a jump driver: norm (pure jumps) or -min eigenvalue
+                          #: <= tol (1 + ||sigma_L||); `LevySpec` sets the negative ones to 0
 PSD_TOL = 1e-8            #: `psd_factor`: min eigenvalue >= -tol max(1, max eigenvalue)
 SIGN_PIVOT_TOL = 1e-12    #: column signs: the first |x| > tol (1 + sigma_max) is made positive
 MONIC_TOL = 1e-12         #: monic polynomial: ||P_0 - I|| <= tol (1 + d)

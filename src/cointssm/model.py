@@ -7,13 +7,13 @@ marked read-only), so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import matops
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, RankError, ValidationError
 
 LEVY_KINDS = (
     "brownian",
@@ -34,22 +34,27 @@ class LevySpec:
 
     ``sigma_L`` is the covariance of the unit-time increment. For the
     compound-Poisson kinds the jumps are mean-zero Gaussian with covariance
-    ``jump_cov`` arriving at rate ``jump_rate``; any leftover
+    ``jump_cov`` arriving at rate ``jump_rate``; the leftover
     ``sigma_L - jump_rate * jump_cov`` is the covariance of an independent
     Brownian component and must be PSD (zero for the pure-jump kind).
 
     Construction checks, with the tolerances of `matops`: ``sigma_L``
     symmetric with smallest eigenvalue above ``COV_TOL (1 + ||sigma_L||)``,
     ``jump_cov`` symmetric with smallest eigenvalue at least
-    ``-COV_TOL (1 + ||jump_cov||)``, and the Brownian part zero (pure jumps)
-    or PSD to ``LEVY_SPLIT_TOL (1 + ||sigma_L||)``. One `ValidationError`
-    names every clause that fails.
+    ``-COV_TOL (1 + ||jump_cov||)``, and the Brownian part finite and zero
+    (pure jumps) or PSD to ``LEVY_SPLIT_TOL (1 + ||sigma_L||)``. One
+    `ValidationError` names every clause that fails.
+
+    ``diffusion_cov``, the Brownian part, is decided there once and kept:
+    ``sigma_L``, exactly zero for pure jumps, or the difference with the
+    negative eigenvalues that the tolerance lets through set to zero.
     """
 
     kind: str
     sigma_L: np.ndarray
     jump_rate: float = 0.0
     jump_cov: np.ndarray | None = None
+    diffusion_cov: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in LEVY_KINDS:
@@ -82,35 +87,35 @@ class LevySpec:
             if min_eig <= matops.COV_TOL * scale:
                 failures.append(f"sigma_L is singular or not positive definite "
                                 f"(min eigenvalue {min_eig / s:.3e})")
+        brownian = self.sigma_L
         if self.kind != "brownian":
             jc, t = matops.pow2_scaled(self.jump_cov)
             if not matops.is_symmetric(self.jump_cov):
                 failures.append("jump_cov is not symmetric")
             elif np.min(np.linalg.eigvalsh(0.5 * (jc + jc.T))) < -matops.COV_TOL * (t + np.linalg.norm(jc)):
                 failures.append("jump_cov is not positive semidefinite")
-            diff = sig - self.jump_rate * (self.jump_cov * s)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its clause
+                diff = sig - self.jump_rate * (self.jump_cov * s)
+            finite = np.all(np.isfinite(diff))
             if self.kind == "compound_poisson_gaussian_jumps":
-                if np.linalg.norm(diff) > matops.LEVY_SPLIT_TOL * scale:
+                brownian = np.zeros_like(sig)
+                if not (finite and np.linalg.norm(diff) <= matops.LEVY_SPLIT_TOL * scale):
                     failures.append("sigma_L != jump_rate * jump_cov for the pure-jump driver")
             else:
-                dmin = float(np.min(np.linalg.eigvalsh(0.5 * (diff + diff.T))))
-                if dmin < -matops.LEVY_SPLIT_TOL * scale:
+                w, V = np.linalg.eigh(0.5 * (diff + diff.T)) if finite else ([-np.inf], None)
+                if w[0] < -matops.LEVY_SPLIT_TOL * scale:
                     failures.append(
                         "sigma_L - jump_rate * jump_cov is not PSD, no Brownian component fits"
                     )
+                else:  # its PSD part: the difference itself when no eigenvalue is negative
+                    brownian = (diff if w[0] >= 0 else (V * np.maximum(w, 0.0)) @ V.T) / s
         if failures:
             raise ValidationError("invalid Levy driver: " + "; ".join(failures))
+        object.__setattr__(self, "diffusion_cov", _frozen(brownian))
 
     @property
     def m(self) -> int:
         return self.sigma_L.shape[0]
-
-    @property
-    def diffusion_cov(self) -> np.ndarray:
-        """Covariance of the Brownian component implied by the decomposition."""
-        if self.kind == "brownian":
-            return np.array(self.sigma_L)
-        return self.sigma_L - self.jump_rate * self.jump_cov
 
 
 @dataclass(frozen=True)
@@ -212,29 +217,6 @@ class McarmaModel:
         return [np.eye(self.d)] + [np.array(Pi) for Pi in self.p_coeffs]
 
 
-def _check_plt(C1: np.ndarray) -> None:
-    """Positive lower triangular in the column sense: in every column the
-    first nonzero entry is positive, pivots strictly increase across columns.
-    """
-    d, c = C1.shape
-    prev = -1
-    for j in range(c):
-        col = C1[:, j]
-        nz = np.nonzero(np.abs(col) > matops.PLT_TOL)[0]
-        if nz.size == 0:
-            raise ValidationError(f"column {j} of C1 is numerically zero")
-        piv = int(nz[0])
-        if piv <= prev:
-            raise ValidationError(
-                "C1 is not positive lower triangular: pivot rows do not increase"
-            )
-        if col[piv] <= 0:
-            raise ValidationError(
-                f"C1 is not positive lower triangular: leading entry of column {j} is negative"
-            )
-        prev = piv
-
-
 @dataclass(frozen=True)
 class CointCanonicalForm:
     """Decoupled canonical form: a c-dimensional pure unit-root block and a
@@ -242,7 +224,9 @@ class CointCanonicalForm:
 
     ``dX1 = B1 dL`` and ``dX2 = A2 X2 dt + B2 dL`` with observation
     ``Y = C1 X1 + C2 X2``; ``C1`` has orthonormal columns in positive lower
-    triangular form and ``A2`` is Hurwitz. ``c = 0`` is permitted as the
+    triangular form (to ``C1_ORTHO_TOL (1 + c)``, the basis that
+    `matops.positive_lower_triangularize` makes of its column space) and
+    ``A2`` is Hurwitz. ``c = 0`` is permitted as the
     stationary degenerate case. ``gamma0``, the stationary covariance of X2
     (it does not depend on any sampling step), is solved on first read and
     kept.
@@ -284,10 +268,13 @@ class CointCanonicalForm:
                 f"observation dimension d={d} exceeds state dimension N={c + n2}"
             )
         if c > 0:
-            gram = C1.T @ C1
-            if np.linalg.norm(gram - np.eye(c)) > matops.C1_ORTHO_TOL * (1.0 + c):
-                raise ValidationError("C1 does not have orthonormal columns")
-            _check_plt(C1)
+            try:
+                gap = np.linalg.norm(C1 - matops.positive_lower_triangularize(C1)[0])
+            except RankError:
+                gap = np.inf
+            if not gap <= matops.C1_ORTHO_TOL * (1.0 + c):
+                raise ValidationError("C1 is not the orthonormal positive lower triangular "
+                                      "basis of its column space")
             if matops.numerical_rank(B1).rank != c:
                 raise ValidationError(f"B1 must have full row rank {c}")
         if n2 > 0 and matops.spectral_abscissa(A2) >= -matops.HURWITZ_TOL:

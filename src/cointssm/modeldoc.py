@@ -82,7 +82,7 @@ def _matrix(doc: dict, key: str, where: str) -> np.ndarray:
 
 def parse_levy(obj: Any) -> LevySpec:
     if not isinstance(obj, dict):
-        raise ValidationError("levy block must be an object")
+        raise ValidationError("field 'levy' in document must be an object")
     kind = _need(obj, "kind", "levy block")
     sigma = _matrix(obj, "sigma_L", "levy block")
     rate = obj.get("jump_rate", 0.0)
@@ -97,10 +97,11 @@ def parse_levy(obj: Any) -> LevySpec:
 
 
 def sampling_step(doc: dict) -> float:
-    """``sampling.h`` (default 1.0), the one sampling field `ecf` reads."""
-    raw = doc.get("sampling") or {}
+    """``sampling.h`` (default 1.0), the one sampling field `ecf` reads. A
+    missing or null ``sampling`` block is an empty one."""
+    raw = {} if doc.get("sampling") is None else doc["sampling"]
     if not isinstance(raw, dict):
-        raise ValidationError("sampling block must be an object")
+        raise ValidationError("field 'sampling' in document must be an object")
     h = float(_numeric(raw.get("h", 1.0), "field 'h' in sampling block", 0))
     if not np.isfinite(h):
         raise ValidationError(f"sampling block has a non-finite sampling.h: {h}")

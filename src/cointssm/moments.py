@@ -10,6 +10,7 @@ gamma0 does not depend on h and belongs to the canonical form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,6 @@ class SampledModel:
     c: int
     eAh: np.ndarray
     sigma_tilde: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.eAh.shape[0]
 
     @property
     def sigma11(self) -> np.ndarray:
@@ -71,9 +68,12 @@ def van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarra
     A2 = np.asarray(cf.A2)
     B = np.vstack([np.asarray(cf.B1), np.asarray(cf.B2)])
     # F11 = e^{-At} grows with ||A t|| and swamps the other blocks in
-    # rounding, so k is the least with ||A t||_1 < 1.
-    k = max(0, int(np.frexp(h * np.abs(A2).sum(axis=0).max(initial=0.0))[1]))
-    t = h / 2.0**k
+    # rounding, so k is the least with ||A t||_1 < 1; when h ||A||_1
+    # overflows, the sum of the two exponents bounds it.
+    norm = float(np.abs(A2).sum(axis=0).max(initial=0.0))
+    ht = float(h) * norm
+    k = max(0, math.frexp(ht)[1] if math.isfinite(ht) else math.frexp(h)[1] + math.frexp(norm)[1])
+    t = math.ldexp(h, -k)
     blk = np.zeros((2 * N, 2 * N))
     blk[c:N, c:N] = -A2
     blk[:N, N:] = B @ S @ B.T

@@ -194,6 +194,26 @@ class TestSimulateCommand:
         ps = simulate_exact_full(discretize(cf, 1.0), cf, 300, seed=11)
         assert np.array_equal(data[:, 1:], np.hstack([ps.y, ps.x1, ps.x2, ps.r1]))
 
+    @pytest.mark.parametrize("h", [1.0, 10.0])
+    @pytest.mark.parametrize("levy", [
+        {"kind": "compound_poisson_gaussian_jumps", "sigma_L": [[1.0, 0.0], [0.0, 1.0]],
+         "jump_rate": 3.0, "jump_cov": [[0.333333334, 0.0], [0.0, 0.333333334]]},
+        {"kind": "compound_poisson_gaussian_jumps", "sigma_L": [[100.0, 0.0], [0.0, 100.0]],
+         "jump_rate": 1.0, "jump_cov": [[100.0000005, 0.0], [0.0, 100.0000005]]},
+        {"kind": "brownian_plus_compound_poisson", "sigma_L": [[100.0, 0.0], [0.0, 100.0]],
+         "jump_rate": 1.0, "jump_cov": [[100.0000005, 0.0], [0.0, 100.0000005]]},
+    ], ids=["pure_9_digits", "pure_sigma_100", "mixed_sigma_100"])
+    def test_driver_accepted_by_levy_spec_simulates(self, tmp_path, capsys, levy, h):
+        # the sampler factored the Van Loan integral of the unclipped
+        # remainder sigma_L - jump_rate * jump_cov and exited 3 ("Brownian
+        # noise covariance is not positive semidefinite")
+        doc = scalar_doc(h=h)
+        doc["levy"] = levy
+        cfg = write_json(tmp_path / "model.json", doc)
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 401
+
     def test_missing_field_exits_2(self, tmp_path):
         doc = scalar_doc()
         del doc["A2"]
@@ -262,18 +282,21 @@ class TestSimulateCommand:
         ("levy", "jump_rate", "abc"), (None, "c", "x"), (None, "c", 1.7),
         ("sampling", "h", "0.5"), ("sampling", "h", True), ("sampling", "x1_0", "7"),
         ("sampling", "x1_0", [True]), (None, "A2", [["-1"]]), (None, "B1", [[True, False]]),
-        ("levy", "sigma_L", [["2", "0"], ["0", "2"]]),
+        ("levy", "sigma_L", [["2", "0"], ["0", "2"]]), (None, "sampling", []),
+        (None, "sampling", 0), (None, "sampling", False), (None, "sampling", ""),
+        (None, "levy", [1.0]), (None, "A2", [[10**400]]),
     ])
     def test_malformed_model_value_exits_2(self, tmp_path, capsys, block, field, value):
         # these ended in a ValueError traceback (exit 1), truncated c = 1.7 to
-        # 1, or read a string or a bool as a number ("7" as 7, true as 1)
+        # 1, or read a string or a bool as a number ("7" as 7, true as 1); a
+        # falsy sampling block was read as a missing one
         doc = scalar_doc()
         doc["levy"] = mixed_levy()
         (doc[block] if block else doc)[field] = value
         cfg = write_json(tmp_path / "model.json", doc)
         assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
         assert f"field {field!r}" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_output_over_model_document_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "model.json", scalar_doc())
@@ -609,6 +632,14 @@ class TestEcfCommand:
             assert capsys.readouterr().out == ""
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("sampling", [[], 0, False, ""])
+    def test_non_object_sampling_exits_2(self, tmp_path, capsys, sampling):
+        # a falsy block was read as a missing one: h = 1, exit 0
+        cfg = write_json(tmp_path / "model.json", partial_doc() | {"sampling": sampling})
+        assert main(["ecf", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "field 'sampling'" in captured.err and captured.out == ""
+
     def test_stationary_model_exits_3(self, tmp_path):
         doc = {
             "schema_version": "1",
@@ -660,6 +691,11 @@ class TestPathCsvValidation:
         lines[3] = "nan" + lines[3][lines[3].index(","):]
 
     @staticmethod
+    def _break_grid(lines):
+        t = float(lines[3].split(",", 1)[0])
+        lines[3] = repr(t + 0.1) + lines[3][lines[3].index(","):]
+
+    @staticmethod
     def _break_y_count(lines):
         lines[0] = lines[0].replace("y_2", "z_2")
 
@@ -678,6 +714,7 @@ class TestPathCsvValidation:
         ("_break_time_header", "must start with a 't' column"),
         ("_break_time_order", "times must be strictly increasing"),
         ("_break_time_nan", "times must be strictly increasing"),  # used to pass, exit 0
+        ("_break_grid", "must be sampled on a uniform grid"),
         ("_break_y_count", "path has 1 observation columns, model has d=2"),
         ("_break_wide_header", "has 7 columns per row, its header names 8"),
         ("_break_wide_rows", "has 8 columns per row, its header names 7"),
@@ -776,7 +813,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--riccati-tol", "1e-12"])
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1", "abc"])
     @pytest.mark.parametrize("command,doc", [("analyze", weak_input_doc),
                                              ("canonicalize", weak_input_doc),
                                              ("canonicalize", partial_doc),
@@ -855,3 +892,99 @@ class TestSeedEnvironment:
         assert main(["simulate", cfg, "-o", str(tmp_path / "a.csv")]) == 2
         assert "COINTSSM_SEED" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
+
+
+class TestRefusals:
+    """Inputs each command refuses with exit 2, one ``error:`` line and no
+    file written."""
+
+    @staticmethod
+    def _not_json(tmp_path):
+        (tmp_path / "model.json").write_text("{not json")
+
+    @staticmethod
+    def _unreadable(tmp_path):
+        (tmp_path / "model.json").mkdir()
+
+    @staticmethod
+    def _not_an_object(tmp_path):
+        write_json(tmp_path / "model.json", [partial_doc()])
+
+    @staticmethod
+    def _schema_version(tmp_path):
+        write_json(tmp_path / "model.json", partial_doc() | {"schema_version": "2"})
+
+    @staticmethod
+    def _model_kind(tmp_path):
+        write_json(tmp_path / "model.json", partial_doc() | {"model_kind": "arma"})
+
+    @pytest.mark.parametrize("breaker,message", [
+        ("_not_json", "is not valid JSON"),
+        ("_unreadable", "cannot read model document"),
+        ("_not_an_object", "must be a JSON object"),
+        ("_schema_version", "unrecognized schema_version '2'"),
+        ("_model_kind", "unknown model_kind 'arma'"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "canonicalize", "filter", "ecf"])
+    def test_bad_model_document_exits_2(self, tmp_path, capsys, command, breaker, message):
+        getattr(self, breaker)(tmp_path)
+        csv = tmp_path / "path.csv"
+        csv.write_text("t,y_1,y_2\n1,0,0\n2,0,0\n")
+        cfg, before = str(tmp_path / "model.json"), sorted(tmp_path.iterdir())
+        argv = {"simulate": ["simulate", cfg, "-o", str(tmp_path / "x.csv")],
+                "analyze": ["analyze", cfg, "--moments", "--output", str(tmp_path / "m.csv")],
+                "canonicalize": ["canonicalize", cfg],
+                "filter": ["filter", cfg, str(csv), "-o", str(tmp_path / "flt")],
+                "ecf": ["ecf", cfg, "--path", str(csv),
+                        "--residuals-out", str(tmp_path / "r.csv")]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_x1_0_of_wrong_length_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "model.json", scalar_doc(x1_0=[1.0, 2.0]))
+        assert main(["simulate", cfg, "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: x1_0 has length 2, expected c=1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    @pytest.mark.parametrize("command", ["filter", "ecf"])
+    def test_unreadable_path_csv_exits_2(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path / "model.json", partial_doc())
+        csv = str(tmp_path / "missing.csv")
+        argv = (["filter", cfg, csv, "-o", str(tmp_path / "flt")] if command == "filter"
+                else ["ecf", cfg, "--path", csv, "--residuals-out", str(tmp_path / "r.csv")])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot read path CSV")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_moments_of_stationary_mcarma_exits_2(self, tmp_path, capsys):
+        doc = mcar1_doc()
+        doc["p_coeffs"] = [[[1.0, 0.0], [0.0, 2.0]]]
+        cfg = write_json(tmp_path / "model.json", doc)
+        assert main(["analyze", cfg, "--moments", "--output", str(tmp_path / "m.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --moments needs a model with a canonical form\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", [1.0, 10.0])
+    def test_huge_a2_exits_without_traceback(self, tmp_path, capsys, h):
+        # h / 2.0**k overflowed for k = 1024 (OverflowError, exit 1), or
+        # h ||A2|| did at h = 10; then the Riccati solver warned and let a
+        # NaN residual through
+        good = write_json(tmp_path / "good.json", scalar_doc(h=h))
+        assert main(["simulate", good, "-o", str(tmp_path / "path.csv")]) == 0
+        cfg = write_json(tmp_path / "model.json", scalar_doc(h=h) | {"A2": [[-1e308]]})
+        for argv in (["simulate", cfg, "-o", str(tmp_path / "x.csv")],
+                     ["filter", cfg, str(tmp_path / "path.csv"), "-o", str(tmp_path / "flt")],
+                     ["ecf", cfg], ["ecf", cfg, "--path", str(tmp_path / "path.csv")],
+                     ["analyze", cfg, "--moments"]):
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 0 and err == "" or (
+                code in (2, 3) and len(err.splitlines()) == 1 and err.startswith("error: ")), argv

@@ -16,7 +16,12 @@ from cointssm import (
     simulate_exact_gaussian,
     solve_steady_state,
 )
-from cointssm.errors import ComputationError, ConditioningError, DimensionError
+from cointssm.errors import (
+    ComputationError,
+    ConditioningError,
+    ConvergenceError,
+    DimensionError,
+)
 
 
 def stationary_scalar(a: float = np.exp(-1.0)):
@@ -109,6 +114,25 @@ class TestSolveSteadyState:
         monkeypatch.setattr(kalman, "sla", dare)
         with pytest.raises(ConditioningError, match="positive definite"):
             solve_steady_state(scalar_sm, scalar_cf)
+
+    def test_invalid_operation_in_the_solver_raises(self, scalar_cf):
+        # at ||A2|| = 1e308 scipy's balancing casts NaN to int, a RuntimeWarning
+        cf = dataclasses.replace(scalar_cf, A2=[[-1e308]])
+        with pytest.raises(ConvergenceError, match="Riccati solver failed"):
+            solve_steady_state(discretize(cf, 1.0), cf)
+
+    def test_nan_residual_raises(self, scalar_cf, monkeypatch):
+        # the solver's answer for this model, its warning silenced, has a NaN
+        # residual, which passed the check `residual > bound`
+        cf = dataclasses.replace(scalar_cf, A2=[[-1e308]])
+
+        def quiet(*args):
+            with np.errstate(invalid="ignore"):
+                return sla.solve_discrete_are(*args)
+
+        monkeypatch.setattr(kalman, "sla", types.SimpleNamespace(solve_discrete_are=quiet))
+        with pytest.raises(ConvergenceError, match="residual bound: nan"):
+            solve_steady_state(discretize(cf, 1.0), cf)
 
     def test_closed_loop_quantities_computed_once(self, partial_cf, partial_sm):
         ks = solve_steady_state(partial_sm, partial_cf)

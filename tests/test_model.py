@@ -57,6 +57,37 @@ class TestLevySpec:
         )
         assert np.allclose(spec.diffusion_cov, 0.0)
 
+    def test_pure_jump_brownian_part_is_exactly_zero(self):
+        # it was the rounding remainder sigma_L - jump_rate * jump_cov, here
+        # -2e-9 I, whose Van Loan integral the sampler refused at h = 10
+        spec = LevySpec(kind="compound_poisson_gaussian_jumps", sigma_L=np.eye(2),
+                        jump_rate=3.0, jump_cov=0.333333334 * np.eye(2))
+        assert np.array_equal(spec.diffusion_cov, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            spec.diffusion_cov[0, 0] = 1.0
+
+    def test_mixed_brownian_part_is_the_difference_or_its_psd_part(self):
+        sigma, jump_cov = np.array([[2.0, 0.3], [0.3, 1.5]]), np.array([[0.4, 0.1], [0.1, 0.2]])
+        spec = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=sigma,
+                        jump_rate=1.7, jump_cov=jump_cov)
+        want = sigma - 1.7 * jump_cov
+        assert np.array_equal(spec.diffusion_cov.view(np.uint64), want.view(np.uint64))
+        # the difference is -5e-7 I, inside the tolerance: its PSD part is 0
+        spec = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=100.0 * np.eye(2),
+                        jump_rate=1.0, jump_cov=(100.0 + 5e-7) * np.eye(2))
+        assert np.array_equal(spec.diffusion_cov, np.zeros((2, 2)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind,message", [
+        ("brownian_plus_compound_poisson", "no Brownian component fits"),
+        ("compound_poisson_gaussian_jumps", "pure-jump driver"),
+    ])
+    def test_overflowing_jump_term_refused_without_warning(self, kind, message):
+        # jump_rate * jump_cov overflowed: a RuntimeWarning, and the mixed
+        # driver constructed with a -inf Brownian part
+        with pytest.raises(ValidationError, match=message):
+            LevySpec(kind=kind, sigma_L=np.eye(2), jump_rate=1e300, jump_cov=1e10 * np.eye(2))
+
     def test_pure_jump_mismatch_flagged(self):
         with pytest.raises(ValidationError,
                            match=r"sigma_L != jump_rate \* jump_cov for the pure-jump driver"):
@@ -179,6 +210,32 @@ class TestCointCanonicalForm:
             CointCanonicalForm(c=2, A2=[[-1.0]], B1=np.eye(2), B2=[[1.0, 0.0]],
                                C1=C1, C2=[[0.0], [0.0], [1.0]],
                                levy=helpers.brownian(2))
+
+    def test_c1_is_refused_unless_the_normalizer_makes_it(self):
+        # the pivot rule read 5e-9 as zero and accepted this C1, though
+        # positive_lower_triangularize of it gives (5e-9, -1)
+        c1 = np.array([[-5e-9], [1.0]]) / np.hypot(5e-9, 1.0)
+        with pytest.raises(ValidationError, match="C1"):
+            CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0]], B2=[[1.0]],
+                               C1=c1, C2=[[0.0], [1.0]], levy=helpers.brownian(1))
+
+    def test_rank_deficient_c1_refused(self):
+        with pytest.raises(ValidationError, match="C1"):
+            CointCanonicalForm(c=2, A2=[[-1.0]], B1=np.eye(2), B2=[[1.0, 0.0]],
+                               C1=[[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                               C2=[[0.0], [0.0], [1.0]], levy=helpers.brownian(2))
+
+    @pytest.mark.parametrize("eps", [1.5e-9, 2e-9, 5e-9])
+    def test_canonical_c1_with_a_small_pivot_is_accepted(self, eps):
+        # the pivot rule's absolute 1e-8 skipped the entry eps that the
+        # normalizer's relative 1e-9 takes as the pivot, and refused the C1
+        # that canonicalize had just made
+        m = StateSpaceModel(A=np.diag([0.0, -1.0]), B=np.eye(2), C=[[eps, 1.0], [-1.0, 0.0]],
+                            levy=helpers.brownian(2))
+        cf, _ = canonicalize(m)
+        assert cf.C1[0, 0] > 0
+        again, _ = canonicalize(assemble_from_canonical(cf))
+        assert np.allclose(again.C1, cf.C1, rtol=0.0, atol=1e-15)
 
     def test_a2_must_be_hurwitz(self):
         with pytest.raises(ValidationError):
