@@ -110,7 +110,7 @@ def _sampled(args, rel_tol: float = matops.RANK_REL_TOL):
     sampled at the path's grid step, or without a path at the document's
     ``sampling.h`` (``times`` and ``y`` are then None)."""
     doc = load_document(args.model)
-    cf = to_canonical(parse_document(doc), rel_tol)[0]
+    cf = to_canonical(parse_document(doc, rel_tol), rel_tol)[0]
     if args.path is None:
         return cf, moments.discretize(cf, sampling_step(doc)), None, None
     times, y, h = _read_path_csv(args.path, cf.d)
@@ -162,7 +162,7 @@ def _coint_report_doc(report) -> dict:
 def cmd_analyze(args) -> int:
     _refuse_overwrite([args.config], [args.output])
     doc = load_document(args.config)
-    mod = parse_document(doc)
+    mod = parse_document(doc, args.rank_tol)
     out: dict = {"model_kind": doc["model_kind"]}
     cf = None
     if isinstance(mod, McarmaModel):
@@ -193,7 +193,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
-    cf, T = to_canonical(parse_document(load_document(args.config)), args.rank_tol)
+    cf, T = to_canonical(parse_document(load_document(args.config), args.rank_tol), args.rank_tol)
     out = {
         "canonical_form": canonical_to_doc(cf),
         "transform": mat_to_list(T),
@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_rank_tol(p):
         p.add_argument("--rank-tol", type=_rank_tol, default=matops.RANK_REL_TOL,
-                       help="relative tolerance of every rank decision after the model document "
-                            "is parsed; parsing checks the document against fixed tolerances")
+                       help="relative tolerance of every rank decision, the checks of a "
+                            "canonical model document among them")
 
     p_sim = sub.add_parser("simulate", help="simulate a path of the sampled model")
     p_sim.add_argument("config", help="model document (JSON)")

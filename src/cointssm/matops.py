@@ -32,14 +32,13 @@ from .errors import (
 
 # Tolerance table: every numerical threshold of the package and what it is relative to
 # (Frobenius norms). Only RANK_REL_TOL can be replaced, per call, as ``rel_tol`` (the
-# CLI's ``--rank-tol``); model construction always validates against the table.
+# CLI's ``--rank-tol``); a canonical form is checked at it, other constructions at the table.
 RANK_REL_TOL = 1e-9       #: rank: a singular value counts when > tol sigma_max; unit-root
-                          #: count c = N - rank(A) (`unit_roots`)
+                          #: count c = N - rank(A) (`unit_roots`), at least c eigenvalues with
+                          #: |eig| < t = 10 tol (1 + ||A||), exactly c when semisimple, and
+                          #: then their Schur block has norm <= t max(1, ||A||)
 HURWITZ_TOL = 1e-9        #: stable: Re < -tol (absolute), for every eigenvalue of A2 and, in
                           #: `unit_roots`, of A (or root of det P) but its c unit roots
-ZERO_EIG_REL_TOL = 1e-8   #: unit roots of A: at least c eigenvalues have |eig| < t = tol (1 +
-                          #: ||A||), exactly c when semisimple, and then their Schur block
-                          #: has norm <= t max(1, ||A||)
 C1_ORTHO_TOL = 1e-10      #: canonical C1: ||C1 - P|| <= tol (1 + c), P its orthonormal positive
                           #: lower triangular basis (`positive_lower_triangularize`)
 RESIDUAL_TOL = 1e-10      #: Riccati: ||Omega - Ric(Omega)|| <= tol (1 + ||Omega||)
@@ -97,11 +96,13 @@ def is_symmetric(A: np.ndarray) -> bool:
 
 
 def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry (`is_symmetric`) and return the symmetrized matrix."""
+    """Validate symmetry (`is_symmetric`) and return the symmetrized matrix,
+    formed on the scale of `pow2_scaled` so that no sum overflows."""
     A = as_square(M, name)
     if not is_symmetric(A):
         raise ValidationError(f"{name} is not symmetric to tolerance {COV_TOL}")
-    return 0.5 * (A + A.T)
+    As, s = pow2_scaled(A)
+    return 0.5 * (As + As.T) / s
 
 
 def expm(M) -> np.ndarray:
@@ -183,10 +184,12 @@ def spectral_abscissa(A: np.ndarray) -> float:
 def lyapunov_solve(A2, Q) -> np.ndarray:
     """Unique solution of ``A2 G + G A2' + Q = 0`` for Hurwitz ``A2``.
 
-    Solved by Bartels-Stewart (Schur decomposition of ``A2``).
+    Solved by Bartels-Stewart (Schur decomposition of ``A2``) for the
+    `pow2_scaled` ``Q`` and scaled back exactly; a solution beyond float64
+    raises `NumericError`.
     """
     A = as_square(A2, "A2")
-    Qs = check_symmetric(Q, "Q")
+    Qs, s = pow2_scaled(check_symmetric(Q, "Q"))
     if Qs.shape[0] != A.shape[0]:
         raise DimensionError(f"Q has shape {Qs.shape}, expected {A.shape}")
     n = A.shape[0]
@@ -198,7 +201,11 @@ def lyapunov_solve(A2, Q) -> np.ndarray:
             f"{-HURWITZ_TOL} (max Re = {spectral_abscissa(A):.3e})"
         )
     G = sla.solve_continuous_lyapunov(A, -Qs)
-    return 0.5 * (G + G.T)
+    with np.errstate(over="ignore"):
+        G = 0.5 * (G + G.T) / s
+    if not np.all(np.isfinite(G)):
+        raise NumericError("the Lyapunov solution overflows float64")
+    return G
 
 
 #: Block length of the ends-first scan in `linear_recursion`.
@@ -340,12 +347,13 @@ class UnitRoots:
 
 def unit_roots(A, rel_tol: float = RANK_REL_TOL) -> UnitRoots:
     """The unit roots of ``A``: ``c = N`` minus its `numerical_rank` at
-    ``rel_tol * sigma_max(A)``, among its eigenvalues of modulus below ``t =
-    ZERO_EIG_REL_TOL (1 + ||A||)``. For the block companion matrix of an
-    MCARMA model c is ``d - rank P_p`` in exact arithmetic, at the
-    companion's scale. Fewer than c eigenvalues below t is a rank
+    ``rel_tol * sigma_max(A)``, among its eigenvalues of modulus below the
+    zero tolerance ``t = 10 rel_tol (1 + ||A||)``. For the block companion
+    matrix of an MCARMA model c is ``d - rank P_p`` in exact arithmetic, at
+    the companion's scale. Fewer than c eigenvalues below t is a rank
     deficiency that is not a unit root, as in a stable but badly
-    conditioned ``A``, and raises `CointegrationRankError`; more is left to
+    conditioned ``A``, and raises `CointegrationRankError`; more, an
+    eigenvalue between the rank and the zero tolerance, is left to
     `UnitRoots.check_semisimple`."""
     A = as_square(A, "A")
     res = numerical_rank(A, rel_tol)
@@ -354,7 +362,7 @@ def unit_roots(A, rel_tol: float = RANK_REL_TOL) -> UnitRoots:
     kept = s[r - 1] / tol if r else math.inf
     dropped = tol / s[r] if c and s[r] else math.inf
     eigs = sort_complex(np.linalg.eigvals(A))
-    t = ZERO_EIG_REL_TOL * (1.0 + np.linalg.norm(A))
+    t = 10 * rel_tol * (1.0 + np.linalg.norm(A))
     is_unit = np.abs(eigs) < t
     if np.sum(is_unit) < c:
         raise CointegrationRankError(

@@ -7,7 +7,7 @@ marked read-only), so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -225,11 +225,11 @@ class CointCanonicalForm:
     ``dX1 = B1 dL`` and ``dX2 = A2 X2 dt + B2 dL`` with observation
     ``Y = C1 X1 + C2 X2``; ``C1`` has orthonormal columns in positive lower
     triangular form (to ``C1_ORTHO_TOL (1 + c)``, the basis that
-    `matops.positive_lower_triangularize` makes of its column space) and
-    ``A2`` is Hurwitz. ``c = 0`` is permitted as the
-    stationary degenerate case. ``gamma0``, the stationary covariance of X2
-    (it does not depend on any sampling step), is solved on first read and
-    kept.
+    `matops.positive_lower_triangularize` makes of its column space), ``B1``
+    has full row rank c, both decided at the caller's ``rel_tol``, and ``A2``
+    is Hurwitz. ``c = 0`` is permitted as the stationary degenerate case.
+    ``gamma0``, the stationary covariance of X2 (it does not depend on any
+    sampling step), is solved on first read and kept.
     """
 
     c: int
@@ -239,8 +239,9 @@ class CointCanonicalForm:
     C1: np.ndarray
     C2: np.ndarray
     levy: LevySpec
+    rel_tol: InitVar[float] = matops.RANK_REL_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, rel_tol):
         A2 = matops.as_square(self.A2, "A2")
         B1 = matops.as_matrix(self.B1, "B1")
         B2 = matops.as_matrix(self.B2, "B2")
@@ -269,13 +270,13 @@ class CointCanonicalForm:
             )
         if c > 0:
             try:
-                gap = np.linalg.norm(C1 - matops.positive_lower_triangularize(C1)[0])
+                gap = np.linalg.norm(C1 - matops.positive_lower_triangularize(C1, rel_tol)[0])
             except RankError:
                 gap = np.inf
             if not gap <= matops.C1_ORTHO_TOL * (1.0 + c):
                 raise ValidationError("C1 is not the orthonormal positive lower triangular "
                                       "basis of its column space")
-            if matops.numerical_rank(B1).rank != c:
+            if matops.numerical_rank(B1, rel_tol).rank != c:
                 raise ValidationError(f"B1 must have full row rank {c}")
         if n2 > 0 and matops.spectral_abscissa(A2) >= -matops.HURWITZ_TOL:
             raise ValidationError(
@@ -286,6 +287,13 @@ class CointCanonicalForm:
         object.__setattr__(self, "B2", _frozen(B2))
         object.__setattr__(self, "C1", _frozen(C1))
         object.__setattr__(self, "C2", _frozen(C2))
+
+    @classmethod
+    def _made(cls, c: int, levy: LevySpec, **blocks) -> CointCanonicalForm:
+        """The form `realization.canonicalize` made and decided, frozen unchecked."""
+        cf = object.__new__(cls)
+        cf.__dict__.update(c=c, levy=levy, **{k: _frozen(M) for k, M in blocks.items()})
+        return cf
 
     @property
     def N(self) -> int:

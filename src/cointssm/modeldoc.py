@@ -85,15 +85,15 @@ def parse_levy(obj: Any) -> LevySpec:
         raise ValidationError("field 'levy' in document must be an object")
     kind = _need(obj, "kind", "levy block")
     sigma = _matrix(obj, "sigma_L", "levy block")
-    rate = obj.get("jump_rate", 0.0)
-    if not _is_number(rate) or not np.isfinite(rate):
+    rate = float(_numeric(obj.get("jump_rate", 0.0), "field 'jump_rate' in levy block", 0))
+    if not np.isfinite(rate):
         raise ValidationError(
             f"field 'jump_rate' in levy block must be a finite number, got {rate!r}"
         )
     jump_cov = None
     if obj.get("jump_cov") is not None:
         jump_cov = _matrix(obj, "jump_cov", "levy block")
-    return LevySpec(kind=kind, sigma_L=sigma, jump_rate=float(rate), jump_cov=jump_cov)
+    return LevySpec(kind=kind, sigma_L=sigma, jump_rate=rate, jump_cov=jump_cov)
 
 
 def sampling_step(doc: dict) -> float:
@@ -125,8 +125,8 @@ def parse_sampling(doc: dict) -> SamplingOptions:
     return opts
 
 
-def parse_document(doc: dict):
-    """Build the typed model a document describes."""
+def parse_document(doc: dict, rel_tol: float = matops.RANK_REL_TOL):
+    """Build the typed model a document describes, checking a canonical one at ``rel_tol``."""
     if not isinstance(doc, dict):
         raise ValidationError("model document must be a JSON object")
     version = str(_need(doc, "schema_version", "document"))
@@ -163,7 +163,7 @@ def parse_document(doc: dict):
         B2=_matrix(doc, "B2", "canonical document"),
         C1=_matrix(doc, "C1", "canonical document") if c else np.zeros((d, 0)),
         C2=C2,
-        levy=levy,
+        levy=levy, rel_tol=rel_tol,
     )
 
 

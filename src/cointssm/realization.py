@@ -195,8 +195,8 @@ def canonicalize(m: StateSpaceModel,
     ordered real Schur form placing the unit roots first; semisimplicity
     check of their block; Sylvester decoupling of the off-diagonal
     coupling; positive-lower-triangular normalization of C1; observer
-    echelon form of the stationary block. Returns the form and the composite
-    transform ``T`` with ``(T A T^{-1}, T B, C T^{-1})`` canonical.
+    echelon form of the stationary block, each property decided once, at
+    ``rel_tol``. Returns ``(form, T)``, ``(T A T^{-1}, T B, C T^{-1})`` canonical.
     """
     A, B, C = np.asarray(m.A), np.asarray(m.B), np.asarray(m.C)
     N = m.N
@@ -265,5 +265,5 @@ def canonicalize(m: StateSpaceModel,
         A2, B2, C2 = A2p, B2p, C2p
 
     T_total = np.vstack([T1 @ T_dec[:c], T2 @ T_dec[c:]])
-    cf = CointCanonicalForm(c=c, A2=A2, B1=B1, B2=B2, C1=C1, C2=C2, levy=m.levy)
+    cf = CointCanonicalForm._made(c=c, A2=A2, B1=B1, B2=B2, C1=C1, C2=C2, levy=m.levy)
     return cf, T_total

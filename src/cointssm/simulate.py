@@ -40,9 +40,12 @@ from .moments import SampledModel
 #: Rows per block of the Gaussian noise draws and of the ``C2 x2`` sums.
 DRAW_ROWS = 4096
 
-#: Most jumps one sampler run may expect: numpy's largest Poisson mean, ten
-#: standard deviations below the int64 limit of the counts and their total.
-MAX_JUMPS = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+#: Most jumps one sampler run may expect: ten standard deviations below the
+#: length of the largest float64 array, the jump ages, so the drawn total
+#: exceeds it with probability below 1e-23. That length is below numpy's
+#: largest Poisson mean and the int64 limit of the counts and their total.
+_MAX_AGES = np.iinfo(np.intp).max // 8
+MAX_JUMPS = float(_MAX_AGES - 10 * np.sqrt(_MAX_AGES))
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ def _exact_paths(sm: SampledModel, cf: CointCanonicalForm, n_steps: int, n_paths
     if cf.levy.jump_rate * sm.h * n_steps * n_paths > MAX_JUMPS:
         raise ValidationError(
             f"jump_rate * h = {cf.levy.jump_rate * sm.h:.6g} jumps per step over "
-            f"{n_paths * n_steps} steps exceeds the {MAX_JUMPS:.4g} jumps a run can count")
+            f"{n_paths * n_steps} steps exceeds the {MAX_JUMPS:.4g} jumps a run can hold")
     x0 = _check_x1_0(cf, x1_0)
     if cf.levy.jump_rate > 0:
         _, sigma_w = moments.van_loan(cf, sm.h, cf.levy.diffusion_cov)

@@ -72,6 +72,20 @@ def weak_input_doc():
     }
 
 
+def weak_b1_doc():
+    """A = diag(0, 0, -1) with a unit-root input of weight 1e-10 in its
+    second direction: minimal, with c = 2, only at rank tolerances below
+    about 3.6e-11."""
+    return {
+        "schema_version": "1",
+        "model_kind": "state_space",
+        "A": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+        "B": [[1.0, 0.0], [0.0, 1e-10], [1.0, 1.0]],
+        "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.0], [0.0, 1.0]]},
+    }
+
+
 def mcar1_doc():
     return {
         "schema_version": "1",
@@ -81,6 +95,11 @@ def mcar1_doc():
         "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.0], [0.0, 1.0]]},
         "sampling": {"h": 1.0, "n_steps": 200, "seed": 3},
     }
+
+
+def mcar1_band_doc(eps):
+    """MCAR(1) with P_1 = diag(1, eps): c = 1 at rank tolerances above eps."""
+    return mcar1_doc() | {"p_coeffs": [[[1.0, 0.0], [0.0, eps]]]}
 
 
 class TestSimulateCommand:
@@ -230,15 +249,16 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("sampling,code,message", [
         ({"h": 1e300}, 2, "jump_rate * h = 2e+300"),
+        ({"h": 1e16}, 2, "jumps a run can hold"),
         ({"n_steps": 10**15}, 3, "out of memory"),
         ({"n_steps": 10**19}, 2, "more than the largest array holds"),
         ({"n_steps": 10**400}, 2, "more than the largest array holds"),
-    ], ids=["poisson_mean", "memory", "array_size", "float_overflow"])
+    ], ids=["poisson_mean", "ages_array", "memory", "array_size", "float_overflow"])
     def test_huge_sampling_value_exits_without_traceback(self, tmp_path, capsys, sampling,
                                                          code, message):
         # each ended in a traceback (exit 1): rng.poisson's "lam value too
-        # large", numpy's _ArrayMemoryError and "Maximum allowed dimension
-        # exceeded"
+        # large", numpy's "array is too big" for the 8e18 jump ages,
+        # _ArrayMemoryError and "Maximum allowed dimension exceeded"
         doc = scalar_doc(**sampling)
         doc["levy"] = mixed_levy()
         cfg = write_json(tmp_path / "model.json", doc)
@@ -285,6 +305,7 @@ class TestSimulateCommand:
         ("levy", "sigma_L", [["2", "0"], ["0", "2"]]), (None, "sampling", []),
         (None, "sampling", 0), (None, "sampling", False), (None, "sampling", ""),
         (None, "levy", [1.0]), (None, "A2", [[10**400]]),
+        pytest.param("levy", "jump_rate", int("9" * 400), id="levy-jump_rate-400_digits"),
     ])
     def test_malformed_model_value_exits_2(self, tmp_path, capsys, block, field, value):
         # these ended in a ValueError traceback (exit 1), truncated c = 1.7 to
@@ -802,6 +823,55 @@ class TestPathCsvValidation:
         assert not (tmp_path / "again.csv").exists() and not (tmp_path / "again.json").exists()
 
 
+class TestOneUnitRootCount:
+    """`analyze`, `canonicalize` and `ecf` each decide c at ``--rank-tol``:
+    any of them may refuse a model (exit 2 or 3, one ``error:`` line), but
+    no two that accept it report different c."""
+
+    DOCS = {
+        "mcar1_1e-08": lambda: mcar1_band_doc(1e-8),
+        "mcar1_5e-08": lambda: mcar1_band_doc(5e-8),
+        "mcar1_1e-07": lambda: mcar1_band_doc(1e-7),
+        "weak_input": weak_input_doc,
+        "weak_b1": weak_b1_doc,
+    }
+    # each was refused by every command: the zero tolerance stayed at
+    # 1e-8 (1 + ||A||) whatever --rank-tol, and the canonical form decided
+    # B1's rank again at the fixed 1e-9 (exit 2). ecf refuses weak_b1 at
+    # 1e-12 rightly: B1's weak direction leaves V singular.
+    MUST_ACCEPT = {
+        ("mcar1_5e-08", "1e-6"): {"analyze": 1, "canonicalize": 1, "ecf": 1},
+        ("mcar1_1e-07", "1e-6"): {"analyze": 1, "canonicalize": 1, "ecf": 1},
+        ("weak_b1", "1e-12"): {"analyze": 2, "canonicalize": 2},
+    }
+
+    @staticmethod
+    def _c(command: str, out: dict, d: int) -> int:
+        if command == "ecf":
+            return d - out["r"]
+        # analyze reports a model without a canonical form by its r = d - c
+        return out["c"] if "c" in out else d - out["cointegration"]["r"]
+
+    @pytest.mark.parametrize("rank_tol", ["1e-12", "1e-9", "1e-6", "1e-3"])
+    @pytest.mark.parametrize("name", list(DOCS))
+    def test_commands_that_accept_agree_on_c(self, tmp_path, capsys, name, rank_tol):
+        doc = self.DOCS[name]()
+        d = len(doc["C"] if "C" in doc else doc["p_coeffs"][0])
+        cfg = write_json(tmp_path / "model.json", doc)
+        counts = {}
+        for command in ("analyze", "canonicalize", "ecf"):
+            code = main([command, cfg, "--rank-tol", rank_tol])
+            out, err = capsys.readouterr()
+            if code == 0:
+                counts[command] = self._c(command, strict_json(out), d)
+            else:
+                assert code in (2, 3) and out == "", command
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), command
+        assert len(set(counts.values())) <= 1, counts
+        if (name, rank_tol) in self.MUST_ACCEPT:
+            assert counts == self.MUST_ACCEPT[name, rank_tol]
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [
         ["analyze", "m.json"],
@@ -834,9 +904,7 @@ class TestParser:
         seen = []
 
         def recording(M, rel_tol=matops.RANK_REL_TOL):
-            caller = sys._getframe(1).f_code.co_name
-            if caller != "__post_init__":  # model construction checks against the table
-                seen.append((caller, rel_tol))
+            seen.append((sys._getframe(1).f_code.co_name, rel_tol))
             return rank(M, rel_tol)
 
         monkeypatch.setattr(matops, "numerical_rank", recording)
@@ -969,6 +1037,15 @@ class TestRefusals:
         assert captured.out == ""
         assert captured.err == "error: --moments needs a model with a canonical form\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_huge_b2_moments_exit_without_traceback(self, tmp_path, capsys):
+        # B2 Sigma_L B2' is about 1e308, finite, but the Lyapunov solve for
+        # gamma0 overflowed (scipy's ValueError, exit 1)
+        cfg = write_json(tmp_path / "model.json", scalar_doc() | {"B2": [[0.0, 1e154]]})
+        code = main(["analyze", cfg, "--moments"])
+        err = capsys.readouterr().err
+        assert code == 0 and err == "" or (
+            code == 3 and len(err.splitlines()) == 1 and err.startswith("error: "))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("h", [1.0, 10.0])

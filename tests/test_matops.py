@@ -180,6 +180,14 @@ class TestLyapunov:
             assert np.linalg.norm(A @ G + G @ A.T + Q) <= 1e-10 * np.linalg.norm(Q)
             assert np.linalg.norm(G - G.T) < 1e-12
 
+    def test_right_hand_side_near_the_float64_limit(self):
+        # the symmetrization and the solve overflowed (scipy's ValueError)
+        Q = np.diag([1e308, 1.0])
+        G = matops.lyapunov_solve(np.diag([-1.0, -2.0]), Q)
+        assert np.array_equal(G, np.diag([5e307, 0.25]))
+        with pytest.raises(NumericError, match="overflows"):
+            matops.lyapunov_solve(np.diag([-0.25, -2.0]), Q)
+
     def test_rejects_non_hurwitz(self):
         with pytest.raises(StabilityError):
             matops.lyapunov_solve([[0.0]], [[1.0]])
@@ -303,6 +311,15 @@ class TestUnitRoots:
         A = np.diag([-1.0, -1e-8])
         assert matops.unit_roots(A).c == 0
         assert matops.unit_roots(A, 1e-6).c == 1
+
+    def test_zero_tolerance_follows_rel_tol(self):
+        # the root -5e-8 was counted at 1e-6 and then refused: the zero
+        # tolerance stayed at 1e-8 (1 + ||A||) = 2e-8
+        A = np.diag([-1.0, -5e-8])
+        ur = matops.unit_roots(A, 1e-6)
+        assert ur.c == 1 and ur.tolerance == pytest.approx(1e-5 * (1.0 + np.linalg.norm(A)))
+        assert ur.is_unit.tolist() == [False, True]
+        assert matops.unit_roots(A).tolerance == 1e-8 * (1.0 + np.linalg.norm(A))
 
     def test_splits_the_eigenvalues(self):
         ur = matops.unit_roots(np.diag([-3.0, 0.0, 2.0, -1e-12]))

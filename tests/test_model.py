@@ -249,6 +249,14 @@ class TestCointCanonicalForm:
                                C1=[[1.0], [0.0]], C2=[[0.0], [1.0]],
                                levy=helpers.brownian(1))
 
+    def test_b1_rank_reads_rel_tol(self):
+        # B1's second row at 1e-10: full rank at 1e-12, not at the default
+        weak_b1 = dict(c=2, A2=[[-1.0]], B1=[[1.0, 0.0], [0.0, 1e-10]], B2=[[1.0, 1.0]],
+                       C1=np.eye(3, 2), C2=[[0.0], [0.0], [1.0]], levy=helpers.brownian(2))
+        with pytest.raises(ValidationError, match="B1"):
+            CointCanonicalForm(**weak_b1)
+        assert CointCanonicalForm(**weak_b1, rel_tol=1e-12).c == 2
+
     def test_c_must_be_below_d(self):
         with pytest.raises(ValidationError):
             CointCanonicalForm(c=1, A2=np.zeros((0, 0)), B1=[[1.0]],

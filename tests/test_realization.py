@@ -248,6 +248,35 @@ class TestCanonicalize:
         cf, _ = canonicalize(m, rel_tol=1e-6)
         assert cf.c == 1 and np.allclose(cf.A2, [[-1.0]])
 
+    def test_b1_rank_is_decided_by_the_minimality_test(self):
+        # B1's second direction has weight 1e-10: minimal at 1e-12, and the
+        # form's own check of B1 at the fixed 1e-9 refused what the
+        # minimality test had just accepted
+        m = StateSpaceModel(A=np.diag([0.0, 0.0, -1.0]),
+                            B=[[1.0, 0.0], [0.0, 1e-10], [1.0, 1.0]], C=np.eye(3),
+                            levy=helpers.brownian(2))
+        cf, _ = canonicalize(m, rel_tol=1e-12)
+        assert cf.c == 2 and np.allclose(cf.A2, [[-1.0]])
+        with pytest.raises(MinimalityError):
+            canonicalize(m)
+
+    @pytest.mark.parametrize("c,n2", [(0, 3), (2, 2)])
+    def test_each_property_is_decided_once(self, rng, monkeypatch, c, n2):
+        # the form is built without deciding C1's basis, B1's rank or A2's
+        # stability again
+        model, _ = helpers.random_conjugated_model(rng, d=3, c=c, n2=n2, m=3)
+        calls: dict = {"positive_lower_triangularize": [], "numerical_rank": [],
+                       "spectral_abscissa": []}
+        for name, seen in calls.items():
+            def recording(M, *args, _fn=getattr(matops, name), _seen=seen, **kwargs):
+                _seen.append(helpers.matrix_key(M))
+                return _fn(M, *args, **kwargs)
+            monkeypatch.setattr(matops, name, recording)
+        cf, _ = canonicalize(model)
+        assert len(calls["positive_lower_triangularize"]) == 1
+        assert helpers.matrix_key(cf.B1) not in calls["numerical_rank"]
+        assert helpers.matrix_key(cf.A2) not in calls["spectral_abscissa"]
+
     def test_rejects_rank_deficiency_that_is_not_a_unit_root(self):
         # minimal and stable with eigenvalues -0.05 and -1, but its smallest
         # singular value 5e-6 is under 1e-9 sigma_max = 1e-5: a rank count
