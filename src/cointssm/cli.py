@@ -4,8 +4,8 @@ Every command is deterministic given its inputs; `simulate`, the one command
 that reads a seed, takes it from the config (or the COINTSSM_SEED environment
 variable), never the wall clock. Each command formats its JSON before it
 writes anything, so a number that JSON cannot hold leaves no partial output.
-Exit codes: 0 success, 2 validation failure, 3 numeric/convergence failure
-or running out of memory.
+Exit codes: 0 success, 2 an input at fault, 3 a computed value that fails a check, a
+floating-point warning, a singular solve or out of memory; each failure one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ def _refuse_overwrite(inputs, outputs) -> None:
             raise ValidationError(f"writing {out} would overwrite the input file {src}")
 
 
-def _sampled(args, rel_tol: float = matops.RANK_REL_TOL):
+def _sampled(args):
     """``(cf, sm, times, y)`` of ``args.model`` and ``args.path``: the model
     sampled at the path's grid step, or without a path at the document's
     ``sampling.h`` (``times`` and ``y`` are then None)."""
     doc = load_document(args.model)
-    cf = to_canonical(parse_document(doc, rel_tol), rel_tol)[0]
+    cf = to_canonical(parse_document(doc, args.rank_tol), args.rank_tol)[0]
     if args.path is None:
         return cf, moments.discretize(cf, sampling_step(doc)), None, None
     times, y, h = _read_path_csv(args.path, cf.d)
@@ -121,7 +121,8 @@ def cmd_simulate(args) -> int:
     sidecar_path = args.output.removesuffix(".csv") + ".json"
     _refuse_overwrite([args.config], [args.output, sidecar_path])
     doc = load_document(args.config)
-    cf, opts = to_canonical(parse_document(doc))[0], parse_sampling(doc)
+    cf = to_canonical(parse_document(doc, args.rank_tol), args.rank_tol)[0]
+    opts = parse_sampling(doc)
     sm = moments.discretize(cf, opts.h)
     sampler = (simulate.simulate_exact_full if args.columns == "full"
                else simulate.simulate_exact_gaussian)
@@ -208,7 +209,7 @@ def cmd_filter(args) -> int:
     solution_path = args.output_prefix + "_solution.json"
     _refuse_overwrite([args.model, args.path], [innovations_path, solution_path])
     cf, sm, times, y = _sampled(args)
-    ks = kalman.solve_steady_state(sm, cf)
+    ks = kalman.solve_steady_state(sm, cf, args.rank_tol)
     eps, _ = kalman.filter_innovations(ks, sm, y)
     solution = dump_json({
         "h": sm.h,
@@ -226,7 +227,7 @@ def cmd_filter(args) -> int:
 
 def cmd_ecf(args) -> int:
     _refuse_overwrite([args.model, args.path], [args.residuals_out])
-    cf, sm, times, y = _sampled(args, args.rank_tol)
+    cf, sm, times, y = _sampled(args)
     ks = kalman.solve_steady_state(sm, cf, args.rank_tol)
     dec = ecf_mod.ma_and_ktilde_coeffs(ks, sm, args.J, rel_tol=args.rank_tol)
     check = ecf_mod.structural_check(ks, sm, cf, args.rank_tol)
@@ -312,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("-o", "--output", required=True, help="output CSV path")
     p_sim.add_argument("--columns", choices=("y", "full"), default="y",
                        help="emit observations only or also states and unit-root noise")
+    add_rank_tol(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="cointegration report / canonical structure")
@@ -337,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "its step is the sampling step h")
     p_fil.add_argument("-o", "--output-prefix", required=True,
                        help="prefix for _innovations.csv and _solution.json")
+    add_rank_tol(p_fil)
     p_fil.set_defaults(func=cmd_filter)
 
     p_ecf = sub.add_parser("ecf", help="error correction decomposition report")
@@ -365,12 +368,17 @@ def main(argv=None) -> int:
     if args.command == "ecf" and args.residuals_out is not None and args.path is None:
         parser.error("ecf: --residuals-out needs --path")
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
     except ModelInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (RuntimeWarning, np.linalg.LinAlgError) as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

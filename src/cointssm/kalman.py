@@ -84,9 +84,8 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
         raise ConditioningError("observation matrix C does not have full row rank")
 
     try:
-        with np.errstate(invalid="raise"):
-            omega = sla.solve_discrete_are(eAh.T, C.T, sigma, np.zeros((cf.d, cf.d)))
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+        omega = sla.solve_discrete_are(eAh.T, C.T, sigma, np.zeros((cf.d, cf.d)))
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConvergenceError(f"discrete Riccati solver failed: {exc}") from exc
     omega = 0.5 * (omega + omega.T)
     G = eAh @ omega @ C.T

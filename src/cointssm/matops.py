@@ -359,8 +359,9 @@ def unit_roots(A, rel_tol: float = RANK_REL_TOL) -> UnitRoots:
     res = numerical_rank(A, rel_tol)
     s, tol, r = res.singular_values, res.tolerance_used, res.rank
     c = s.size - r
-    kept = s[r - 1] / tol if r else math.inf
-    dropped = tol / s[r] if c and s[r] else math.inf
+    with np.errstate(over="ignore", divide="ignore"):  # a margin beyond float64 is inf
+        kept = s[r - 1] / tol if r else math.inf
+        dropped = tol / s[r] if c and s[r] else math.inf
     eigs = sort_complex(np.linalg.eigvals(A))
     t = 10 * rel_tol * (1.0 + np.linalg.norm(A))
     is_unit = np.abs(eigs) < t

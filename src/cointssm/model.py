@@ -96,10 +96,11 @@ class LevySpec:
                 failures.append("jump_cov is not positive semidefinite")
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its clause
                 diff = sig - self.jump_rate * (self.jump_cov * s)
+                split = np.linalg.norm(diff)
             finite = np.all(np.isfinite(diff))
             if self.kind == "compound_poisson_gaussian_jumps":
                 brownian = np.zeros_like(sig)
-                if not (finite and np.linalg.norm(diff) <= matops.LEVY_SPLIT_TOL * scale):
+                if not (finite and split <= matops.LEVY_SPLIT_TOL * scale):
                     failures.append("sigma_L != jump_rate * jump_cov for the pure-jump driver")
             else:
                 w, V = np.linalg.eigh(0.5 * (diff + diff.T)) if finite else ([-np.inf], None)
@@ -269,10 +270,11 @@ class CointCanonicalForm:
                 f"observation dimension d={d} exceeds state dimension N={c + n2}"
             )
         if c > 0:
-            try:
-                gap = np.linalg.norm(C1 - matops.positive_lower_triangularize(C1, rel_tol)[0])
-            except RankError:
-                gap = np.inf
+            with np.errstate(over="ignore"):  # an overflowing gap fails the clause
+                try:
+                    gap = np.linalg.norm(C1 - matops.positive_lower_triangularize(C1, rel_tol)[0])
+                except RankError:
+                    gap = np.inf
             if not gap <= matops.C1_ORTHO_TOL * (1.0 + c):
                 raise ValidationError("C1 is not the orthonormal positive lower triangular "
                                       "basis of its column space")

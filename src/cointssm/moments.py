@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matops
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .model import CointCanonicalForm
 
 
@@ -63,6 +63,7 @@ def van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarra
     ``e^{At} = F22'`` and the integral to ``t`` as ``F22' F12`` for
     ``t = h / 2^k``, and k doublings ``sigma(2t) = sigma(t) + e^{At} sigma(t) e^{A't}``
     carry both to h. The unit-root block of ``e^{Ah}`` is ``I_c`` exactly.
+    Either one not finite (``expm`` overflows to NaN silently) raises `NumericError`.
     """
     c, N = cf.c, cf.N
     A2 = np.asarray(cf.A2)
@@ -85,7 +86,10 @@ def van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarra
     for _ in range(k):
         sigma = sigma + eAh @ sigma @ eAh.T
         eAh = eAh @ eAh
-    return eAh, 0.5 * (sigma + sigma.T)
+    sigma = 0.5 * (sigma + sigma.T)
+    if not (np.all(np.isfinite(eAh)) and np.all(np.isfinite(sigma))):
+        raise NumericError(f"e^(A h) or its noise integral overflows float64 at h = {h:g}")
+    return eAh, sigma
 
 
 def discretize(cf: CointCanonicalForm, h: float) -> SampledModel:

@@ -117,21 +117,11 @@ class TestSolveSteadyState:
 
     def test_invalid_operation_in_the_solver_raises(self, scalar_cf):
         # at ||A2|| = 1e308 scipy's balancing casts NaN to int, a RuntimeWarning
+        # (the CLI's exit 3), and returns an answer with a NaN residual, which
+        # passed the check `residual > bound`
         cf = dataclasses.replace(scalar_cf, A2=[[-1e308]])
-        with pytest.raises(ConvergenceError, match="Riccati solver failed"):
-            solve_steady_state(discretize(cf, 1.0), cf)
-
-    def test_nan_residual_raises(self, scalar_cf, monkeypatch):
-        # the solver's answer for this model, its warning silenced, has a NaN
-        # residual, which passed the check `residual > bound`
-        cf = dataclasses.replace(scalar_cf, A2=[[-1e308]])
-
-        def quiet(*args):
-            with np.errstate(invalid="ignore"):
-                return sla.solve_discrete_are(*args)
-
-        monkeypatch.setattr(kalman, "sla", types.SimpleNamespace(solve_discrete_are=quiet))
-        with pytest.raises(ConvergenceError, match="residual bound: nan"):
+        with pytest.warns(RuntimeWarning, match="invalid value"), \
+                pytest.raises(ConvergenceError, match="residual bound: nan"):
             solve_steady_state(discretize(cf, 1.0), cf)
 
     def test_closed_loop_quantities_computed_once(self, partial_cf, partial_sm):

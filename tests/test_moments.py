@@ -15,7 +15,7 @@ from cointssm import (
     simulate_exact_full,
     simulate_gaussian_ensemble,
 )
-from cointssm.errors import ValidationError
+from cointssm.errors import NumericError, ValidationError
 from cointssm.moments import van_loan
 
 
@@ -111,6 +111,14 @@ class TestVanLoan:
         want = h * G + 0.5 * h**2 * A2 @ G
         out = van_loan(partial_cf, h, S)[1][1:, :1]
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_overflow_raises_numeric_error(self, scalar_cf):
+        # B S B' near 1e308: the compiled exponential returns NaN without a
+        # floating-point warning, which the sampler refused as an input
+        # ("contains non-finite entries", exit 2)
+        cf = dataclasses.replace(scalar_cf, B2=[[0.0, 1e154]])
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="overflows float64"):
+            van_loan(cf, 1.0, cf.levy.sigma_L)
 
 
 class TestCovContinuous:
