@@ -67,11 +67,11 @@ def solve_steady_state(sm: SampledModel, cf: CointCanonicalForm,
     with ``F = e^{Ah}``, ``G = F omega C'`` and ``S = C omega C'``.
 
     Solved by ``scipy.linalg.solve_discrete_are`` with zero measurement
-    covariance; an invalid operation in the solver raises `ConvergenceError`.
-    The innovation covariance S is certified positive definite by its
-    eigenvalues and then applied through the one LU solve that gives the
-    gain ``G S^{-1}``; the solution is verified against the Riccati residual
-    and closed-loop stability.
+    covariance; an invalid operation in the solver warns, and a non-finite
+    answer fails the residual bound (`ConvergenceError`). The innovation
+    covariance S is certified positive definite by its eigenvalues and then
+    applied through the one LU solve that gives the gain ``G S^{-1}``; the
+    solution is verified against the Riccati residual and closed-loop stability.
     """
     C = cf.full_C()
     eAh = np.asarray(sm.eAh)

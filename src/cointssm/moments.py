@@ -63,7 +63,7 @@ def van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarra
     ``e^{At} = F22'`` and the integral to ``t`` as ``F22' F12`` for
     ``t = h / 2^k``, and k doublings ``sigma(2t) = sigma(t) + e^{At} sigma(t) e^{A't}``
     carry both to h. The unit-root block of ``e^{Ah}`` is ``I_c`` exactly.
-    Either one not finite (``expm`` overflows to NaN silently) raises `NumericError`.
+    Either one not finite (``expm`` or ``B S B' t`` overflows) raises `NumericError`.
     """
     c, N = cf.c, cf.N
     A2 = np.asarray(cf.A2)
@@ -79,7 +79,8 @@ def van_loan(cf: CointCanonicalForm, h: float, S: np.ndarray) -> tuple[np.ndarra
     blk[c:N, c:N] = -A2
     blk[:N, N:] = B @ S @ B.T
     blk[N + c:, N + c:] = A2.T
-    F = matops.expm(blk * t)
+    blk *= t  # a non-finite B S B' t gives a NaN F, as expm's silent overflow does
+    F = matops.expm(blk) if np.all(np.isfinite(blk)) else np.full_like(blk, np.nan)
     eAh = np.eye(N)
     eAh[c:, c:] = F[N + c:, N + c:].T
     sigma = eAh @ F[:N, N:]

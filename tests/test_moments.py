@@ -112,11 +112,13 @@ class TestVanLoan:
         out = van_loan(partial_cf, h, S)[1][1:, :1]
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_overflow_raises_numeric_error(self, scalar_cf):
+    @pytest.mark.parametrize("field,value", [("B2", [[0.0, 1e154]]), ("B1", [[1e200, 0.0]])])
+    def test_overflow_raises_numeric_error(self, scalar_cf, field, value):
         # B S B' near 1e308: the compiled exponential returns NaN without a
         # floating-point warning, which the sampler refused as an input
-        # ("contains non-finite entries", exit 2)
-        cf = dataclasses.replace(scalar_cf, B2=[[0.0, 1e154]])
+        # ("contains non-finite entries", exit 2); past 1e308 it reached the
+        # exponential's input check as infinity (the same refusal)
+        cf = dataclasses.replace(scalar_cf, **{field: value})
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="overflows float64"):
             van_loan(cf, 1.0, cf.levy.sigma_L)
 
