@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-import helpers
+import zoo
 from cointssm import discretize, solve_steady_state
 
 
 @pytest.fixture(scope="session")
 def scalar_cf():
-    return helpers.scalar_fixture()
+    return zoo.scalar()
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def scalar_ks(scalar_sm, scalar_cf):
 
 @pytest.fixture(scope="session")
 def partial_cf():
-    return helpers.partial_fixture()
+    return zoo.partial()
 
 
 @pytest.fixture(scope="session")

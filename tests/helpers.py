@@ -1,4 +1,5 @@
-"""Shared test utilities: random model generators, independent oracles."""
+"""Shared test utilities: independent oracles and measurement helpers. The
+models live in `zoo`."""
 
 from __future__ import annotations
 
@@ -7,169 +8,8 @@ import tracemalloc
 import numpy as np
 import scipy.linalg as sla
 
-from cointssm import (
-    CointCanonicalForm,
-    LevySpec,
-    McarmaModel,
-    StateSpaceModel,
-    assemble_from_canonical,
-    canonicalize,
-    check_cointegration,
-    matops,
-    mcarma_to_ss,
-    minimality_report,
-)
+from cointssm import McarmaModel, matops
 from cointssm.cointegration import signed_rank_factors
-from cointssm.realization import decoupled_minimality_check
-
-
-def brownian(m: int, sigma=None) -> LevySpec:
-    return LevySpec(kind="brownian", sigma_L=np.eye(m) if sigma is None else np.asarray(sigma))
-
-
-def scalar_fixture() -> CointCanonicalForm:
-    """The d=2, N=2, fully observed unit-root/OU pair used across the suite."""
-    return CointCanonicalForm(
-        c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
-        C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=brownian(2),
-    )
-
-
-def partial_fixture() -> CointCanonicalForm:
-    """d=2, N=3 partially observed cointegrated model (nontrivial closed loop)."""
-    return CointCanonicalForm(
-        c=1, A2=[[-1.0, 0.4], [0.0, -2.0]], B1=[[1.0, 0.2]],
-        B2=[[0.3, 1.0], [-0.4, 0.5]],
-        C1=[[1.0], [0.0]], C2=[[0.5, -0.2], [1.0, 0.4]],
-        levy=LevySpec(kind="brownian", sigma_L=[[1.0, 0.2], [0.2, 1.5]]),
-    )
-
-
-def slow_fixture() -> CointCanonicalForm:
-    """A random (d, c, n2) = (4, 2, 6) model whose closed-loop spectral radius
-    is about 0.988 at h = 0.1 and 0.9988 at h = 0.01: 200 lags of its
-    error-correction filter leave a tail of order one."""
-    return random_canonical(np.random.default_rng(3), d=4, c=2, n2=6, m=4)
-
-
-#: A cointegrated MCARMA(3, 1) model with a non-normal sampled closed loop:
-#: the seventh draw of ``perfbench.models.random_coint_mcarma`` from
-#: ``np.random.default_rng(11)``, after six draws at (d, c, p) = (2, 1, 2).
-MCARMA31_P = (
-    [[3.3758727083942963, 0.10805785044989423], [3.02449226107339, 2.9453179640099223]],
-    [[2.9863505907278802, 0.10841439340735695], [3.034471743462651, 2.5543752067391345]],
-    [[0.19627253485827742, -0.05361244070767845], [-1.5005889099452117, 0.4098904312777548]],
-)
-MCARMA31_Q = (
-    [[-0.07228295450292373, 0.22534578702721786], [1.084475594643844, 0.5778638956158266]],
-    [[0.22743301996147597, 0.49161341546058857], [1.2828943558712116, 0.7995457481224375]],
-)
-
-
-def mcarma31_fixture() -> CointCanonicalForm:
-    """The canonical form of the `MCARMA31_P`, `MCARMA31_Q` model with a
-    standard Brownian driver; relative degree 3, so CB = CAB = 0, and its
-    sampled closed loop has norm about 33, 360 and 3,650 at h = 0.1, 0.01
-    and 0.001."""
-    mc = McarmaModel(p_coeffs=MCARMA31_P, q_coeffs=MCARMA31_Q, levy=brownian(2))
-    return canonicalize(mcarma_to_ss(mc))[0]
-
-
-def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
-    G = rng.normal(size=(n, n))
-    return G @ G.T + n * np.eye(n)
-
-
-def random_hurwitz(rng: np.random.Generator, n: int,
-                   margin_lo: float = 0.3, margin_hi: float = 1.2) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0))
-    M = rng.normal(size=(n, n))
-    shift = float(np.max(np.linalg.eigvals(M).real)) + rng.uniform(margin_lo, margin_hi)
-    return M - shift * np.eye(n)
-
-
-def random_canonical(rng: np.random.Generator, d: int, c: int, n2: int,
-                     m: int, max_tries: int = 50) -> CointCanonicalForm:
-    """Random valid canonical-form model, minimal with full-row-rank C."""
-    assert c < d <= c + n2 and m >= c
-    for _ in range(max_tries):
-        C1 = matops.positive_lower_triangularize(rng.normal(size=(d, c)))[0] if c else np.zeros((d, 0))
-        cf = CointCanonicalForm(
-            c=c,
-            A2=random_hurwitz(rng, n2),
-            B1=rng.normal(size=(c, m)),
-            B2=rng.normal(size=(n2, m)),
-            C1=C1,
-            C2=rng.normal(size=(d, n2)),
-            levy=brownian(m),
-        )
-        full_rank_c = matops.numerical_rank(cf.full_C()).rank == d
-        if decoupled_minimality_check(cf).is_minimal and full_rank_c:
-            return cf
-    raise RuntimeError("could not draw a minimal random canonical model")
-
-
-def conjugate(m: StateSpaceModel, T: np.ndarray) -> StateSpaceModel:
-    Ti = np.linalg.inv(T)
-    return StateSpaceModel(A=T @ m.A @ Ti, B=T @ m.B, C=m.C @ Ti, levy=m.levy)
-
-
-def random_conjugated_model(rng: np.random.Generator, d: int, c: int, n2: int,
-                            m: int) -> tuple[StateSpaceModel, CointCanonicalForm]:
-    cf = random_canonical(rng, d, c, n2, m)
-    base = assemble_from_canonical(cf)
-    while True:
-        T = rng.normal(size=(base.N, base.N))
-        if np.linalg.cond(T) < 100.0:
-            break
-    return conjugate(base, T), cf
-
-
-def random_mcarma(rng: np.random.Generator, d: int, p: int, q: int, m: int) -> McarmaModel:
-    """Unstructured random coefficients; for algebra-only round trips."""
-    P = tuple(rng.normal(size=(d, d)) for _ in range(p))
-    Q = tuple(rng.normal(size=(d, m)) for _ in range(q + 1))
-    return McarmaModel(p_coeffs=P, q_coeffs=Q, levy=brownian(m))
-
-
-def _poly_from_roots(roots) -> np.ndarray:
-    coeffs = np.array([1.0])
-    for r in roots:
-        coeffs = np.convolve(coeffs, np.array([1.0, -r]))
-    return coeffs  # z^deg .. z^0
-
-
-def random_coint_mcarma(rng: np.random.Generator, d: int, c: int, p: int, q: int,
-                        m: int, max_tries: int = 80) -> McarmaModel:
-    """Random cointegrated MCARMA model: P(z) = T diag(p_i(z)) T^{-1} where
-    c scalar factors carry one zero root each and the rest are stable, so
-    det P has exactly c zero roots and the zero eigenvalue of the companion
-    matrix is automatically semisimple.
-    """
-    assert 0 < c < d and q < p and m >= c
-    for _ in range(max_tries):
-        polys = []
-        for i in range(d):
-            stable = list(rng.uniform(-2.4, -0.4, size=p - 1 if i < c else p))
-            roots = ([0.0] + stable) if i < c else stable
-            polys.append(_poly_from_roots(roots))
-        while True:
-            T = rng.normal(size=(d, d))
-            if np.linalg.cond(T) < 50.0:
-                break
-        Ti = np.linalg.inv(T)
-        P = []
-        for k in range(1, p + 1):  # coefficient of z^{p-k} is P_k
-            Dk = np.diag([polys[i][k] for i in range(d)])
-            P.append(T @ Dk @ Ti)
-        Q = tuple(rng.normal(size=(d, m)) for _ in range(q + 1))
-        model = McarmaModel(p_coeffs=tuple(P), q_coeffs=Q, levy=brownian(m))
-        if not check_cointegration(model).is_cointegrated:
-            continue
-        if minimality_report(mcarma_to_ss(model)).is_minimal:
-            return model
-    raise RuntimeError("could not draw a minimal cointegrated MCARMA model")
 
 
 def max_principal_angle(U: np.ndarray, V: np.ndarray) -> float:

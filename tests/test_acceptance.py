@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
+import zoo
 from cointssm import (
     assemble_from_canonical,
     canonicalize,
@@ -34,7 +35,6 @@ from cointssm import (
     whiteness_diagnostic,
 )
 from cointssm.cli import main
-from cointssm.model import CointCanonicalForm, LevySpec
 
 PROBES = (2.0, 1.0 + 1.0j, -3.0)
 
@@ -58,7 +58,7 @@ def coint_mcarma_batch():
         p = int(rng.integers(1, 3))
         q = int(rng.integers(0, p))
         try:
-            m = helpers.random_coint_mcarma(rng, d=d, c=c, p=p, q=q, m=d)
+            m = zoo.random_coint_mcarma(rng, d=d, c=c, p=p, q=q, m=d)
         except RuntimeError:
             continue
         cf, _ = canonicalize(mcarma_to_ss(m))
@@ -75,7 +75,7 @@ def test_criterion_01_canonical_form_uniqueness():
         n2 = int(rng.integers(max(1, d - c), 8 - c + 1))
         m = int(rng.integers(c, 5))
         try:
-            model, _ = helpers.random_conjugated_model(rng, d, c, n2, m)
+            model, _ = zoo.random_conjugated_model(rng, d, c, n2, m)
         except RuntimeError:
             continue
         cf_direct, _ = canonicalize(model)
@@ -83,7 +83,7 @@ def test_criterion_01_canonical_form_uniqueness():
             T = rng.normal(size=(model.N, model.N))
             if np.linalg.cond(T) < 100.0:
                 break
-        cf_conj, _ = canonicalize(helpers.conjugate(model, T))
+        cf_conj, _ = canonicalize(zoo.conjugate(model, T))
         for name in ("A2", "B1", "B2", "C1", "C2"):
             assert np.allclose(getattr(cf_direct, name), getattr(cf_conj, name),
                                atol=1e-8), f"{name} differs on model {count}"
@@ -103,7 +103,7 @@ def test_criterion_02_mcarma_round_trip():
         p = int(rng.integers(1, 4))
         q = int(rng.integers(0, p))
         m = int(rng.integers(1, 4))
-        mc = helpers.random_mcarma(rng, d=d, p=p, q=q, m=m)
+        mc = zoo.random_mcarma(rng, d=d, p=p, q=q, m=m)
         back = ss_to_mcarma(mcarma_to_ss(mc))
         assert back.p == p and back.q == q
         for Pi, Pj in zip(mc.p_coeffs, back.p_coeffs):
@@ -220,7 +220,7 @@ def test_criterion_08_ecf_equivalence(scalar_cf, scalar_sm, scalar_ks):
 
     rng = np.random.default_rng(808)
     for trial in range(5):
-        cf = helpers.random_canonical(rng, d=2, c=1, n2=2, m=2)
+        cf = zoo.random_canonical(rng, d=2, c=1, n2=2, m=2)
         sm = discretize(cf, 0.5)
         ks = solve_steady_state(sm, cf)
         ps = simulate_exact_full(sm, cf, 3000, seed=trial)
@@ -257,10 +257,7 @@ def test_criterion_09_coefficient_identities(partial_ks, partial_sm):
 
 
 def test_criterion_10_compound_poisson_driver():
-    levy = LevySpec(kind="compound_poisson_gaussian_jumps", sigma_L=np.eye(2),
-                    jump_rate=2.0, jump_cov=0.5 * np.eye(2))
-    cf = CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
-                            C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
+    cf = zoo.scalar(zoo.pure_jump())
     sm = discretize(cf, 1.0)
     ps = simulate_exact_full(sm, cf, 1_000_001, seed=1010)
     R = helpers.step_noise(ps, sm.eA2h)
@@ -278,18 +275,7 @@ def test_criterion_10_compound_poisson_driver():
 
 
 def test_criterion_11_cli_determinism(tmp_path, capsys):
-    doc = {
-        "schema_version": "1",
-        "model_kind": "canonical",
-        "c": 1,
-        "A2": [[-1.0, 0.4], [0.0, -2.0]],
-        "B1": [[1.0, 0.2]],
-        "B2": [[0.3, 1.0], [-0.4, 0.5]],
-        "C1": [[1.0], [0.0]],
-        "C2": [[0.5, -0.2], [1.0, 0.4]],
-        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.2], [0.2, 1.5]]},
-        "sampling": {"h": 0.5, "n_steps": 1500, "seed": 64},
-    }
+    doc = zoo.doc(zoo.partial(), {"h": 0.5, "n_steps": 1500, "seed": 64})
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(doc))
     outputs = {}

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import helpers
+import zoo
 from cointssm import canonicalize, cli, discretize, matops, simulate, simulate_exact_full
 from cointssm.cli import _read_path_csv, _write_csv, build_parser, main
 from cointssm.errors import MinimalityError, NumericError
-from cointssm.modeldoc import canonical_to_doc, dump_json, parse_document
+from cointssm.modeldoc import dump_json, levy_to_doc, parse_document
+from zoo import mcar1_doc, partial_doc, scalar_doc, weak_b1_doc, weak_input_doc
 
 
 def write_json(path, doc):
@@ -32,102 +33,12 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def scalar_doc(**sampling):
-    return {
-        "schema_version": "1",
-        "model_kind": "canonical",
-        "c": 1,
-        "A2": [[-1.0]],
-        "B1": [[1.0, 0.0]],
-        "B2": [[0.0, 1.0]],
-        "C1": [[1.0], [0.0]],
-        "C2": [[0.0], [1.0]],
-        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.0], [0.0, 1.0]]},
-        "sampling": {"h": 1.0, "n_steps": 400, "seed": 11, **sampling},
-    }
-
-
 def mixed_levy() -> dict:
-    """A Brownian-plus-jump driver with a unit Brownian component."""
-    return {"kind": "brownian_plus_compound_poisson", "sigma_L": [[2.0, 0.0], [0.0, 2.0]],
-            "jump_rate": 2.0, "jump_cov": [[0.5, 0.0], [0.0, 0.5]]}
-
-
-def partial_doc():
-    return {
-        "schema_version": "1",
-        "model_kind": "canonical",
-        "c": 1,
-        "A2": [[-1.0, 0.4], [0.0, -2.0]],
-        "B1": [[1.0, 0.2]],
-        "B2": [[0.3, 1.0], [-0.4, 0.5]],
-        "C1": [[1.0], [0.0]],
-        "C2": [[0.5, -0.2], [1.0, 0.4]],
-        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.2], [0.2, 1.5]]},
-        "sampling": {"h": 0.5, "n_steps": 3000, "seed": 40},
-    }
-
-
-def weak_input_doc():
-    """Minimal at the default rank tolerance, not minimal at 1e-3: the
-    stationary state is driven with weight 1e-5."""
-    return {
-        "schema_version": "1",
-        "model_kind": "state_space",
-        "A": [[0.0, 0.0], [0.0, -1.0]],
-        "B": [[1.0, 0.0], [0.0, 1e-5]],
-        "C": [[1.0, 0.0], [0.0, 1.0]],
-        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.0], [0.0, 1.0]]},
-    }
-
-
-def weak_b1_doc():
-    """A = diag(0, 0, -1) with a unit-root input of weight 1e-10 in its
-    second direction: minimal, with c = 2, only at rank tolerances below
-    about 3.6e-11."""
-    return {
-        "schema_version": "1",
-        "model_kind": "state_space",
-        "A": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
-        "B": [[1.0, 0.0], [0.0, 1e-10], [1.0, 1.0]],
-        "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.0], [0.0, 1.0]]},
-    }
-
-
-def mcar1_doc():
-    return {
-        "schema_version": "1",
-        "model_kind": "mcarma",
-        "p_coeffs": [[[1.0, 0.0], [0.0, 0.0]]],
-        "q_coeffs": [[[1.0, 0.0], [0.0, 1.0]]],
-        "levy": {"kind": "brownian", "sigma_L": [[1.0, 0.0], [0.0, 1.0]]},
-        "sampling": {"h": 1.0, "n_steps": 200, "seed": 3},
-    }
-
-
-def mcar1_band_doc(eps):
-    """MCAR(1) with P_1 = diag(1, eps): c = 1 at rank tolerances above eps."""
-    return mcar1_doc() | {"p_coeffs": [[[1.0, 0.0], [0.0, eps]]]}
+    return levy_to_doc(zoo.mixed())
 
 
 def pure_jump_levy() -> dict:
-    """A compound-Poisson driver with Gaussian jumps and no Brownian part."""
-    return {"kind": "compound_poisson_gaussian_jumps", "sigma_L": [[1.0, 0.0], [0.0, 1.0]],
-            "jump_rate": 2.0, "jump_cov": [[0.5, 0.0], [0.0, 0.5]]}
-
-
-def jordan_doc():
-    eye = np.eye(3).tolist()
-    return {"schema_version": "1", "model_kind": "state_space",
-            "A": [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]], "B": eye, "C": eye,
-            "levy": {"kind": "brownian", "sigma_L": eye}}
-
-
-def stationary_doc():
-    return {"schema_version": "1", "model_kind": "canonical", "c": 0, "A2": [[-1.0]],
-            "B1": [], "B2": [[1.0]], "C1": [[]], "C2": [[1.0]],
-            "levy": {"kind": "brownian", "sigma_L": [[1.0]]}, "sampling": {"h": 1.0}}
+    return levy_to_doc(zoo.pure_jump())
 
 
 def edited(doc, block, field, value):
@@ -351,7 +262,7 @@ CONTRACT_ROWS = [
           f"analyze-{field}={value!r:.12}")
       for field, value in [("p_coeffs", [[["1", 0.0], [0.0, 0.0]]]),
                            ("q_coeffs", [[[True, 0.0], [0.0, 1.0]]]), ("p_coeffs", 1.0)]),
-    row(files(jordan_doc()), ["analyze", M], 3, "not a semisimple zero eigenvalue",
+    row(files(zoo.doc(zoo.jordan())), ["analyze", M], 3, "not a semisimple zero eigenvalue",
         "analyze-jordan_block"),
     row(files(edited(mcar1_doc(), None, "p_coeffs", [[[1.0, 0.0], [0.0, 2.0]]])),
         WRITING["analyze"], 2, "error: --moments needs a model with a canonical form",
@@ -360,8 +271,8 @@ CONTRACT_ROWS = [
     *(row(files(partial_doc() | {"sampling": sampling}), ["ecf", M], 2, "field 'sampling'",
           f"ecf-sampling={sampling!r}")
       for sampling in ([], 0, False, "")),
-    row(files(stationary_doc()), ["ecf", M], 3, "factorization needs a cointegrated model",
-        "ecf-stationary_model"),
+    row(files(zoo.doc(zoo.stationary(), {"h": 1.0})), ["ecf", M], 3,
+        "factorization needs a cointegrated model", "ecf-stationary_model"),
     row(files(partial_doc() | {"C1": [[1.0], [0.0], [0.0]],
                                "C2": [[0.5, -0.2], [1.0, 0.4], [0.0, 1.0]]}, P50),
         WRITING["filter"], 2, "path has 2 observation columns, model has d=3",
@@ -752,8 +663,7 @@ class TestEcfCommand:
 
     def test_residual_gap_is_exact_at_small_step(self, tmp_path, capsys):
         # the 200-lag truncated filter printed 0.45 here, max|eps| being 6.7
-        doc = canonical_to_doc(helpers.slow_fixture())
-        doc["sampling"] = {"h": 0.1, "n_steps": 1500, "seed": 62}
+        doc = zoo.doc(zoo.slow(), {"h": 0.1, "n_steps": 1500, "seed": 62})
         cfg = write_json(tmp_path / "model.json", doc)
         csv = tmp_path / "path.csv"
         assert main(["simulate", cfg, "-o", str(csv)]) == 0
@@ -861,18 +771,36 @@ class TestPathCsvValidation:
         run_cli(["simulate", bad, "-o", str(tmp_path / "again.csv")], tmp_path, 2)
 
 
+#: eps of the `zoo.band` families, where the companion's smallest singular
+#: value crosses the default rank tolerance
+BAND = (1e-10, 2e-9, 5e-9, 1.5e-8, 5e-8, 1.5e-7, 1e-6)
+RANK_TOLS = ("1e-12", "1e-9", "1e-6", "1e-3")
+
+
+def band_doc(family, eps, kind):
+    """A `zoo.band` model as an MCARMA document or a conjugated state-space one."""
+    return zoo.doc(zoo.band(family, eps) if kind == "mcarma" else zoo.band_conjugated(family, eps))
+
+
+#: name: (document, the --rank-tol values it runs at, "default" for none)
+UNIT_ROOT_DOCS = {
+    **{f"{family}_{kind}_{eps:g}": (functools.partial(band_doc, family, eps, kind),
+                                    ("default", "1e-6"))
+       for family in ("mcarma21", "mcar1") for eps in BAND for kind in ("mcarma", "state_space")},
+    **{f"mcar1_{eps:.0e}": (functools.partial(mcar1_doc, eps), RANK_TOLS)
+       for eps in (1e-8, 5e-8, 1e-7)},
+    "weak_input": (weak_input_doc, RANK_TOLS),
+    "weak_b1": (weak_b1_doc, RANK_TOLS),
+}
+
+
 class TestOneUnitRootCount:
     """`analyze`, `canonicalize` and `ecf` each decide c at ``--rank-tol``:
     any of them may refuse a model (exit 2 or 3, one ``error:`` line), but
-    no two that accept it report different c."""
+    no two that accept it report different c. The zero roots and their
+    number c = N - rank(A) are one decision (`matops.unit_roots`) that
+    condition (b)'s r, condition (a)'s zero roots and `canonicalize` read."""
 
-    DOCS = {
-        "mcar1_1e-08": lambda: mcar1_band_doc(1e-8),
-        "mcar1_5e-08": lambda: mcar1_band_doc(5e-8),
-        "mcar1_1e-07": lambda: mcar1_band_doc(1e-7),
-        "weak_input": weak_input_doc,
-        "weak_b1": weak_b1_doc,
-    }
     # each was refused by every command: the zero tolerance stayed at
     # 1e-8 (1 + ||A||) whatever --rank-tol, and the canonical form decided
     # B1's rank again at the fixed 1e-9 (exit 2). ecf refuses weak_b1 at
@@ -883,27 +811,36 @@ class TestOneUnitRootCount:
         ("weak_b1", "1e-12"): {"analyze": 2, "canonicalize": 2},
     }
 
-    @staticmethod
-    def _c(command: str, out: dict, d: int) -> int:
-        if command == "ecf":
-            return d - out["r"]
-        # analyze reports a model without a canonical form by its r = d - c
-        return out["c"] if "c" in out else d - out["cointegration"]["r"]
-
-    @pytest.mark.parametrize("rank_tol", ["1e-12", "1e-9", "1e-6", "1e-3"])
-    @pytest.mark.parametrize("name", list(DOCS))
+    @pytest.mark.parametrize("name,rank_tol", [
+        pytest.param(name, tol, id=f"{name}-{tol}")
+        for name, (_, tols) in UNIT_ROOT_DOCS.items() for tol in tols])
     def test_commands_that_accept_agree_on_c(self, tmp_path, name, rank_tol):
-        doc = self.DOCS[name]()
+        doc = UNIT_ROOT_DOCS[name][0]()
         d = len(doc["C"] if "C" in doc else doc["p_coeffs"][0])
         cfg = write_json(tmp_path / "model.json", doc)
-        counts = {}
+        tol = [] if rank_tol == "default" else ["--rank-tol", rank_tol]
+        out = {}
         for command in ("analyze", "canonicalize", "ecf"):
-            code, out = run_cli([command, cfg, "--rank-tol", rank_tol], tmp_path)
+            code, text = run_cli([command, cfg, *tol], tmp_path)
             if code == 0:
-                counts[command] = self._c(command, strict_json(out), d)
-        assert len(set(counts.values())) <= 1, counts
+                out[command] = strict_json(text)
+        # (command, c) for each count reported; analyze reports an MCARMA
+        # model's r = d - c, and c when it has a canonical form
+        report = out.get("analyze", {}).get("cointegration", {})
+        implied = [(command, out[command]["c"]) for command in ("analyze", "canonicalize")
+                   if "c" in out.get(command, {})]
+        if report:
+            implied.append(("analyze", d - report["r"]))
+        if "ecf" in out:
+            implied.append(("ecf", d - out["ecf"]["r"]))
+        assert len({c for _, c in implied}) <= 1, implied
         if (name, rank_tol) in self.MUST_ACCEPT:
-            assert counts == self.MUST_ACCEPT[name, rank_tol]
+            assert dict(implied) == self.MUST_ACCEPT[name, rank_tol]
+        if doc["model_kind"] == "mcarma":
+            assert report.get("is_cointegrated", False) == ("ecf" in out), (report, out)
+            # the companion realization has no Jordan block at zero, so
+            # canonicalize accepts exactly the models whose roots pass (a)
+            assert report.get("condition_a", False) == ("canonicalize" in out), (report, out)
 
 
 class TestCanonicalDocumentClosure:
@@ -915,7 +852,7 @@ class TestCanonicalDocumentClosure:
 
     DOCS = {"scalar": scalar_doc, "partial": partial_doc, "weak_input": weak_input_doc,
             "weak_b1": weak_b1_doc, "mcar1": mcar1_doc,
-            "mcar1_5e-08": lambda: mcar1_band_doc(5e-8)}
+            "mcar1_5e-08": lambda: mcar1_doc(5e-8)}
     # canonicalize refuses these sources (exit 3, not minimal at t)
     NOT_MINIMAL = {("weak_input", "1e-3"), ("weak_b1", "1e-9"), ("weak_b1", "1e-6"),
                    ("weak_b1", "1e-3")}

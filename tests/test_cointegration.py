@@ -1,11 +1,8 @@
-import contextlib
-import io
-import json
-
 import numpy as np
 import pytest
 
 import helpers
+import zoo
 from cointssm import (
     McarmaModel,
     canonicalize,
@@ -17,18 +14,12 @@ from cointssm import (
     mcarma_to_ss,
     pstar_polynomial,
 )
-from cointssm.cli import main
 from cointssm.errors import CointegrationRankError, MultiplicityError, ValidationError
-
-
-def _mcar1(P1, m=2):
-    return McarmaModel(p_coeffs=(np.asarray(P1, dtype=float),),
-                       q_coeffs=(np.eye(2, m),), levy=helpers.brownian(m))
 
 
 class TestCheckCointegration:
     def test_worked_example(self):
-        report = check_cointegration(_mcar1([[1.0, 0.0], [0.0, 0.0]]))
+        report = check_cointegration(zoo.mcar1())
         assert report.condition_a and report.condition_b and report.condition_c
         assert report.is_cointegrated
         assert report.r == 1
@@ -36,14 +27,14 @@ class TestCheckCointegration:
         assert np.allclose(report.alpha @ report.beta.T, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
     def test_rank_zero_is_integrated_not_cointegrated(self):
-        report = check_cointegration(_mcar1(np.zeros((2, 2))))
+        report = check_cointegration(zoo.mcar1(np.zeros((2, 2))))
         assert report.r == 0
         assert not report.condition_b
         assert not report.is_cointegrated
         assert report.alpha is None and report.beta is None
 
     def test_full_rank_is_stationary(self):
-        report = check_cointegration(_mcar1(np.eye(2)))
+        report = check_cointegration(zoo.mcar1(np.eye(2)))
         assert report.r == 2
         assert report.condition_a  # both roots at -1
         assert not report.condition_b
@@ -57,12 +48,12 @@ class TestCheckCointegration:
     def test_unit_roots_beyond_d_raise(self, p_coeffs):
         # the companion's identity blocks fall under the tolerance of a huge P_p
         # or P_1: c = 3 or 4 zero roots of det P, more than d = 2 can have
-        m = McarmaModel(p_coeffs=p_coeffs, q_coeffs=(np.eye(2),), levy=helpers.brownian(2))
+        m = McarmaModel(p_coeffs=p_coeffs, q_coeffs=(np.eye(2),), levy=zoo.brownian(2))
         with pytest.raises(CointegrationRankError, match="more than d=2"):
             check_cointegration(m)
 
     def test_unstable_root_flagged(self):
-        report = check_cointegration(_mcar1([[-1.0, 0.0], [0.0, 0.0]]))
+        report = check_cointegration(zoo.mcar1([[-1.0, 0.0], [0.0, 0.0]]))
         assert not report.condition_a
         assert len(report.offending_roots) == 1
         assert report.offending_roots[0].real > 0
@@ -72,14 +63,14 @@ class TestCheckCointegration:
         # but P_{p-1} vanishing on the complement breaks (c)
         P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
         P2 = np.zeros((2, 2))
-        m = McarmaModel(p_coeffs=(P1, P2), q_coeffs=(np.eye(2),), levy=helpers.brownian(2))
+        m = McarmaModel(p_coeffs=(P1, P2), q_coeffs=(np.eye(2),), levy=zoo.brownian(2))
         report = check_cointegration(m)
         assert report.r == 0 or not report.condition_c
         assert not report.is_cointegrated
 
     def test_alpha_beta_reconstruction_bound(self, rng):
         for _ in range(8):
-            m = helpers.random_coint_mcarma(rng, d=3, c=1, p=2, q=1, m=3)
+            m = zoo.random_coint_mcarma(rng, d=3, c=1, p=2, q=1, m=3)
             report = check_cointegration(m)
             Pp = np.asarray(m.p_coeffs[-1])
             assert np.linalg.norm(report.alpha @ report.beta.T - Pp) <= \
@@ -88,7 +79,7 @@ class TestCheckCointegration:
 
     def test_one_svd_per_matrix(self, rng, monkeypatch):
         # P_p gives alpha, beta and both complements from one decomposition
-        m = helpers.random_coint_mcarma(rng, d=3, c=1, p=2, q=1, m=3)
+        m = zoo.random_coint_mcarma(rng, d=3, c=1, p=2, q=1, m=3)
         want = check_cointegration(m)
         seen = helpers.count_svds(monkeypatch)
         got = check_cointegration(m)
@@ -97,7 +88,7 @@ class TestCheckCointegration:
         assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.beta, want.beta)
 
     def test_deterministic_reports(self, rng):
-        m = helpers.random_coint_mcarma(rng, d=2, c=1, p=2, q=0, m=2)
+        m = zoo.random_coint_mcarma(rng, d=2, c=1, p=2, q=0, m=2)
         r1 = check_cointegration(m)
         r2 = check_cointegration(m)
         assert np.array_equal(r1.alpha, r2.alpha)
@@ -106,7 +97,7 @@ class TestCheckCointegration:
 
     def test_beta_first_nonzero_entry_positive(self, rng):
         for _ in range(5):
-            m = helpers.random_coint_mcarma(rng, d=3, c=2, p=2, q=1, m=3)
+            m = zoo.random_coint_mcarma(rng, d=3, c=2, p=2, q=1, m=3)
             report = check_cointegration(m)
             for j in range(report.beta.shape[1]):
                 col = report.beta[:, j]
@@ -128,49 +119,49 @@ class TestTransversalityOracle:
 
     def test_rank_zero(self):
         # P(z) = z I: both complements are all of R^2 and P_{p-1} = I
-        report = self._check(_mcar1(np.zeros((2, 2))))
+        report = self._check(zoo.mcar1(np.zeros((2, 2))))
         assert report.r == 0 and report.transversality_rank == 2 and report.condition_c
 
     def test_full_rank(self):
-        report = self._check(_mcar1(np.eye(2)))
+        report = self._check(zoo.mcar1(np.eye(2)))
         assert report.r == 2 and report.transversality_rank == 0 and report.condition_c
 
     def test_condition_c_failure_model(self):
         # the model of TestCheckCointegration::test_condition_c_failure (r = 0)
         P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
         m = McarmaModel(p_coeffs=(P1, np.zeros((2, 2))), q_coeffs=(np.eye(2),),
-                        levy=helpers.brownian(2))
+                        levy=zoo.brownian(2))
         report = self._check(m)
         assert report.r == 0 and report.transversality_rank == 1 and not report.condition_c
 
     def test_reduced_rank_failure(self):
         # P(z) = diag(z^2 + z + 1, z^2): r = 1, and P_1 vanishes on both complements
         P = np.diag([1.0, 0.0])
-        m = McarmaModel(p_coeffs=(P, P), q_coeffs=(np.eye(2),), levy=helpers.brownian(2))
+        m = McarmaModel(p_coeffs=(P, P), q_coeffs=(np.eye(2),), levy=zoo.brownian(2))
         report = self._check(m)
         assert report.r == 1 and report.transversality_rank == 0 and not report.condition_c
 
     def test_random_cointegrated(self, rng):
         for d, c in ((2, 1), (3, 1), (3, 2), (4, 2)):
             for _ in range(2):
-                m = helpers.random_coint_mcarma(rng, d=d, c=c, p=2, q=1, m=d)
+                m = zoo.random_coint_mcarma(rng, d=d, c=c, p=2, q=1, m=d)
                 report = self._check(m)
                 assert report.condition_c and report.transversality_rank == c
 
 
 class TestPstar:
     def test_coefficient_shift(self, rng):
-        m = helpers.random_mcarma(rng, d=2, p=2, q=0, m=2)
+        m = zoo.random_mcarma(rng, d=2, p=2, q=0, m=2)
         star = pstar_polynomial(m)
         assert np.array_equal(star[0], np.eye(2))
         assert np.array_equal(star[1], m.p_coeffs[0])
 
     def test_first_order_reduces_to_identity(self):
-        star = pstar_polynomial(_mcar1(np.eye(2)))
+        star = pstar_polynomial(zoo.mcar1(np.eye(2)))
         assert len(star) == 1 and np.array_equal(star[0], np.eye(2))
 
     def test_reconstruction_identity(self, rng):
-        m = helpers.random_mcarma(rng, d=2, p=3, q=1, m=2)
+        m = zoo.random_mcarma(rng, d=2, p=3, q=1, m=2)
         star = pstar_polynomial(m)
         rebuilt = star + [np.asarray(m.p_coeffs[-1])]  # z * P*(z) + P_p
         for got, want in zip(rebuilt, m.ar_poly()):
@@ -187,7 +178,7 @@ class TestCointegrationSpace:
         cf = CointCanonicalForm(
             c=2, A2=[[-1.0]], B1=np.eye(2, 3), B2=[[0.0, 0.0, 1.0]],
             C1=np.eye(3)[:, :2], C2=[[0.0], [0.0], [1.0]],
-            levy=helpers.brownian(3),
+            levy=zoo.brownian(3),
         )
         space = cointegration_space(cf)
         assert np.allclose(np.abs(space), [[0.0], [0.0], [1.0]])
@@ -195,7 +186,7 @@ class TestCointegrationSpace:
     def test_rejects_degenerate(self):
         from cointssm import CointCanonicalForm
         cf = CointCanonicalForm(c=0, A2=[[-1.0]], B1=np.zeros((0, 1)), B2=[[1.0]],
-                                C1=np.zeros((1, 0)), C2=[[1.0]], levy=helpers.brownian(1))
+                                C1=np.zeros((1, 0)), C2=[[1.0]], levy=zoo.brownian(1))
         with pytest.raises(ValidationError):
             cointegration_space(cf)
 
@@ -203,7 +194,7 @@ class TestCointegrationSpace:
         for _ in range(6):
             d = int(rng.integers(2, 7))
             c = int(rng.integers(1, d))
-            cf = helpers.random_canonical(rng, d=d, c=c, n2=d - c + int(rng.integers(0, 3)), m=d)
+            cf = zoo.random_canonical(rng, d=d, c=c, n2=d - c + int(rng.integers(0, 3)), m=d)
             C1 = np.asarray(cf.C1)
             space = cointegration_space(cf)
             assert np.linalg.norm(C1.T @ space) <= 1e-12
@@ -215,7 +206,7 @@ class TestCointegrationSpace:
 
     def test_beta_matches_canonical_complement(self, rng):
         for _ in range(5):
-            m = helpers.random_coint_mcarma(rng, d=2, c=1, p=2, q=1, m=2)
+            m = zoo.random_coint_mcarma(rng, d=2, c=1, p=2, q=1, m=2)
             report = check_cointegration(m)
             cf, _ = canonicalize(mcarma_to_ss(m))
             space = cointegration_space(cf)
@@ -226,7 +217,7 @@ class TestCointegrationSpace:
 class TestIntegratedConstructions:
     def _stationary_scalar(self):
         return McarmaModel(p_coeffs=([[2.0]],), q_coeffs=([[3.0]],),
-                           levy=helpers.brownian(1))
+                           levy=zoo.brownian(1))
 
     def test_integration_lift_coefficients(self):
         out = integrate_by_integration(self._stationary_scalar())
@@ -242,7 +233,7 @@ class TestIntegratedConstructions:
     def test_integration_lift_roots(self, rng):
         d = 2
         P = tuple(rng.normal(scale=0.3, size=(d, d)) + 1.5 * np.eye(d) for _ in range(1))
-        m = McarmaModel(p_coeffs=P, q_coeffs=(np.eye(d),), levy=helpers.brownian(d))
+        m = McarmaModel(p_coeffs=P, q_coeffs=(np.eye(d),), levy=zoo.brownian(d))
         base_roots = matops.poly_det_roots(m.ar_poly())
         assert np.max(base_roots.real) < 0
         out = integrate_by_integration(m)
@@ -252,11 +243,11 @@ class TestIntegratedConstructions:
 
     def test_integration_rejects_nonstationary(self):
         with pytest.raises(ValidationError):
-            integrate_by_integration(_mcar1([[1.0, 0.0], [0.0, 0.0]]))
+            integrate_by_integration(zoo.mcar1())
 
     def test_ma_lift(self):
         m = McarmaModel(p_coeffs=([[2.0]], [[1.0]]), q_coeffs=([[3.0]],),
-                        levy=helpers.brownian(1))
+                        levy=zoo.brownian(1))
         out = integrate_by_ma_lift(m)
         assert out.q == 1
         assert np.allclose(out.q_coeffs[0], [[3.0]])
@@ -274,91 +265,24 @@ class TestCrossModuleRankConsistency:
         for _ in range(8):
             d = int(rng.integers(2, 4))
             c = int(rng.integers(1, d))
-            m = helpers.random_coint_mcarma(rng, d=d, c=c, p=2, q=1, m=d)
+            m = zoo.random_coint_mcarma(rng, d=d, c=c, p=2, q=1, m=d)
             report = check_cointegration(m)
             cf, _ = canonicalize(mcarma_to_ss(m))
             assert cf.c == c
             assert report.r == d - cf.c
 
 
-#: The last entry of P_p in the two families below. The companion matrix's
-#: smallest singular value crosses the default rank tolerance inside this
-#: range, where the unit-root count c used to be decided three ways.
-BAND = (1e-10, 2e-9, 5e-9, 1.5e-8, 5e-8, 1.5e-7, 1e-6)
-
-
-def _band_model(family: str, eps: float) -> McarmaModel:
-    """MCARMA(2, 1) with P_1 = 3I, P_2 = diag(1, eps), or MCAR(1) with
-    P_1 = diag(1, eps); d = 2, Q = (I, I) or Q_0 = I, Brownian driver."""
-    I, Pp = np.eye(2), np.diag([1.0, eps])
-    if family == "mcarma21":
-        return McarmaModel(p_coeffs=(3.0 * I, Pp), q_coeffs=(I, I), levy=helpers.brownian(2))
-    return McarmaModel(p_coeffs=(Pp,), q_coeffs=(I,), levy=helpers.brownian(2))
-
-
-def _band_docs(family: str, eps: float) -> dict:
-    """The model as an MCARMA document and as a conjugated state-space one."""
-    mc = _band_model(family, eps)
-    levy = {"kind": "brownian", "sigma_L": np.eye(2).tolist()}
-    ss = mcarma_to_ss(mc)
-    T = np.eye(ss.N) + 0.3 * np.random.default_rng(5).standard_normal((ss.N, ss.N))
-    ss = helpers.conjugate(ss, T)
-    return {
-        "mcarma": {"schema_version": "1", "model_kind": "mcarma", "levy": levy,
-                   "p_coeffs": [P.tolist() for P in mc.p_coeffs],
-                   "q_coeffs": [Q.tolist() for Q in mc.q_coeffs]},
-        "state_space": {"schema_version": "1", "model_kind": "state_space", "levy": levy,
-                        "A": ss.A.tolist(), "B": ss.B.tolist(), "C": ss.C.tolist()},
-    }
-
-
-def _run(argv) -> tuple[int, dict | None]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, json.loads(out.getvalue()) if code == 0 else None
-
-
 class TestOneUnitRootCount:
     """The zero roots and their number c = N - rank(A) are one decision
-    (`matops.unit_roots`) that condition (b)'s r, condition (a)'s zero roots
-    and `canonicalize` read, with one stability threshold for the rest."""
-
-    @pytest.mark.parametrize("rank_tol", [[], ["--rank-tol", "1e-6"]])
-    @pytest.mark.parametrize("family", ["mcarma21", "mcar1"])
-    def test_commands_agree_on_c(self, tmp_path, family, rank_tol):
-        path = str(tmp_path / "model.json")
-        for eps in BAND:
-            for kind, doc in _band_docs(family, eps).items():
-                with open(path, "w") as fh:
-                    json.dump(doc, fh)
-                implied = set()
-                an_code, an = _run(["analyze", path, *rank_tol])
-                if an_code == 0:
-                    if "cointegration" in an:
-                        implied.add(2 - an["cointegration"]["r"])
-                    if "c" in an:
-                        implied.add(an["c"])
-                can_code, can = _run(["canonicalize", path, *rank_tol])
-                if can_code == 0:
-                    implied.add(can["c"])
-                ecf_code, ecf = _run(["ecf", path, *rank_tol])
-                if ecf_code == 0:
-                    implied.add(2 - ecf["r"])
-                assert len(implied) <= 1, (eps, kind, implied)
-                if kind == "mcarma":
-                    reported = an_code == 0 and an["cointegration"]["is_cointegrated"]
-                    assert reported == (ecf_code == 0), (eps, an_code, ecf_code)
-                    # the companion realization has no Jordan block at zero, so
-                    # canonicalize accepts exactly the models whose roots pass (a)
-                    stable = an_code == 0 and an["cointegration"]["condition_a"]
-                    assert stable == (can_code == 0), (eps, an_code, can_code)
+    (`matops.unit_roots`) that condition (b)'s r and condition (a)'s zero
+    roots read, with one stability threshold for the rest; the commands'
+    agreement is `test_cli.TestOneUnitRootCount`."""
 
     @pytest.mark.parametrize("family", ["mcarma21", "mcar1"])
     def test_margin_crosses_one_where_c_flips(self, family):
         cs, last, refused = [], [], []
         for eps in np.geomspace(1e-11, 1e-5, 61):
-            m = _band_model(family, eps)
+            m = zoo.band(family, eps)
             uc = matops.unit_roots(matops.companion_matrix(m.ar_poly()))
             assert uc.margin_kept > 1.0 and uc.margin_dropped >= 1.0
             cs.append(uc.c)
@@ -381,14 +305,14 @@ class TestOneUnitRootCount:
     def test_rank_tol_moves_the_zero_roots(self):
         # the root -1e-8 of det P: below the zero tolerance 2e-8 but kept by
         # the default rank test, so no count; a zero root at rank_tol 1e-6
-        m = _band_model("mcar1", 1e-8)
+        m = zoo.band("mcar1", 1e-8)
         with pytest.raises(MultiplicityError, match="rank deficiency c=0"):
             check_cointegration(m)
         loose = check_cointegration(m, 1e-6)
         assert (loose.r, loose.condition_a, loose.is_cointegrated) == (1, True, True)
         # the root -1e-7: stable at the default, and a zero root at 1e-6, whose
         # zero tolerance 1e-5 (1 + ||A||) follows the rank tolerance
-        m = _band_model("mcar1", 1e-7)
+        m = zoo.band("mcar1", 1e-7)
         default = check_cointegration(m)
         assert (default.r, default.condition_a, default.is_cointegrated) == (2, True, False)
         loose = check_cointegration(m, 1e-6)

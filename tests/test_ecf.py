@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import zoo
 from cointssm import (
     cointegration_space,
     discretize,
@@ -27,10 +28,10 @@ from cointssm import matops
 @pytest.fixture(scope="module", params=[0.1, 0.01])
 def slow_case(request):
     """(path, Kalman innovations, decomposition with J = 200) of
-    ``helpers.slow_fixture`` at step h, where 200 lags leave a large tail
+    ``zoo.slow`` at step h, where 200 lags leave a large tail
     (the truncated filter missed the innovations by up to 8e-2 of
     max|eps| on this path)."""
-    cf = helpers.slow_fixture()
+    cf = zoo.slow()
     sm = discretize(cf, request.param)
     ks = solve_steady_state(sm, cf)
     ps = simulate_exact_full(sm, cf, 3000, seed=61)
@@ -135,7 +136,7 @@ class TestCoefficients:
         if model == "partial":
             ks, sm = partial_ks, partial_sm
         else:
-            cf = helpers.slow_fixture()
+            cf = zoo.slow()
             sm = discretize(cf, 1.0)
             ks = solve_steady_state(sm, cf)
         dec = ma_and_ktilde_coeffs(ks, sm, J=J)
@@ -148,7 +149,7 @@ class TestCoefficients:
     def test_matches_loop_oracle_on_non_normal_loop(self, h, bound):
         # MCARMA(3, 1), so CB = 0: at h = 0.001 the closed loop has norm
         # about 3,650, and matrix powers of it lose 2.5e-8 of the table
-        cf = helpers.mcarma31_fixture()
+        cf = zoo.mcarma31()
         sm = discretize(cf, h)
         ks = solve_steady_state(sm, cf)
         dec = ma_and_ktilde_coeffs(ks, sm, J=50)
@@ -184,7 +185,7 @@ class TestEcfResiduals:
         assert np.max(np.abs(out - eps[201:])) <= 1e-10 * np.max(np.abs(eps))
 
     def test_long_path(self, rng):
-        cf = helpers.random_canonical(rng, d=6, c=2, n2=8, m=6)
+        cf = zoo.random_canonical(rng, d=6, c=2, n2=8, m=6)
         sm = discretize(cf, 1.0)
         ks = solve_steady_state(sm, cf)
         ps = simulate_exact_gaussian(sm, cf, 50_000, seed=96)
@@ -215,7 +216,7 @@ class TestEcfResiduals:
         # beyond the result, S dY is the only path-sized array (scanned in
         # place); the extra quarter of T N covers the scan's O(T / SCAN_BLOCK)
         # rows
-        cf = helpers.slow_fixture()
+        cf = zoo.slow()
         sm = discretize(cf, 1.0)
         ks = solve_steady_state(sm, cf)
         dec = ma_and_ktilde_coeffs(ks, sm)
@@ -245,7 +246,7 @@ class TestStructuralCheck:
 
     def test_random_models(self, rng):
         for _ in range(5):
-            cf = helpers.random_canonical(rng, d=3, c=1, n2=2, m=3)
+            cf = zoo.random_canonical(rng, d=3, c=1, n2=2, m=3)
             sm = discretize(cf, 0.5)
             ks = solve_steady_state(sm, cf)
             report = structural_check(ks, sm, cf)
@@ -335,7 +336,7 @@ class TestAlternativeRepresentation:
         assert np.max(np.abs(alt - eps)) <= 1e-10 * np.max(np.abs(eps))
 
     def test_scratch_memory_is_bounded(self, rng):
-        cf = helpers.slow_fixture()
+        cf = zoo.slow()
         sm = discretize(cf, 1.0)
         ks = solve_steady_state(sm, cf)
         dec = ma_and_ktilde_coeffs(ks, sm)

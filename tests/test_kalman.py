@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import helpers
+import zoo
 from cointssm import (
     CointCanonicalForm,
     KalmanSolution,
@@ -27,7 +28,7 @@ from cointssm.errors import (
 def stationary_scalar(a: float = np.exp(-1.0)):
     """c = 0 toy with e^{Ah} = a, C = 1."""
     cf = CointCanonicalForm(c=0, A2=[[np.log(a)]], B1=np.zeros((0, 1)), B2=[[1.0]],
-                            C1=np.zeros((1, 0)), C2=[[1.0]], levy=helpers.brownian(1))
+                            C1=np.zeros((1, 0)), C2=[[1.0]], levy=zoo.brownian(1))
     return cf, discretize(cf, 1.0)
 
 
@@ -47,7 +48,7 @@ class TestSolveSteadyState:
 
     def test_invariants_on_random_models(self, rng):
         for _ in range(6):
-            cf = helpers.random_canonical(rng, d=2, c=1, n2=2, m=2)
+            cf = zoo.random_canonical(rng, d=2, c=1, n2=2, m=2)
             sm = discretize(cf, 0.5)
             ks = solve_steady_state(sm, cf)
             scale = 1.0 + np.linalg.norm(ks.omega)
@@ -63,7 +64,7 @@ class TestSolveSteadyState:
     @pytest.mark.parametrize("h", [1.0, 0.1, 0.01])
     def test_agrees_with_fixed_point_oracle(self, partial_cf, h):
         # the oracle stops about tol / (1 - contraction) ~ 1e-12 / h short
-        cf = helpers.random_canonical(np.random.default_rng(2024), d=4, c=2, n2=6, m=4)
+        cf = zoo.random_canonical(np.random.default_rng(2024), d=4, c=2, n2=6, m=4)
         for model in (partial_cf, cf):
             sm = discretize(model, h)
             omega = helpers.riccati_fixed_point(sm, model)
@@ -71,7 +72,7 @@ class TestSolveSteadyState:
             assert np.linalg.norm(ks.omega - omega) <= 1e-9 / h * np.linalg.norm(omega)
 
     def test_small_step_residual(self):
-        cf = helpers.random_canonical(np.random.default_rng(2025), d=4, c=2, n2=6, m=4)
+        cf = zoo.random_canonical(np.random.default_rng(2025), d=4, c=2, n2=6, m=4)
         ks = solve_steady_state(discretize(cf, 1e-3), cf)
         assert ks.residual <= 1e-13 * np.linalg.norm(ks.omega)
         assert ks.spectral_radius < 1.0
@@ -79,7 +80,7 @@ class TestSolveSteadyState:
     def test_degenerate_unit_root_noise_raises(self, partial_cf):
         # with no noise on the unit roots no stabilizing solution exists; the
         # two models fail in the closed-loop check and in the scipy solver
-        big = helpers.random_canonical(np.random.default_rng(3), d=4, c=2, n2=6, m=4)
+        big = zoo.random_canonical(np.random.default_rng(3), d=4, c=2, n2=6, m=4)
         for cf in (partial_cf, big):
             sm = discretize(cf, 0.5)
             sigma = sm.sigma_tilde.copy()
@@ -89,10 +90,10 @@ class TestSolveSteadyState:
                 solve_steady_state(dataclasses.replace(sm, sigma_tilde=sigma), cf)
 
     @pytest.mark.parametrize("fixture, h", [
-        (helpers.scalar_fixture, 1.0),
-        (helpers.partial_fixture, 0.5),
-        (helpers.slow_fixture, 0.1),
-        (helpers.mcarma31_fixture, 0.1),
+        (zoo.scalar, 1.0),
+        (zoo.partial, 0.5),
+        (zoo.slow, 0.1),
+        (zoo.mcarma31, 0.1),
     ])
     def test_residual_matches_cholesky_route(self, fixture, h):
         # the residual applies S^{-1} through the gain's LU solve; the same
@@ -156,7 +157,7 @@ class TestFilterInnovations:
     def test_matches_loop_oracle_on_non_normal_loop(self, h):
         # ||cl||_2 is 33 at h = 0.1 and 360 at h = 0.01, where the scan's
         # products of closed-loop powers miss the loop by 1.4e-7
-        cf = helpers.mcarma31_fixture()
+        cf = zoo.mcarma31()
         sm = discretize(cf, h)
         ks = solve_steady_state(sm, cf)
         y = simulate_exact_gaussian(sm, cf, 5_000, seed=1).y
@@ -217,7 +218,7 @@ class TestFilterInnovations:
     def test_scratch_memory_is_bounded(self, rng):
         # beyond the states and the innovations (both returned), only the
         # scan's O(T / SCAN_BLOCK) rows, freed before the innovations exist
-        cf = helpers.slow_fixture()
+        cf = zoo.slow()
         sm = discretize(cf, 1.0)
         ks = solve_steady_state(sm, cf)
         T = 200_000

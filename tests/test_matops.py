@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import helpers
+import zoo
 from cointssm import CointCanonicalForm, LevySpec, discretize, matops
 from cointssm.errors import (
     CointegrationRankError,
@@ -66,18 +67,18 @@ class TestExpmAction:
     def test_matches_expm_per_row(self, rng):
         for n in (1, 2, 3, 6):
             for horizon in (0.01, 1.0, 20.0):
-                A = helpers.random_hurwitz(rng, n)
+                A = zoo.random_hurwitz(rng, n)
                 times = horizon * rng.random(300)
                 self._check_rows(A, horizon, times, rng.normal(size=(300, n)))
         # grid-aligned times: ||A||_1 = 48 on [0, 1] gives s = 7 and delta = 2^-7, so t = j delta
         # for every 7-bit j, plus t = horizon, whose index 2^7 the clamp takes back to 2^7 - 1
-        A = helpers.random_hurwitz(rng, 3)
+        A = zoo.random_hurwitz(rng, 3)
         A *= 48.0 / np.abs(A).sum(axis=0).max()
         times = np.arange(2**7 + 1) / 2**7
         self._check_rows(A, 1.0, times, rng.normal(size=(times.size, 3)))
 
     def test_endpoints(self, rng):
-        A = helpers.random_hurwitz(rng, 3)
+        A = zoo.random_hurwitz(rng, 3)
         V = rng.normal(size=(2, 3))
         out = matops.expm_action(A, 2.0, [0.0, 2.0], V)
         assert np.array_equal(out[0], V[0])
@@ -124,7 +125,7 @@ class TestGramianIntegral:
     def _model(b1, levy=None):
         return CointCanonicalForm(
             c=1, A2=[[-1.0]], B1=[[b1, 0.0]], B2=[[0.0, 1.0]],
-            C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy or helpers.brownian(2),
+            C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy or zoo.brownian(2),
         )
 
     def test_constant_integrand(self):
@@ -141,7 +142,7 @@ class TestGramianIntegral:
     def test_matches_quadrature(self, rng):
         for _ in range(4):
             n2 = int(rng.integers(1, 4))
-            cf = helpers.random_canonical(rng, d=2, c=1, n2=n2, m=2)
+            cf = zoo.random_canonical(rng, d=2, c=1, n2=n2, m=2)
             h = rng.uniform(0.2, 2.0)
             B2 = np.asarray(cf.B2)
             Q = B2 @ np.asarray(cf.levy.sigma_L) @ B2.T
@@ -149,7 +150,7 @@ class TestGramianIntegral:
             assert np.allclose(out, helpers.simpson_gramian(cf.A2, Q, h), atol=1e-8)
 
     def test_symmetric_psd(self, rng):
-        cf = helpers.random_canonical(rng, d=2, c=1, n2=3, m=3)
+        cf = zoo.random_canonical(rng, d=2, c=1, n2=3, m=3)
         out = discretize(cf, 1.5).sigma_tilde
         assert np.array_equal(out, out.T)
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-10
@@ -160,7 +161,7 @@ class TestGramianIntegral:
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionError):
-            self._model(1.0, helpers.brownian(3))
+            self._model(1.0, zoo.brownian(3))
 
 
 class TestLyapunov:
@@ -174,8 +175,8 @@ class TestLyapunov:
     def test_residual_on_random_hurwitz(self, rng):
         for _ in range(6):
             n = rng.integers(1, 6)
-            A = helpers.random_hurwitz(rng, n)
-            Q = helpers.random_spd(rng, n)
+            A = zoo.random_hurwitz(rng, n)
+            Q = zoo.random_spd(rng, n)
             G = matops.lyapunov_solve(A, Q)
             assert np.linalg.norm(A @ G + G @ A.T + Q) <= 1e-10 * np.linalg.norm(Q)
             assert np.linalg.norm(G - G.T) < 1e-12
@@ -461,7 +462,7 @@ class TestIsSymmetric:
 
 class TestPsdFactor:
     def test_factorization(self, rng):
-        S = helpers.random_spd(rng, 4)
+        S = zoo.random_spd(rng, 4)
         F = matops.psd_factor(S)
         assert np.allclose(F @ F.T, S, atol=1e-10)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import helpers
+import zoo
 from cointssm import (
     CointCanonicalForm,
     LevySpec,
@@ -149,14 +149,14 @@ class TestLevySpec:
 
 class TestStateSpaceModel:
     def test_dimension_coherence(self):
-        levy = helpers.brownian(2)
+        levy = zoo.brownian(2)
         with pytest.raises(DimensionError):
             StateSpaceModel(A=np.zeros((2, 2)), B=np.zeros((3, 2)), C=np.eye(2), levy=levy)
         with pytest.raises(DimensionError):
             StateSpaceModel(A=np.zeros((2, 2)), B=np.zeros((2, 2)), C=np.eye(3), levy=levy)
 
     def test_observation_cannot_exceed_state(self):
-        levy = helpers.brownian(1)
+        levy = zoo.brownian(1)
         with pytest.raises(DimensionError):
             StateSpaceModel(A=np.zeros((1, 1)), B=np.ones((1, 1)),
                             C=np.ones((2, 1)), levy=levy)
@@ -167,25 +167,25 @@ class TestStateSpaceModel:
             StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2), C=np.eye(2), levy=levy)
 
     def test_properties(self):
-        m = assemble_from_canonical(helpers.partial_fixture())
+        m = assemble_from_canonical(zoo.partial())
         assert (m.N, m.d, m.m) == (3, 2, 2)
 
 
 class TestMcarmaModel:
     def test_requires_p_greater_q(self):
-        levy = helpers.brownian(1)
+        levy = zoo.brownian(1)
         with pytest.raises(ValidationError):
             McarmaModel(p_coeffs=(np.eye(1),), q_coeffs=(np.eye(1), np.eye(1)), levy=levy)
 
     def test_coefficient_shapes(self):
-        levy = helpers.brownian(2)
+        levy = zoo.brownian(2)
         with pytest.raises(DimensionError):
             McarmaModel(p_coeffs=(np.eye(2), np.eye(3)), q_coeffs=(np.ones((2, 2)),), levy=levy)
         with pytest.raises(DimensionError):
             McarmaModel(p_coeffs=(np.eye(2),), q_coeffs=(np.ones((2, 3)),), levy=levy)
 
     def test_ar_poly_is_monic(self, rng):
-        m = helpers.random_mcarma(rng, d=2, p=2, q=1, m=2)
+        m = zoo.random_mcarma(rng, d=2, p=2, q=1, m=2)
         poly = m.ar_poly()
         assert np.array_equal(poly[0], np.eye(2))
         assert len(poly) == 3
@@ -196,20 +196,20 @@ class TestCointCanonicalForm:
         with pytest.raises(ValidationError):
             CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0]], B2=[[1.0]],
                                C1=[[2.0], [0.0]], C2=[[0.0], [1.0]],
-                               levy=helpers.brownian(1))
+                               levy=zoo.brownian(1))
 
     def test_c1_positive_leading_entry(self):
         with pytest.raises(ValidationError):
             CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0]], B2=[[1.0]],
                                C1=[[-1.0], [0.0]], C2=[[0.0], [1.0]],
-                               levy=helpers.brownian(1))
+                               levy=zoo.brownian(1))
 
     def test_c1_pivots_must_increase(self):
         C1 = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError):
             CointCanonicalForm(c=2, A2=[[-1.0]], B1=np.eye(2), B2=[[1.0, 0.0]],
                                C1=C1, C2=[[0.0], [0.0], [1.0]],
-                               levy=helpers.brownian(2))
+                               levy=zoo.brownian(2))
 
     def test_c1_is_refused_unless_the_normalizer_makes_it(self):
         # the pivot rule read 5e-9 as zero and accepted this C1, though
@@ -217,13 +217,13 @@ class TestCointCanonicalForm:
         c1 = np.array([[-5e-9], [1.0]]) / np.hypot(5e-9, 1.0)
         with pytest.raises(ValidationError, match="C1"):
             CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0]], B2=[[1.0]],
-                               C1=c1, C2=[[0.0], [1.0]], levy=helpers.brownian(1))
+                               C1=c1, C2=[[0.0], [1.0]], levy=zoo.brownian(1))
 
     def test_rank_deficient_c1_refused(self):
         with pytest.raises(ValidationError, match="C1"):
             CointCanonicalForm(c=2, A2=[[-1.0]], B1=np.eye(2), B2=[[1.0, 0.0]],
                                C1=[[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
-                               C2=[[0.0], [0.0], [1.0]], levy=helpers.brownian(2))
+                               C2=[[0.0], [0.0], [1.0]], levy=zoo.brownian(2))
 
     @pytest.mark.parametrize("eps", [1.5e-9, 2e-9, 5e-9])
     def test_canonical_c1_with_a_small_pivot_is_accepted(self, eps):
@@ -231,7 +231,7 @@ class TestCointCanonicalForm:
         # normalizer's relative 1e-9 takes as the pivot, and refused the C1
         # that canonicalize had just made
         m = StateSpaceModel(A=np.diag([0.0, -1.0]), B=np.eye(2), C=[[eps, 1.0], [-1.0, 0.0]],
-                            levy=helpers.brownian(2))
+                            levy=zoo.brownian(2))
         cf, _ = canonicalize(m)
         assert cf.C1[0, 0] > 0
         again, _ = canonicalize(assemble_from_canonical(cf))
@@ -241,18 +241,18 @@ class TestCointCanonicalForm:
         with pytest.raises(ValidationError):
             CointCanonicalForm(c=1, A2=[[0.5]], B1=[[1.0]], B2=[[1.0]],
                                C1=[[1.0], [0.0]], C2=[[0.0], [1.0]],
-                               levy=helpers.brownian(1))
+                               levy=zoo.brownian(1))
 
     def test_b1_full_row_rank(self):
         with pytest.raises(ValidationError):
             CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[0.0]], B2=[[1.0]],
                                C1=[[1.0], [0.0]], C2=[[0.0], [1.0]],
-                               levy=helpers.brownian(1))
+                               levy=zoo.brownian(1))
 
     def test_b1_rank_reads_rel_tol(self):
         # B1's second row at 1e-10: full rank at 1e-12, not at the default
         weak_b1 = dict(c=2, A2=[[-1.0]], B1=[[1.0, 0.0], [0.0, 1e-10]], B2=[[1.0, 1.0]],
-                       C1=np.eye(3, 2), C2=[[0.0], [0.0], [1.0]], levy=helpers.brownian(2))
+                       C1=np.eye(3, 2), C2=[[0.0], [0.0], [1.0]], levy=zoo.brownian(2))
         with pytest.raises(ValidationError, match="B1"):
             CointCanonicalForm(**weak_b1)
         assert CointCanonicalForm(**weak_b1, rel_tol=1e-12).c == 2
@@ -261,10 +261,10 @@ class TestCointCanonicalForm:
         with pytest.raises(ValidationError):
             CointCanonicalForm(c=1, A2=np.zeros((0, 0)), B1=[[1.0]],
                                B2=np.zeros((0, 1)), C1=[[1.0]],
-                               C2=np.zeros((1, 0)), levy=helpers.brownian(1))
+                               C2=np.zeros((1, 0)), levy=zoo.brownian(1))
 
-    @pytest.mark.parametrize("fixture", [helpers.scalar_fixture, helpers.partial_fixture,
-                                         helpers.slow_fixture])
+    @pytest.mark.parametrize("fixture", [zoo.scalar, zoo.partial,
+                                         zoo.slow])
     def test_gamma0_solved_once_and_read_only(self, fixture):
         cf = fixture()
         want = matops.lyapunov_solve(cf.A2, cf.B2 @ cf.levy.sigma_L @ cf.B2.T)
@@ -276,7 +276,7 @@ class TestCointCanonicalForm:
     def test_stationary_degenerate_allowed(self):
         cf = CointCanonicalForm(c=0, A2=[[-1.0]], B1=np.zeros((0, 1)), B2=[[1.0]],
                                 C1=np.zeros((1, 0)), C2=[[1.0]],
-                                levy=helpers.brownian(1))
+                                levy=zoo.brownian(1))
         assert cf.N == 1 and cf.c == 0
 
 
@@ -290,7 +290,7 @@ class TestAssemble:
     def test_degenerate_stationary(self):
         cf = CointCanonicalForm(c=0, A2=[[-2.0]], B1=np.zeros((0, 1)), B2=[[1.0]],
                                 C1=np.zeros((1, 0)), C2=[[3.0]],
-                                levy=helpers.brownian(1))
+                                levy=zoo.brownian(1))
         m = assemble_from_canonical(cf)
         assert np.array_equal(m.A, [[-2.0]])
         assert np.array_equal(m.B, [[1.0]])
@@ -298,14 +298,14 @@ class TestAssemble:
 
     def test_round_trip_through_canonicalize(self, rng):
         for _ in range(5):
-            cf = helpers.random_canonical(rng, d=2, c=1, n2=2, m=2)
+            cf = zoo.random_canonical(rng, d=2, c=1, n2=2, m=2)
             canon, _ = canonicalize(assemble_from_canonical(cf))
             again, _ = canonicalize(assemble_from_canonical(canon))
             for name in ("A2", "B1", "B2", "C1", "C2"):
                 assert np.allclose(getattr(again, name), getattr(canon, name), atol=1e-8)
 
     def test_levy_passes_for_accepted_models(self, rng):
-        cf = helpers.random_canonical(rng, d=2, c=1, n2=2, m=2)
+        cf = zoo.random_canonical(rng, d=2, c=1, n2=2, m=2)
         levy = assemble_from_canonical(cf).levy
         LevySpec(kind=levy.kind, sigma_L=levy.sigma_L, jump_rate=levy.jump_rate,
                  jump_cov=levy.jump_cov)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import zoo
 from cointssm import (
     CointCanonicalForm,
     cointegration_space,
@@ -41,7 +42,7 @@ class TestDiscretize:
     def test_large_step_blocks_match_closed_form(self, rng):
         # at ||A2 h|| >> 1 the Van Loan block e^{-A h} dwarfs the integral;
         # the Lyapunov identity sigma22 = G - E G E' is exact for Hurwitz A2
-        cf = helpers.random_canonical(rng, d=4, c=2, n2=6, m=4)
+        cf = zoo.random_canonical(rng, d=4, c=2, n2=6, m=4)
         S = np.asarray(cf.levy.sigma_L)
         B1, B2, A2 = map(np.asarray, (cf.B1, cf.B2, cf.A2))
         for h in (5.0, 20.0):
@@ -76,7 +77,7 @@ class TestDiscretize:
         def refuse(*args):
             raise AssertionError("discretize solved a Lyapunov equation")
         monkeypatch.setattr(matops, "lyapunov_solve", refuse)
-        sm = discretize(helpers.partial_fixture(), partial_sm.h)
+        sm = discretize(zoo.partial(), partial_sm.h)
         assert [f.name for f in dataclasses.fields(sm)] == ["h", "c", "eAh", "sigma_tilde"]
         assert not hasattr(sm, "gamma0")
         assert np.array_equal(sm.eAh, partial_sm.eAh)
@@ -152,7 +153,7 @@ class TestCovContinuous:
         calls = []
         solve = matops.lyapunov_solve
         monkeypatch.setattr(matops, "lyapunov_solve", lambda *a: calls.append(1) or solve(*a))
-        cf = helpers.partial_fixture()
+        cf = zoo.partial()
         for t in (0.0, 1.0, 2.0):
             for s in (0.0, 1.0):
                 cov_continuous(cf, t, s)
@@ -189,7 +190,7 @@ class TestCovContinuous:
         # difference of two cross integrals loses it to cancellation
         cf = CointCanonicalForm(
             c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[1.0, 1.0]],
-            C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=helpers.brownian(2),
+            C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=zoo.brownian(2),
         )
         want = np.exp(-s) * (1.0 - np.exp(-1.0))
         assert abs(cov_continuous(cf, 1.0, s)[0, 1] - want) <= 1e-12 * want

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
+import zoo
 from cointssm import (
     CointCanonicalForm,
     LevySpec,
@@ -21,30 +22,18 @@ from cointssm import matops, simulate
 from cointssm.errors import ValidationError
 
 
-def jump_fixture(kind: str = "compound_poisson_gaussian_jumps") -> CointCanonicalForm:
-    """The scalar fixture driven by jumps at rate 2 with covariance I/2
-    (plus a unit Brownian component for the mixed kind)."""
-    sigma = np.eye(2) if kind == "compound_poisson_gaussian_jumps" else 2.0 * np.eye(2)
-    levy = LevySpec(kind=kind, sigma_L=sigma, jump_rate=2.0, jump_cov=0.5 * np.eye(2))
-    return CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
-                              C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
-
-
 def jump_partial_fixture() -> CointCanonicalForm:
     """The partially observed fixture (non-normal A2, B2 mixing both driver
     coordinates) with a Brownian-plus-jump driver of the same sigma_L."""
-    cf = helpers.partial_fixture()
-    jump_cov = np.array([[0.3, 0.1], [0.1, 0.5]])
-    levy = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=cf.levy.sigma_L,
-                    jump_rate=1.5, jump_cov=jump_cov)
-    return CointCanonicalForm(c=1, A2=cf.A2, B1=cf.B1, B2=cf.B2, C1=cf.C1, C2=cf.C2,
-                              levy=levy)
+    return zoo.partial(LevySpec(kind="brownian_plus_compound_poisson",
+                                sigma_L=zoo.partial().levy.sigma_L, jump_rate=1.5,
+                                jump_cov=[[0.3, 0.1], [0.1, 0.5]]))
 
 
 def jump_random_fixture() -> CointCanonicalForm:
-    """The random (4, 2, 6) model of ``helpers.slow_fixture`` with a
+    """The random (4, 2, 6) model of ``zoo.slow`` with a
     Brownian-plus-jump driver, about one jump per unit of time."""
-    cf = helpers.slow_fixture()
+    cf = zoo.slow()
     levy = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=np.eye(4),
                     jump_rate=1.0, jump_cov=0.5 * np.eye(4))
     return CointCanonicalForm(c=cf.c, A2=cf.A2, B1=cf.B1, B2=cf.B2, C1=cf.C1, C2=cf.C2,
@@ -156,7 +145,7 @@ class TestStorage:
         # (Nehalem's) misses it too wherever a block or a path ends off the
         # unroll; there the products are held to the rounding of an N-term
         # dot product, taken twice
-        cf = helpers.slow_fixture()
+        cf = zoo.slow()
         factor = matops.psd_factor(discretize(cf, 1.0).sigma_tilde)
         rng, ref = np.random.default_rng(7), np.random.default_rng(7)
         r1, x2 = simulate._gaussian_noise(rng, factor, cf.c, n_paths, n_steps)
@@ -186,14 +175,14 @@ class TestStorage:
     def test_single_path_scratch_is_bounded(self):
         # beyond y, x2 and r1 only the levels x1 (T c = 0.25 T N doubles here)
         # and row blocks; eager draws, x1, y2 and times took 1.0 T N
-        cf = helpers.slow_fixture()
+        cf = zoo.slow()
         sm = discretize(cf, 1.0)
         T = 100_000
         peak, ps = helpers.scratch_peak(simulate_exact_full, sm, cf, T, seed=3)
         kept = ps.y.nbytes + ps.x2.nbytes + ps.r1.nbytes
         assert peak - kept <= 0.3 * T * cf.N * 8
 
-    @pytest.mark.parametrize("make,T", [(helpers.slow_fixture, 100_000),
+    @pytest.mark.parametrize("make,T", [(zoo.slow, 100_000),
                                         (jump_random_fixture, 20_000)])
     def test_single_path_retains_only_y(self, make, T):
         # x2 and r1 (0.75 T N doubles here) were kept until the path was freed
@@ -206,7 +195,7 @@ class TestStorage:
     def test_ensemble_scratch_is_bounded(self):
         # r1 and x2 (P T N doubles, the levels summed over r1 in place) and
         # row blocks; eager draws, x1 and y2 took 1.75 P T N
-        cf = helpers.slow_fixture()
+        cf = zoo.slow()
         sm = discretize(cf, 1.0)
         P, T = 8, 20_000
         peak, y = helpers.scratch_peak(simulate_gaussian_ensemble, sm, cf, T, P, seed=3)
@@ -229,7 +218,7 @@ class TestRegeneration:
         return {"r1": r1, "x2": x2, "x1": x1, "y2": x2 @ np.asarray(cf.C2).T}
 
     @pytest.mark.parametrize("make,h,x1_0,path_index", [
-        (helpers.partial_fixture, 0.5, None, 0),
+        (zoo.partial, 0.5, None, 0),
         (jump_random_fixture, 1.0, None, 0),
         (jump_partial_fixture, 0.5, [2.0], 3),
     ])
@@ -278,7 +267,7 @@ class TestRegeneration:
     def test_pickled_states_read_back_under_another_gemm_kernel(self, tmp_path):
         # the states travel with the path, so a reader whose BLAS kernel
         # rounds differently from the writer's gets them back bit for bit
-        cf = helpers.slow_fixture()
+        cf = zoo.slow()
         ps = simulate_exact_full(discretize(cf, 1.0), cf, 20_000, seed=3)
         src, out = tmp_path / "path.pkl", tmp_path / "read.pkl"
         src.write_bytes(pickle.dumps(ps))
@@ -300,10 +289,8 @@ class TestLevyEuler:
     so its test ids stay stable)."""
 
     def test_zero_jump_rate_reproduces_brownian_path(self, scalar_cf, scalar_sm):
-        levy = LevySpec(kind="brownian_plus_compound_poisson", sigma_L=np.eye(2),
-                        jump_rate=0.0, jump_cov=np.eye(2))
-        cf = CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
-                                C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
+        cf = zoo.scalar(LevySpec(kind="brownian_plus_compound_poisson", sigma_L=np.eye(2),
+                                 jump_rate=0.0, jump_cov=np.eye(2)))
         ps = simulate_exact_full(discretize(cf, 1.0), cf, 3_000, x1_0=[1.5], seed=9)
         ref = simulate_exact_full(scalar_sm, scalar_cf, 3_000, x1_0=[1.5], seed=9)
         for field in ("y", "x1", "x2", "r1"):
@@ -317,17 +304,16 @@ class TestLevyEuler:
         assert np.all(np.abs(emp - sm.sigma_tilde) <= 4.0 * helpers.cov_se(R, R))
 
     def test_jump_driver_covariance(self):
-        self._check_noise_covariance(jump_fixture(), 1.0)
+        self._check_noise_covariance(zoo.scalar(zoo.pure_jump()), 1.0)
 
     def test_mixed_driver_covariance_non_normal_a2(self):
         self._check_noise_covariance(jump_partial_fixture(), 0.5)
 
-    @pytest.mark.parametrize("kind", ["compound_poisson_gaussian_jumps",
-                                      "brownian_plus_compound_poisson"])
-    def test_fourth_cumulants_match_closed_form(self, kind):
+    @pytest.mark.parametrize("levy", [zoo.pure_jump, zoo.mixed])
+    def test_fourth_cumulants_match_closed_form(self, levy):
         # r1 = b'L(h) and r2 = int_0^h e^{a u} B2 dL: only the jumps have a
         # fourth cumulant, 3 lambda h (b'Jb)^2 and 3 lambda j^2 (1 - e^{4ah}) / (-4a)
-        cf = jump_fixture(kind)
+        cf = zoo.scalar(levy())
         h, lam, a = 0.5, cf.levy.jump_rate, -1.0
         J = np.asarray(cf.levy.jump_cov)
         b = (np.asarray(cf.B1) @ J @ np.asarray(cf.B1).T)[0, 0]
@@ -424,7 +410,7 @@ class TestLevyEuler:
         assert np.all(np.abs(y.T @ y / y.shape[0] - want) <= 4.0 * helpers.cov_se(y, y))
 
     def test_determinism(self):
-        cf = jump_fixture()
+        cf = zoo.scalar(zoo.pure_jump())
         sm = discretize(cf, 0.5)
         a = simulate_exact_full(sm, cf, 200, seed=4)
         b = simulate_exact_full(sm, cf, 200, seed=4)
@@ -433,9 +419,7 @@ class TestLevyEuler:
 
     def test_driver_validation_flows_through(self):
         with pytest.raises(ValidationError):
-            levy = LevySpec(kind="brownian", sigma_L=np.diag([1.0, 0.0]))
-            CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 1.0]],
-                               C1=[[1.0], [0.0]], C2=[[0.0], [1.0]], levy=levy)
+            zoo.scalar(LevySpec(kind="brownian", sigma_L=np.diag([1.0, 0.0])))
 
 
 class TestFirstDifference:
@@ -448,7 +432,7 @@ class TestFirstDifference:
     def test_degenerate_stationary_block(self):
         cf = CointCanonicalForm(c=1, A2=[[-1.0]], B1=[[1.0, 0.0]], B2=[[0.0, 0.0]],
                                 C1=[[1.0], [0.0]], C2=[[0.0], [1.0]],
-                                levy=helpers.brownian(2))
+                                levy=zoo.brownian(2))
         sm = discretize(cf, 1.0)
         ps = simulate_exact_full(sm, cf, 50, seed=3)
         fd = first_difference(ps)
